@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses as L
+from . import tensor as T
 from .augment import AugPipeline, SyntheticSpec, generate_dataset
 from .losses import LossConfig
 from .nets import Mlp, MlpSpec, TempBounds
@@ -50,35 +51,41 @@ def _frozen(t: Tensor) -> Tensor:
     return Tensor(t.data.copy())
 
 
-def _instance(seed: int, heads: int, d_prime: int = 8, n_neg: int = 6):
-    """Random per-head anchor/positive/negative leaves plus a temperature
-    net, all as probe-able parameters."""
+def _instance(seed: int, heads: int, d_prime: int = 8, batch: int = 4):
+    """Random per-head raw (B, d') two-view leaves plus a temperature net,
+    all as probe-able parameters. With B = 4 each anchor has six in-batch
+    negatives and each head 64 probed coordinates."""
     stream = SplitMix64(seed)
-    pairs, negatives = [], []
-    for _ in range(heads):
-        pairs.append((Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,)))))
-        negatives.append(Tensor(_rand(stream, (n_neg, d_prime))))
+    views = [(Tensor(_rand(stream, (batch, d_prime))), Tensor(_rand(stream, (batch, d_prime))))
+             for _ in range(heads)]
     temp_net = Mlp.init(MlpSpec((d_prime, d_prime)), derive(seed, "phi"))
-    return pairs, negatives, temp_net
+    return views, temp_net
+
+
+def _unit(views):
+    """The unit projections the in-batch loss reads, on the graph."""
+    return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
 
 
 def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[CheckResult]:
     """Finite-difference check of every loss variant at the configured
     grid: both aggregation modes, adaptive and constant temperatures,
-    heads in {1, 3}, kappa in {1, 3}."""
+    heads in {1, 3}, kappa in {1, 3}. The ntxent/infonce rows probe
+    in-batch instances with ``n_neg`` negatives per anchor (B = n_neg/2 + 1)."""
     bounds = TempBounds(1e-5, 2.0)
+    batch = n_neg // 2 + 1
     results: list[CheckResult] = []
 
     def run(name, loss_fn, params):
         results.append(CheckResult(name, finite_diff_check(loss_fn, params), GRADCHECK_TOL))
 
-    # Table of single-head baselines at a constant temperature.
-    pairs, negatives, _ = _instance(derive(seed, "base"), 1)
-    (anchor, positive), negs = pairs[0], negatives[0]
-    run("baseline/ntxent", lambda: L.ntxent_loss(anchor, positive, negs, 0.5),
-        [anchor, positive, negs])
-    run("baseline/infonce", lambda: L.infonce_loss(anchor, positive, negs, 0.5),
-        [anchor, positive, negs])
+    # Single-head baselines at a constant temperature.
+    views, _ = _instance(derive(seed, "base"), 1, d_prime, batch)
+    flat = [t for pair in views for t in pair]
+    for variant in ("ntxent", "infonce"):
+        cfg = LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=0.5)
+        run(f"baseline/{variant}", lambda cfg=cfg: L.nce_loss(cfg, _unit(views), 0.5)[0].total(),
+            flat)
 
     stream = SplitMix64(derive(seed, "simsiam-base"))
     live_a, live_b = Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,)))
@@ -92,29 +99,24 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
         lambda: L.cross_corr_loss(L.batch_standardize(raw_a), L.batch_standardize(raw_b), 0.5),
         [raw_a, raw_b])
 
-    # Multi-head ntxent / infonce over the full grid.
+    # Multi-head ntxent / infonce over the full grid; temperatures read
+    # frozen copies of the projections.
     for variant in ("ntxent", "infonce"):
-        loss_op = L.multihead_ntxent if variant == "ntxent" else L.multihead_infonce
         for heads in (1, 3):
-            pairs, negatives, temp_net = _instance(derive(seed, variant, heads), heads,
-                                                   d_prime, n_neg)
-            flat = [t for pair in pairs for t in pair] + negatives
-            frozen_pairs = [(_frozen(a), _frozen(p)) for a, p in pairs]
-            frozen_negs = [_frozen(n) for n in negatives]
+            views, temp_net = _instance(derive(seed, variant, heads), heads, d_prime, batch)
+            flat = [t for pair in views for t in pair]
+            frozen = L.AdaptiveTemps(temp_net, [(_frozen(a), _frozen(b)) for a, b in _unit(views)])
             for temp_mode in ("constant", "adaptive"):
                 for agg, kappa in (("topk", 1), ("topk", 3), ("softmax", 1)):
                     cfg = LossConfig(variant=variant, heads=heads, beta=0.7,
                                      temp_mode=temp_mode, tau0=0.5, neg_agg=agg,
                                      kappa=kappa, bounds=bounds)
-                    params = flat + (temp_net.params if temp_mode == "adaptive" else [])
+                    adaptive = temp_mode == "adaptive"
+                    temps = frozen if adaptive else 0.5
+                    params = flat + (temp_net.params if adaptive else [])
 
-                    def loss_fn(cfg=cfg, pairs=pairs, negatives=negatives, temp_net=temp_net,
-                                frozen_pairs=frozen_pairs, frozen_negs=frozen_negs):
-                        temps = None
-                        if cfg.temp_mode == "adaptive":
-                            temps = [L.pair_temperatures(a, p, n, temp_net, bounds)
-                                     for (a, p), n in zip(frozen_pairs, frozen_negs)]
-                        return loss_op(cfg, pairs, negatives, temps=temps).total()
+                    def loss_fn(cfg=cfg, views=views, temps=temps):
+                        return L.nce_loss(cfg, _unit(views), temps)[0].total()
 
                     label = f"multihead/{variant}/C{heads}/{temp_mode}/{agg}{kappa if agg == 'topk' else ''}"
                     run(label, loss_fn, params)
@@ -135,16 +137,15 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
             cfg = LossConfig(variant="simsiam", heads=heads, beta=0.7,
                              temp_mode=temp_mode, tau0=0.5, bounds=bounds)
             params = flat + predictor.params + (temp_net.params if temp_mode == "adaptive" else [])
+            temps = 0.5
+            if temp_mode == "adaptive":
+                temps = L.AdaptiveTemps(temp_net, [(pa, pb, tgt_a, tgt_b) for (pa, pb), (tgt_b, tgt_a)
+                                                   in zip(frozen_live, frozen)])
 
-            def loss_fn(cfg=cfg, raws=raws, frozen=frozen, predictor=predictor, temp_net=temp_net,
-                        frozen_live=frozen_live):
+            def loss_fn(cfg=cfg, raws=raws, frozen=frozen, predictor=predictor, temps=temps):
                 branches = [(predictor(a), predictor(b), tgt_a, tgt_b)
                             for (a, b), (tgt_b, tgt_a) in zip(raws, frozen)]
-                temps = None
-                if cfg.temp_mode == "adaptive":
-                    temps = [L.negcos_temperatures(pa, pb, tgt_a, tgt_b, temp_net, bounds)
-                             for (pa, pb), (tgt_b, tgt_a) in zip(frozen_live, frozen)]
-                return L.multihead_negcos(cfg, branches, tau=0.5, temps=temps).total()
+                return L.multihead_negcos(cfg, branches, temps)[0].total()
 
             run(f"multihead/simsiam/C{heads}/{temp_mode}", loss_fn, params)
 
@@ -161,13 +162,11 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
             cfg = LossConfig(variant="barlow", heads=heads, beta=0.7, lambd=0.5,
                              temp_mode=temp_mode, tau0=0.5, bounds=bounds)
             params = flat + (temp_bt.params if temp_mode == "adaptive" else [])
+            temps = L.AdaptiveTemps(temp_bt, frozen_std) if temp_mode == "adaptive" else 0.5
 
-            def loss_fn(cfg=cfg, raws=raws, temp_bt=temp_bt, frozen_std=frozen_std):
+            def loss_fn(cfg=cfg, raws=raws, temps=temps):
                 pairs = [(L.batch_standardize(a), L.batch_standardize(b)) for a, b in raws]
-                temps = None
-                if cfg.temp_mode == "adaptive":
-                    temps = [L.channel_temperatures(a, b, temp_bt, bounds) for a, b in frozen_std]
-                return L.multihead_cross_corr(cfg, pairs, temps=temps).total()
+                return L.multihead_cross_corr(cfg, pairs, temps)[0].total()
 
             run(f"multihead/barlow/C{heads}/{temp_mode}", loss_fn, params)
 
@@ -176,9 +175,10 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
 
 def mle_equivalence_suite(n_instances: int = 100, seed: int = 515,
                           d_prime: int = 8, n_neg: int = 6) -> list[CheckResult]:
-    """Value and gradient agreement between the softmax-aggregated losses
-    (beta = 1) and the direct Gaussian-ratio computation, up to the
-    derived (d'/2) log(2 pi) constant per head."""
+    """Value and gradient agreement between the softmax-aggregated
+    in-batch losses (beta = 1, adaptive temperatures on the live
+    projections, as in training) and the naive Gaussian-ratio
+    computation, up to the derived (d'/2) log(2 pi) constant per head."""
     bounds = TempBounds(1e-5, 2.0)
     results: list[CheckResult] = []
     for variant in ("ntxent", "infonce"):
@@ -186,21 +186,19 @@ def mle_equivalence_suite(n_instances: int = 100, seed: int = 515,
         max_grad = 0.0
         for i in range(n_instances):
             heads = 1 + (i % 2) * 2
-            pairs, negatives, temp_net = _instance(derive(seed, variant, i), heads,
-                                                   d_prime, n_neg)
+            views, temp_net = _instance(derive(seed, variant, i), heads, d_prime, n_neg // 2 + 1)
             cfg = LossConfig(variant=variant, heads=heads, beta=1.0,
                              temp_mode="adaptive", neg_agg="softmax", bounds=bounds)
-            loss_op = L.multihead_ntxent if variant == "ntxent" else L.multihead_infonce
-            leaves = [t for pair in pairs for t in pair] + negatives + temp_net.params
+            leaves = [t for pair in views for t in pair] + temp_net.params
+            projections = _unit(views)
+            temps = L.AdaptiveTemps(temp_net, projections)
 
-            loss = loss_op(cfg, pairs, negatives, temp_net=temp_net).total()
+            loss = L.nce_loss(cfg, projections, temps)[0].total()
             zero_grads(leaves)
             backward(loss)
             grads_loss = [grad_of(p).copy() for p in leaves]
 
-            temps = [L.pair_temperatures(a, p, n, temp_net, bounds)
-                     for (a, p), n in zip(pairs, negatives)]
-            oracle = L.gaussian_ratio_loss(variant, pairs, negatives, temps, d_prime)
+            oracle = L.gaussian_ratio_loss(variant, projections, temps, bounds)
             zero_grads(leaves)
             backward(oracle)
             grads_oracle = [grad_of(p).copy() for p in leaves]

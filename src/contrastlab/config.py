@@ -109,65 +109,71 @@ def _str():
     return check
 
 
+# Defaults come from the dataclasses the resolved document is turned
+# into; the schema adds only the validators (and the io paths, which no
+# dataclass holds).
+_MODEL, _LOSS, _AUG, _TRAIN, _EVAL, _SYN = (
+    ModelConfig(), LossConfig(), AugPipeline(), TrainConfig(), EvalConfig(), SyntheticSpec())
+
 SCHEMA: dict[str, dict[str, Any]] = {
     "model": {
-        "d": Field(32, _int_min(1)),
-        "d_prime": Field(16, _int_min(1)),
-        "heads": Field(3, _int_min(1, "C >= 1")),
+        "d": Field(_MODEL.d, _int_min(1)),
+        "d_prime": Field(_MODEL.d_prime, _int_min(1)),
+        "heads": Field(_LOSS.heads, _int_min(1, "C >= 1")),
     },
     "loss": {
-        "family": Field("multihead", _choice("baseline", "multihead")),
-        "variant": Field("ntxent", _choice("ntxent", "simsiam", "barlow", "infonce")),
-        "beta": Field(2.0, _number(0.0)),
-        "kappa": Field(16, _int_min(1, "kappa >= 1")),
-        "lambda": Field(5e-3, _number(0.0)),
-        "temp_mode": Field("adaptive", _choice("constant", "cosine", "adaptive")),
-        "tau0": Field(0.2, _number(0.0, lo_strict=True)),
-        "tau_min": Field(0.05, _number(0.0, lo_strict=True)),
-        "tau_max": Field(1.0, _number(0.0, lo_strict=True)),
-        "tau_period": Field(60.0, _number(0.0, lo_strict=True)),
+        "family": Field(_LOSS.family, _choice("baseline", "multihead")),
+        "variant": Field(_LOSS.variant, _choice("ntxent", "simsiam", "barlow", "infonce")),
+        "beta": Field(_LOSS.beta, _number(0.0)),
+        "kappa": Field(_LOSS.kappa, _int_min(1, "kappa >= 1")),
+        "lambda": Field(_LOSS.lambd, _number(0.0)),
+        "temp_mode": Field(_LOSS.temp_mode, _choice("constant", "cosine", "adaptive")),
+        "tau0": Field(_LOSS.tau0, _number(0.0, lo_strict=True)),
+        "tau_min": Field(_LOSS.tau_min, _number(0.0, lo_strict=True)),
+        "tau_max": Field(_LOSS.tau_max, _number(0.0, lo_strict=True)),
+        "tau_period": Field(_LOSS.tau_period, _number(0.0, lo_strict=True)),
         "bounds": {
-            "eta": Field(1e-5, _number(0.0, lo_strict=True)),
-            "iota": Field(2.0, _number(0.0, lo_strict=True)),
+            "eta": Field(_LOSS.bounds.eta, _number(0.0, lo_strict=True)),
+            "iota": Field(_LOSS.bounds.iota, _number(0.0, lo_strict=True)),
         },
-        "neg_agg": Field("softmax", _choice("topk", "softmax")),
-        "dim_factor_in_set_penalty": Field(True, _bool()),
+        "neg_agg": Field(_LOSS.neg_agg, _choice("topk", "softmax")),
+        "dim_factor_in_set_penalty": Field(_LOSS.dim_factor_in_set_penalty, _bool()),
     },
     "augment": {
-        "prefix": Field(5, _int_min(1)),
-        "crop_scale": Field([0.5, 1.0], _pair_range()),
-        "blur_sigma": Field([0.1, 1.0], _pair_range()),
-        "gray_prob": Field(0.2, _fraction()),
-        "jitter_strength": Field(0.4, _fraction()),
-        "flip_prob": Field(0.5, _fraction()),
+        "prefix": Field(len(_AUG.ops), _int_min(1)),
+        "crop_scale": Field(list(_AUG.crop_scale), _pair_range()),
+        "blur_sigma": Field(list(_AUG.blur_sigma), _pair_range()),
+        "gray_prob": Field(_AUG.gray_prob, _fraction()),
+        "jitter_strength": Field(_AUG.jitter_strength, _fraction()),
+        "flip_prob": Field(_AUG.flip_prob, _fraction()),
     },
     "train": {
-        "epochs": Field(60, _int_min(1)),
-        "batch_size": Field(64, _int_min(4, "batch_size >= 4 (in-batch negatives)")),
-        "lr": Field(0.05, _number(0.0, lo_strict=True)),
-        "momentum": Field(0.9, _fraction()),
-        "weight_decay": Field(1e-4, _number(0.0)),
-        "temp_lr_scale": Field(0.1, _number(0.0, lo_strict=True)),
-        "run_seed": Field(1, _int_min(0)),
-        "eval_every": Field(0, _int_min(0)),
-        "test_fraction": Field(0.2, _fraction()),
-        "probe_per_class": Field(50, _int_min(1)),
+        "epochs": Field(_TRAIN.epochs, _int_min(1)),
+        "batch_size": Field(_TRAIN.batch_size, _int_min(4, "batch_size >= 4 (in-batch negatives)")),
+        "lr": Field(_TRAIN.lr, _number(0.0, lo_strict=True)),
+        "momentum": Field(_TRAIN.momentum, _fraction()),
+        "weight_decay": Field(_TRAIN.weight_decay, _number(0.0)),
+        "temp_lr_scale": Field(_TRAIN.temp_lr_scale, _number(0.0, lo_strict=True)),
+        "run_seed": Field(_TRAIN.run_seed, _int_min(0)),
+        "eval_every": Field(_TRAIN.eval_every, _int_min(0)),
+        "test_fraction": Field(_TRAIN.test_fraction, _fraction()),
+        "probe_per_class": Field(_TRAIN.probe_per_class, _int_min(1)),
     },
     "eval": {
-        "knn_k": Field(20, _int_min(1)),
-        "probe_sizes": Field([10, 20, 50], _int_list()),
-        "pair_count": Field(500, _int_min(1)),
-        "pair_seed": Field(99, _int_min(0)),
+        "knn_k": Field(_EVAL.knn_k, _int_min(1)),
+        "probe_sizes": Field(list(_EVAL.probe_sizes), _int_list()),
+        "pair_count": Field(_EVAL.pair_count, _int_min(1)),
+        "pair_seed": Field(_EVAL.pair_seed, _int_min(0)),
     },
     "io": {
         "dataset": Field(None, _optional_str()),
         "output_dir": Field("out", _str()),
         "synthetic": {
-            "classes": Field(4, _int_min(1)),
-            "per_class": Field(500, _int_min(1)),
-            "size": Field(16, _int_min(8)),
-            "channels": Field(3, _choice(1, 3)),
-            "seed": Field(7, _int_min(0)),
+            "classes": Field(_SYN.classes, _int_min(1)),
+            "per_class": Field(_SYN.per_class, _int_min(1)),
+            "size": Field(_SYN.size, _int_min(8)),
+            "channels": Field(_SYN.channels, _choice(1, 3)),
+            "seed": Field(_SYN.seed, _int_min(0)),
         },
     },
 }

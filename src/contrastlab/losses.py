@@ -6,8 +6,15 @@ temperature-weighted positive similarity, an aggregate over the hardest
 (top-k) or all (softmax) negative similarities, and a temperature penalty
 that keeps the learned variances away from degenerate values.
 
-Similarity/temperature inputs are shape-polymorphic: per-anchor scalars
-or leading-batch vectors flow through the same expressions.
+There is one batch loss per variant, and training, the finite-difference
+checks, the maximum-likelihood oracle and the reduction check all call
+it: ``nce_loss`` (ntxent and infonce, in-batch negatives over one
+(2B, 2B) similarity matrix per head), ``multihead_negcos`` and
+``multihead_cross_corr``. Each takes every head at once, handles both
+families, and returns the head-summed batch terms together with the
+temperatures it used. Its temperature source is the scheduled
+temperature, or ``AdaptiveTemps``: the temperature net plus the tensors
+it embeds.
 
 Gradient flow through the adaptive temperature. With beta = 1 and
 softmax aggregation a head's ntxent term is, up to a constant, the
@@ -33,12 +40,13 @@ Without it the same run is at 0.88 and 0.69 after two epochs. So phi is
 trained through dL/dtau and the encoder and heads through dL/dz at fixed
 tau: temperatures are computed from gradient-stopped features
 (``nets.temperature_embedding``).
-The per-anchor losses here, the batched training path, the finite-
-difference checks (which hold the temperature inputs frozen) and the
-maximum-likelihood oracle all go through that one function.
+The batch losses, the finite-difference checks (which pass frozen
+temperature inputs) and the maximum-likelihood oracle all go through
+that one function.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +109,7 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossTerms:
-    """Per-anchor decomposition: positive-pair, negative-pair, penalty."""
+    """Loss decomposition: positive-pair, negative-pair, penalty."""
 
     pos: Tensor
     neg: Tensor
@@ -140,7 +148,7 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 def temp_penalty(tau, d_prime: int) -> Tensor:
     """(d'/2) log(tau) + 1/tau, elementwise; unique minimum at tau = 2/d'."""
     tau = T.as_tensor(tau)
-    if np.any(tau.data <= 0.0):
+    if (tau.data <= 0.0).any():
         raise DomainError("temperature penalty needs tau > 0")
     return (d_prime / 2.0) * T.log(tau) + 1.0 / tau
 
@@ -160,27 +168,6 @@ def infonce_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
     pos = -(s_pos / tau)
     neg = T.log(T.exp(s_pos / tau) + T.sum_(T.exp(s_neg / tau), axis=-1))
     return LossTerms(pos, neg, _zeros_like(pos))
-
-
-def _check_negatives(negatives: Tensor) -> None:
-    if negatives.data.ndim < 1 or negatives.shape[0] < 1:
-        raise ContractViolation("need at least one negative sample")
-
-
-def ntxent_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, tau: float) -> Tensor:
-    """Single-anchor form: anchor and positive are (d,) vectors,
-    negatives is an (N, d) stack."""
-    _check_negatives(negatives)
-    s_pos = cosine_sim(anchor, positive)
-    s_neg = T.matmul(T.l2_normalize(negatives), T.l2_normalize(anchor))
-    return ntxent_terms(s_pos, s_neg, tau).total()
-
-
-def infonce_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, tau: float) -> Tensor:
-    _check_negatives(negatives)
-    s_pos = cosine_sim(anchor, positive)
-    s_neg = T.matmul(T.l2_normalize(negatives), T.l2_normalize(anchor))
-    return infonce_terms(s_pos, s_neg, tau).total()
 
 
 def negcos_loss(z_a: Tensor, z_b: Tensor, target_a: Tensor, target_b: Tensor) -> Tensor:
@@ -214,15 +201,19 @@ def cross_correlation(z_a: Tensor, z_b: Tensor) -> Tensor:
     return T.matmul(T.transpose(z_a), z_b) / float(n)
 
 
-def cross_corr_loss(z_a: Tensor, z_b: Tensor, lambd: float) -> Tensor:
-    """Drive the cross-correlation toward identity: squared deviation of
-    the diagonal from one plus lambda-weighted squared off-diagonals."""
+def _check_cross_corr_inputs(z_a: Tensor, z_b: Tensor) -> None:
     if z_a.shape != z_b.shape or z_a.data.ndim != 2:
         raise ContractViolation(f"expected matching (N, d') matrices, got {z_a.shape}, {z_b.shape}")
     if z_a.shape[0] < 2:
         raise ContractViolation("batch size must be >= 2")
     check_standardized(z_a.data)
     check_standardized(z_b.data)
+
+
+def cross_corr_loss(z_a: Tensor, z_b: Tensor, lambd: float) -> Tensor:
+    """Drive the cross-correlation toward identity: squared deviation of
+    the diagonal from one plus lambda-weighted squared off-diagonals."""
+    _check_cross_corr_inputs(z_a, z_b)
     c = cross_correlation(z_a, z_b)
     d_prime = z_a.shape[1]
     eye = Tensor(np.eye(d_prime))
@@ -245,7 +236,7 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     all underflow at small temperatures stays finite; the gradient with
     respect to the log-densities is their softmax."""
     tau = T.as_tensor(tau)
-    if np.any(tau.data <= 0.0):
+    if (tau.data <= 0.0).any():
         raise DomainError("softmax aggregation needs tau > 0")
     log_dens = (-d_prime / 2.0) * T.log(TWO_PI * tau) + (s - 1.0) / tau
     return T.logsumexp(log_dens, axis=-1)
@@ -276,14 +267,52 @@ def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Ten
     return LossTerms(pos, neg, omega)
 
 
-def pair_temperatures(anchor: Tensor, positive: Tensor, negatives: Tensor,
-                      temp_net: Mlp, bounds: TempBounds) -> tuple[Tensor, Tensor]:
-    """Adaptive positive/negative temperatures for one anchor; inputs are
-    l2-normalized before entering the temperature net."""
-    an = T.l2_normalize(anchor)
-    tau_pos = adaptive_temperature(an, T.l2_normalize(positive), temp_net, bounds)
-    tau_neg = adaptive_temperature(T.l2_normalize(negatives), an, temp_net, bounds)
-    return tau_pos, tau_neg
+# -- temperature sources ----------------------------------------------------
+
+@dataclass(frozen=True)
+class AdaptiveTemps:
+    """Adaptive temperatures: the temperature net and the tensors it
+    embeds, laid out per head like the loss's own inputs.
+
+    Training passes the live features. The finite-difference checks pass
+    frozen copies, because a probe must hold the stop-gradient branch
+    fixed while it perturbs the features.
+    """
+
+    net: Mlp
+    inputs: list
+
+
+@dataclass
+class StepTemps:
+    """Temperatures a batch loss used: every emitted value, plus the
+    positive-pair temperatures arranged (samples, heads)."""
+
+    all_values: np.ndarray
+    positive: np.ndarray
+
+
+def _check_heads(cfg: LossConfig, per_head) -> None:
+    if len(per_head) != cfg.heads:
+        raise ContractViolation(f"expected {cfg.heads} per-head inputs, got {len(per_head)}")
+
+
+def _scheduled_tau(cfg: LossConfig, temps) -> float | None:
+    """The scheduled temperature, or None when ``temps`` is adaptive.
+    ``temps`` is a number for the constant and cosine modes and an
+    ``AdaptiveTemps`` for the adaptive mode."""
+    adaptive = isinstance(temps, AdaptiveTemps)
+    if adaptive != (cfg.temp_mode == "adaptive"):
+        need = "AdaptiveTemps" if cfg.temp_mode == "adaptive" else "a scheduled temperature"
+        raise ContractViolation(f"temp_mode {cfg.temp_mode!r} needs {need}, got {temps!r}")
+    if adaptive:
+        _check_heads(cfg, temps.inputs)
+        return None
+    return float(temps)
+
+
+def _emitted(tau_pos: list[np.ndarray], tau_all: list[np.ndarray]) -> StepTemps:
+    return StepTemps(np.concatenate(tau_all), np.stack(tau_pos, axis=1))
 
 
 def negcos_temperatures(live_a: Tensor, live_b: Tensor, target_a: Tensor, target_b: Tensor,
@@ -310,149 +339,185 @@ def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net_bt: Mlp,
     return bounded_sigmoid(T.matmul(phi_a, T.transpose(phi_b)), bounds)
 
 
-def _check_heads(cfg: LossConfig, *per_head) -> None:
-    if any(x is not None and len(x) != cfg.heads for x in per_head):
-        raise ContractViolation(f"expected {cfg.heads} per-head inputs")
+# -- batch losses: one call per step, all heads ------------------------------
+
+@functools.lru_cache(maxsize=16)
+def pair_indices(batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices into the (2B, 2B) Gram matrix over the rows of
+    concat([z_a, z_b]): each row's positive partner, shape (2B, 1), and
+    its 2B - 2 in-batch negatives, shape (2B, 2B - 2). A row's negatives
+    are its own branch first, then the other branch, each in batch order
+    with the row itself and its partner left out. Cached per batch size,
+    so both arrays are read-only."""
+    others = np.tile(np.arange(batch), (batch, 1))[~np.eye(batch, dtype=bool)]
+    others = others.reshape(batch, batch - 1)
+    negatives = np.block([[others, others + batch], [others + batch, others]])
+    partner = np.concatenate([np.arange(batch) + batch, np.arange(batch)])[:, None]
+    partner.setflags(write=False)
+    negatives.setflags(write=False)
+    return partner, negatives
 
 
-def _require_net(net: Mlp | None, what: str = "a temperature net") -> Mlp:
-    if net is None:
-        raise ContractViolation(f"adaptive temp_mode needs {what}")
-    return net
+def _pairs(matrix: Tensor, partner: np.ndarray, candidates: np.ndarray) -> tuple[Tensor, Tensor]:
+    """A (2B, 2B) pair matrix gathered at each row's partner, as a (2B,)
+    vector, and at its candidate columns."""
+    return (T.reshape(T.gather(matrix, partner), (partner.shape[0],)),
+            T.gather(matrix, candidates))
 
 
-def _resolve_tau(cfg: LossConfig, tau: float | None) -> float:
-    if tau is not None:
-        return tau
-    if cfg.temp_mode == "constant":
-        return cfg.tau0
-    raise ContractViolation("non-constant temp_mode needs an explicit tau or a temperature net")
+def _symmetric_mean(terms: LossTerms, batch: int) -> LossTerms:
+    """0.5 (m_a + m_b) of the per-direction means of (2B,) row terms: the
+    two means combine commutatively, so the loss is exactly invariant to
+    swapping the views."""
+    def half(t: Tensor) -> Tensor:
+        return T.mean(T.mean(T.reshape(t, (2, batch)), axis=-1))
+    return LossTerms(half(terms.pos), half(terms.neg), half(terms.omega))
 
 
-def _nce_multihead(cfg: LossConfig, pairs, negatives, temp_net, tau, temps,
-                   include_positive_candidate: bool) -> LossTerms:
-    _check_heads(cfg, pairs, negatives, temps)
-    total: LossTerms | None = None
-    for c, ((anchor, positive), negs) in enumerate(zip(pairs, negatives)):
-        _check_negatives(negs)
-        d_prime = anchor.shape[-1]
-        an = T.l2_normalize(anchor)
-        s_pos = T.sum_(T.mul(an, T.l2_normalize(positive)), axis=-1)
-        s_neg = T.matmul(T.l2_normalize(negs), an)
-        if temps is not None:
-            tau_pos, tau_neg = temps[c]
-        elif cfg.temp_mode == "adaptive":
-            tau_pos, tau_neg = pair_temperatures(anchor, positive, negs,
-                                                 _require_net(temp_net), cfg.bounds)
-        else:
-            t = _resolve_tau(cfg, tau)
-            tau_pos, tau_neg = Tensor(np.float64(t)), Tensor(np.full(negs.shape[0], t))
-        if include_positive_candidate:
-            s_cand = T.concat([s_neg, T.reshape(s_pos, (1,))], axis=0)
-            tau_cand = T.concat([tau_neg, T.reshape(tau_pos, (1,))], axis=0)
-        else:
-            s_cand, tau_cand = s_neg, tau_neg
-        terms = nce_head_terms(
-            s_pos, tau_pos, s_cand, tau_cand,
-            d_prime=d_prime, beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
-            dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
-        )
-        total = terms if total is None else total + terms
-    return total
+def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]:
+    """In-batch ntxent/infonce over two views, both families, all heads.
 
-
-def multihead_ntxent(cfg: LossConfig, pairs, negatives, temp_net: Mlp | None = None,
-                     tau: float | None = None, temps=None) -> LossTerms:
-    """Multi-head ntxent: per head, a temperature-weighted positive term,
-    the top-k (or softmax) aggregate over negatives, and the penalty
-    +beta*Omega(tau+) - beta*Omega({selected tau-}).
-
-    ``pairs`` is a per-head list of (anchor, positive) (d,) vectors and
-    ``negatives`` a per-head list of (N, d) stacks. ``temps``, when given,
-    is a per-head list of (tau_pos, tau_neg) that replaces the temperature
-    net; the adaptive form equals passing ``pair_temperatures`` of the
-    same inputs, and checks pass them computed from frozen copies.
+    ``projections`` is a per-head list of (z_a, z_b) unit (B, d') row
+    stacks (they are not re-normalized here); ``temps`` is the scheduled
+    temperature or ``AdaptiveTemps`` over per-head (B, d') pairs. Per
+    head, one Gram matrix over the 2B rows of concat([z_a, z_b]) gives
+    every similarity; each row's positive is its partner in the other
+    view and its negatives are the other 2B - 2 rows (``pair_indices``);
+    the infonce candidates add the positive as the last entry. Adaptive
+    temperatures come the same way from the Gram matrix of the rows'
+    temperature embeddings; the bounded sigmoid reads only the gathered
+    pair logits, so a self-pair on the diagonal, which is no pair, cannot
+    trip its saturation check. The baseline family scores the rows with
+    ``ntxent_terms``/``infonce_terms`` at the scheduled temperature, the
+    multi-head family with ``nce_head_terms``. Returns the sum over heads
+    of each head's ``_symmetric_mean`` and the temperatures used.
     """
-    return _nce_multihead(cfg, pairs, negatives, temp_net, tau, temps,
-                          include_positive_candidate=False)
-
-
-def multihead_infonce(cfg: LossConfig, pairs, negatives, temp_net: Mlp | None = None,
-                      tau: float | None = None, temps=None) -> LossTerms:
-    """Same structure as multihead_ntxent, but the candidate set for the
-    aggregation is the N negatives plus the positive itself (index N+1)."""
-    return _nce_multihead(cfg, pairs, negatives, temp_net, tau, temps,
-                          include_positive_candidate=True)
-
-
-def multihead_negcos(cfg: LossConfig, branches, temp_net: Mlp | None = None,
-                     tau: float | None = None, temps=None) -> LossTerms:
-    """Multi-head symmetric negative cosine with stop-gradient targets.
-
-    ``branches`` is a per-head list of (live_a, live_b, target_a, target_b):
-    live vectors are predictor outputs, targets are the opposite branch's
-    projector outputs (stop-gradient is applied here). Both temperature
-    penalties enter with positive sign since both pairs are positive pairs.
-    Accepts single (d,) vectors or (B, d) row stacks. ``temps``, when
-    given, is a per-head list of ``negcos_temperatures``-shaped pairs.
-    """
-    _check_heads(cfg, branches, temps)
+    tau = _scheduled_tau(cfg, temps)
+    _check_heads(cfg, projections)
+    batch = projections[0][0].shape[0]
+    if batch < 2:
+        raise ContractViolation("in-batch negatives need a batch of at least 2")
+    partner, negatives = pair_indices(batch)
+    # the baseline infonce_terms adds the positive to its denominator itself
+    with_positive = cfg.variant == "infonce" and cfg.family == "multihead"
+    candidates = np.hstack([negatives, partner]) if with_positive else negatives
     total: LossTerms | None = None
+    tau_pos: list[np.ndarray] = []
+    tau_all: list[np.ndarray] = []
+    for c, (z_a, z_b) in enumerate(projections):
+        if z_a.shape != z_b.shape or z_a.data.ndim != 2 or z_a.shape[0] != batch:
+            raise ContractViolation(f"expected matching ({batch}, d') views, got {z_a.shape}, {z_b.shape}")
+        z = T.concat([z_a, z_b], axis=0)
+        s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
+        if cfg.family == "baseline":
+            make = ntxent_terms if cfg.variant == "ntxent" else infonce_terms
+            terms = make(s_pos, s_cand, tau)
+            tau_pos.append(np.full(2 * batch, tau))
+            tau_all.append(np.array([tau]))
+        else:
+            if tau is None:
+                phi = temperature_embedding(temps.net, T.concat(list(temps.inputs[c]), axis=0))
+                r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)
+                t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
+            else:
+                t_pos, t_cand = Tensor(np.full(2 * batch, tau)), Tensor(np.full(candidates.shape, tau))
+            terms = nce_head_terms(
+                s_pos, t_pos, s_cand, t_cand,
+                d_prime=z_a.shape[-1], beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
+                dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
+            )
+            if cfg.neg_agg == "topk":
+                sel = topk_indices(s_cand.data, cfg.kappa)
+                tau_all.append(np.take_along_axis(t_cand.data, sel, axis=-1).ravel())
+            else:
+                tau_all.append(t_cand.data.ravel())
+            tau_all.append(t_pos.data)
+            tau_pos.append(t_pos.data)
+        head = _symmetric_mean(terms, batch)
+        total = head if total is None else total + head
+    return total, _emitted(tau_pos, tau_all)
+
+
+def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepTemps]:
+    """Symmetric negative cosine with stop-gradient targets, all heads:
+    the sum over heads of each head's batch-mean terms.
+
+    ``branches`` is a per-head list of (live_a, live_b, target_a, target_b)
+    (B, d') row stacks or single (d',) vectors: live vectors are predictor
+    outputs, targets are the opposite branch's projector outputs
+    (stop-gradient is applied here). ``temps`` is the scheduled
+    temperature or ``AdaptiveTemps`` over branches of the same layout
+    (``negcos_temperatures``). Both temperature penalties enter with
+    positive sign since both pairs are positive pairs. The baseline family
+    is the plain ``negcos_loss``; its temperature is only logged.
+    """
+    tau = _scheduled_tau(cfg, temps)
+    _check_heads(cfg, branches)
+    total: LossTerms | None = None
+    tau_pos: list[np.ndarray] = []
     for c, (live_a, live_b, target_a, target_b) in enumerate(branches):
-        d_prime = live_a.shape[-1]
-        s_a = cosine_sim(live_a, T.stop_gradient(target_b))
-        s_b = cosine_sim(live_b, T.stop_gradient(target_a))
-        if temps is not None:
-            tau_a, tau_b = temps[c]
-        elif cfg.temp_mode == "adaptive":
-            tau_a, tau_b = negcos_temperatures(live_a, live_b, target_a, target_b,
-                                               _require_net(temp_net), cfg.bounds)
+        if cfg.family == "baseline":
+            value = negcos_loss(live_a, live_b, target_a, target_b)
+            terms = LossTerms(T.mean(value), Tensor(0.0), Tensor(0.0))
+            tau_pos.append(np.full(2 * value.size, tau))
         else:
-            tau_a = tau_b = Tensor(np.float64(_resolve_tau(cfg, tau)))
-        pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
-        omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
-        terms = LossTerms(pos, _zeros_like(pos), omega + _zeros_like(pos))
+            d_prime = live_a.shape[-1]
+            s_a = cosine_sim(live_a, T.stop_gradient(target_b))
+            s_b = cosine_sim(live_b, T.stop_gradient(target_a))
+            if tau is None:
+                tau_a, tau_b = negcos_temperatures(*temps.inputs[c], temps.net, cfg.bounds)
+            else:
+                tau_a = tau_b = Tensor(np.full(s_a.shape, tau))
+            pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
+            omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
+            terms = LossTerms(T.mean(pos), Tensor(0.0), T.mean(omega))
+            tau_pos.append(np.concatenate([tau_a.data.ravel(), tau_b.data.ravel()]))
         total = terms if total is None else total + terms
-    return total
+    return total, _emitted(tau_pos, tau_pos)
 
 
-def multihead_cross_corr(cfg: LossConfig, pairs, temp_net_bt: Mlp | None = None,
-                         tau: float | None = None, temps=None) -> LossTerms:
-    """Multi-head cross-correlation loss with per-channel temperatures.
+def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, StepTemps]:
+    """Cross-correlation loss with per-channel temperatures, all heads.
 
     ``pairs`` is a per-head list of batch-standardized (N, d') projection
-    matrices. Temperatures come from ``channel_temperatures``, or from
-    ``temps``, a per-head list of (d', d') matrices, when given.
+    matrices. ``temps`` is the scheduled temperature or ``AdaptiveTemps``
+    of the batch-width temperature net over pairs of the same layout
+    (``channel_temperatures``). The baseline family is the plain
+    ``cross_corr_loss``; its temperature is only logged.
     """
-    _check_heads(cfg, pairs, temps)
+    tau = _scheduled_tau(cfg, temps)
+    _check_heads(cfg, pairs)
     total: LossTerms | None = None
+    tau_pos: list[np.ndarray] = []
+    tau_all: list[np.ndarray] = []
     for c, (z_a, z_b) in enumerate(pairs):
-        if z_a.shape != z_b.shape or z_a.data.ndim != 2:
-            raise ContractViolation(f"expected matching (N, d') matrices, got {z_a.shape}, {z_b.shape}")
-        if z_a.shape[0] < 2:
-            raise ContractViolation("batch size must be >= 2")
-        check_standardized(z_a.data)
-        check_standardized(z_b.data)
-        d_prime = z_a.shape[1]
-        c_mat = cross_correlation(z_a, z_b)
-        eye = Tensor(np.eye(d_prime))
-        off = Tensor(1.0 - np.eye(d_prime))
-        if temps is not None:
-            t_mat = temps[c]
-        elif cfg.temp_mode == "adaptive":
-            t_mat = channel_temperatures(
-                z_a, z_b, _require_net(temp_net_bt, "the batch-width temperature net"), cfg.bounds)
+        d_prime = z_a.shape[-1]
+        if cfg.family == "baseline":
+            terms = LossTerms(cross_corr_loss(z_a, z_b, cfg.lambd), Tensor(0.0), Tensor(0.0))
         else:
-            t_mat = Tensor(np.full((d_prime, d_prime), _resolve_tau(cfg, tau)))
-        diag_c = T.sum_(T.mul(c_mat, eye), axis=-1)
-        diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
-        pos = T.sum_(T.pow_const(1.0 - diag_c / diag_t, 2.0))
-        neg = cfg.lambd * T.sum_(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
-        omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime))
-                            - T.sum_(T.mul(temp_penalty(t_mat, d_prime), off)))
-        terms = LossTerms(pos, neg, omega)
+            _check_cross_corr_inputs(z_a, z_b)
+            if tau is None:
+                t_mat = channel_temperatures(*temps.inputs[c], temps.net, cfg.bounds)
+            else:
+                t_mat = Tensor(np.full((d_prime, d_prime), tau))
+            c_mat = cross_correlation(z_a, z_b)
+            eye = Tensor(np.eye(d_prime))
+            off = Tensor(1.0 - np.eye(d_prime))
+            diag_c = T.sum_(T.mul(c_mat, eye), axis=-1)
+            diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
+            pos = T.sum_(T.pow_const(1.0 - diag_c / diag_t, 2.0))
+            neg = cfg.lambd * T.sum_(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
+            omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime))
+                                - T.sum_(T.mul(temp_penalty(t_mat, d_prime), off)))
+            terms = LossTerms(pos, neg, omega)
+        if tau is None:
+            tau_pos.append(np.diag(t_mat.data).copy())
+            tau_all.append(t_mat.data.ravel())
+        else:
+            tau_pos.append(np.full(d_prime, tau))
+            tau_all.append(np.array([tau]))
         total = terms if total is None else total + terms
-    return total
+    return total, _emitted(tau_pos, tau_all)
 
 
 # -- maximum-likelihood oracle ----------------------------------------------
@@ -461,31 +526,46 @@ def gaussian_density(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     """Isotropic Gaussian density at squared distance 2 - 2s (unit
     vectors): (2 pi tau)^(-d'/2) exp(-(2 - 2s) / (2 tau))."""
     tau = T.as_tensor(tau)
-    if np.any(tau.data <= 0.0):
+    if (tau.data <= 0.0).any():
         raise DomainError("gaussian density needs tau > 0")
     return T.mul(T.pow_const(TWO_PI * tau, -d_prime / 2.0),
                  T.exp(-((2.0 - 2.0 * s) / (2.0 * tau))))
 
 
-def gaussian_ratio_loss(variant: str, pairs, negatives, temps, d_prime: int) -> Tensor:
-    """Independent ground truth for the softmax-aggregated losses: the
-    negative log of the Gaussian ratio, summed over heads.
+def gaussian_ratio_loss(variant: str, projections, temps, bounds: TempBounds = TempBounds()) -> Tensor:
+    """Independent ground truth for the softmax-aggregated in-batch
+    losses: per head, the mean over the 2B rows of concat([z_a, z_b]) of
+    the negative log Gaussian ratio, summed over heads.
 
-    ``temps`` is a per-head list of (tau_pos, tau_neg) tensors. For the
-    ntxent variant the denominator holds the negatives' densities; for
-    infonce it additionally holds the positive's density.
+    Deliberately naive: similarities and temperatures are formed for
+    every ordered pair of rows from row-wise products (no Gram matrix),
+    the full density matrix is masked with 0/1 matrices that keep each
+    row's partner (numerator) and drop self and partner (denominator, the
+    negatives; infonce adds the numerator), and the logs are plain logs of
+    row sums (no index table, no log-sum-exp). ``temps`` is a constant
+    temperature or ``AdaptiveTemps`` as for ``nce_loss``.
     """
     if variant not in ("ntxent", "infonce"):
         raise ContractViolation(f"oracle covers ntxent/infonce, got {variant!r}")
     total: Tensor | None = None
-    for (anchor, positive), negs, (tau_pos, tau_neg) in zip(pairs, negatives, temps):
-        an = T.l2_normalize(anchor)
-        s_pos = T.sum_(T.mul(an, T.l2_normalize(positive)), axis=-1)
-        s_neg = T.matmul(T.l2_normalize(negs), an)
-        numerator = gaussian_density(s_pos, tau_pos, d_prime)
-        denominator = T.sum_(gaussian_density(s_neg, tau_neg, d_prime), axis=-1)
+    for c, (z_a, z_b) in enumerate(projections):
+        z = T.concat([z_a, z_b], axis=0)
+        n, d_prime = z.shape
+        first = Tensor(np.repeat(np.eye(n), n, axis=0))    # row i*n + j picks row i
+        second = Tensor(np.tile(np.eye(n), (n, 1)))        # row i*n + j picks row j
+        s = T.reshape(T.sum_(T.mul(T.matmul(first, z), T.matmul(second, z)), axis=-1), (n, n))
+        if isinstance(temps, AdaptiveTemps):
+            u = T.concat(list(temps.inputs[c]), axis=0)
+            tau = T.reshape(adaptive_temperature(T.matmul(first, u), T.matmul(second, u),
+                                                 temps.net, bounds), (n, n))
+        else:
+            tau = Tensor(np.full((n, n), float(temps)))
+        dens = gaussian_density(s, tau, d_prime)
+        partner = np.roll(np.eye(n), n // 2, axis=1)
+        numerator = T.sum_(T.mul(dens, Tensor(partner)), axis=-1)
+        denominator = T.sum_(T.mul(dens, Tensor(1.0 - np.eye(n) - partner)), axis=-1)
         if variant == "infonce":
             denominator = denominator + numerator
-        head_loss = T.log(denominator) - T.log(numerator)
+        head_loss = T.mean(T.log(denominator) - T.log(numerator))
         total = head_loss if total is None else total + head_loss
     return total

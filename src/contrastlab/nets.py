@@ -46,7 +46,7 @@ def bounded_sigmoid(r: Tensor | float, bounds: TempBounds) -> Tensor:
 
 
 def _assert_in_bounds(values: np.ndarray, bounds: TempBounds) -> None:
-    if np.any(values <= bounds.eta) or np.any(values >= bounds.eta + bounds.iota):
+    if (values <= bounds.eta).any() or (values >= bounds.eta + bounds.iota).any():
         raise DomainError(
             f"temperature escaped ({bounds.eta}, {bounds.eta + bounds.iota}): "
             f"range [{values.min()}, {values.max()}]"

@@ -169,7 +169,7 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _joint_shape(a.shape, b.shape)
-    if np.any(b.data == 0.0):
+    if (b.data == 0.0).any():
         raise DomainError("division by zero")
 
     def grad_fn(g):
@@ -194,7 +194,7 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data <= 0.0):
+    if (a.data <= 0.0).any():
         raise DomainError("log of a non-positive argument")
     return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
@@ -227,7 +227,7 @@ def relu(a) -> Tensor:
 def pow_const(a, exponent: float) -> Tensor:
     a = as_tensor(a)
     p = float(exponent)
-    if (p < 0.0 or not p.is_integer()) and np.any(a.data <= 0.0):
+    if (p < 0.0 or not p.is_integer()) and (a.data <= 0.0).any():
         raise DomainError(f"x ** {p} needs a strictly positive base")
 
     def grad_fn(g):
@@ -299,16 +299,19 @@ def sum_(a, axis: int | None = None) -> Tensor:
 
 def mean(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
+    # np.add.reduce(...) / n is what ndarray.mean computes, without its
+    # Python-level wrapper
     if axis is None:
         n = a.data.size
-        return Tensor(a.data.mean(), (a,), lambda g: (np.full(a.shape, float(g) / n),))
+        return Tensor(np.add.reduce(a.data, axis=None) / n, (a,),
+                      lambda g: (np.full(a.shape, float(g) / n),))
     ax = axis % a.data.ndim
     n = a.shape[ax]
 
     def grad_fn(g):
         return (np.broadcast_to(np.expand_dims(g / n, ax), a.shape).copy(),)
 
-    return Tensor(a.data.mean(axis=ax), (a,), grad_fn)
+    return Tensor(np.add.reduce(a.data, axis=ax) / n, (a,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -336,7 +339,7 @@ def gather(a, indices) -> Tensor:
     if a.data.ndim == 1:
         if idx.ndim != 1:
             raise ContractViolation(f"gather on 1D source needs 1D indices, got {idx.shape}")
-        if np.any(idx < 0) or np.any(idx >= a.shape[0]):
+        if (idx < 0).any() or (idx >= a.shape[0]).any():
             raise ContractViolation("gather index out of range")
 
         def grad_fn(g):
@@ -348,7 +351,7 @@ def gather(a, indices) -> Tensor:
     if a.data.ndim == 2:
         if idx.ndim != 2 or idx.shape[0] != a.shape[0]:
             raise ContractViolation(f"gather on {a.shape} needs ({a.shape[0]}, k) indices, got {idx.shape}")
-        if np.any(idx < 0) or np.any(idx >= a.shape[1]):
+        if (idx < 0).any() or (idx >= a.shape[1]).any():
             raise ContractViolation("gather index out of range")
         rows = np.arange(a.shape[0])[:, None]
 
@@ -370,7 +373,7 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     ax = axis % a.data.ndim
     norms = np.sqrt((a.data * a.data).sum(axis=ax, keepdims=True))
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise DomainError("cannot normalize a zero vector")
     out = a.data / norms
 

@@ -2,15 +2,15 @@
 frozen-feature evaluation protocols (nearest-neighbor and linear probe).
 
 Each step builds a two-view batch, pushes both views through the encoder
-and every projection head, evaluates the configured loss over in-batch
-negatives (all views of the other images, N = 2(B-1)), and applies one
-SGD-with-momentum update. Both symmetric anchor/positive directions are
-averaged for the ntxent/infonce variants. Identical config and seed give
-byte-identical logs.
+and every projection head (``nets.forward_views``), makes one call to the
+configured batch loss in ``losses`` (for ntxent/infonce: in-batch
+negatives, all views of the other images, N = 2(B-1), with both
+anchor/positive directions averaged), and applies one SGD-with-momentum
+update. Identical config and seed give byte-identical logs.
 """
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +23,8 @@ from .augment import AugPipeline, Dataset, Image, augment_view, make_two_views, 
 from .errors import ContractViolation, EvaluationError
 from .losses import LossConfig, LossTerms
 from .metrics import separability_report, temperature_stats
-from .nets import ModelBundle, bounded_sigmoid, forward_views, save_bundle, temperature_embedding
+from .nets import ModelBundle, forward_views, save_bundle
+from .nets import bounded_sigmoid  # noqa: F401  (bench/spans.py traces train.bounded_sigmoid)
 from .rng import SplitMix64, derive
 from .tensor import Tensor, backward, grad_of, zero_grads
 
@@ -106,180 +107,28 @@ class SgdMomentum:
             p.data -= lr * scale * v
 
 
-def _drop_diag_indices(batch: int) -> np.ndarray:
-    """Per row i, the column indices 0..batch-1 with i removed. Row i of a
-    same-branch similarity matrix gathered this way excludes the anchor
-    itself; of a cross-branch matrix, it excludes the positive partner."""
-    cols = np.tile(np.arange(batch), (batch, 1))
-    keep = ~np.eye(batch, dtype=bool)
-    return cols[keep].reshape(batch, batch - 1)
-
-
-@dataclass
-class StepTemps:
-    """Temperatures observed in one step: every emitted value, plus the
-    positive-pair temperatures arranged (samples, heads)."""
-
-    all_values: np.ndarray
-    positive: np.ndarray
-
-
 def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
-                tau_step) -> tuple[LossTerms, StepTemps]:
-    """Batch-averaged loss terms for one two-view batch; ``tau_step`` is
-    the scheduled temperature or the marker "adaptive"."""
-    if cfg.variant in ("ntxent", "infonce"):
-        return _batch_nce(bundle, cfg, xa, xb, tau_step)
-    if cfg.variant == "simsiam":
-        return _batch_negcos(bundle, cfg, xa, xb, tau_step)
-    return _batch_cross_corr(bundle, cfg, xa, xb, tau_step)
-
-
-def _mean_terms(terms: LossTerms) -> LossTerms:
-    return LossTerms(T.mean(terms.pos), T.mean(terms.neg), T.mean(terms.omega))
-
-
-def _accumulate(total: LossTerms | None, terms: LossTerms) -> LossTerms:
-    return terms if total is None else total + terms
-
-
-def _diag_vector(matrix: Tensor) -> Tensor:
-    n = matrix.shape[0]
-    return T.reshape(T.gather(matrix, np.arange(n)[:, None]), (n,))
-
-
-def _batch_nce(bundle, cfg: LossConfig, xa, xb, tau_step):
-    """Both anchor directions of the ntxent/infonce batch loss.
-
-    Each direction is assembled from its own-branch and cross-branch
-    similarity blocks, with negatives ordered own-branch first; the two
-    direction means are combined commutatively, which makes the symmetric
-    loss exactly invariant to swapping the anchor and positive roles.
-    """
-    batch = xa.shape[0]
-    neg_idx = _drop_diag_indices(batch)
-    _, _, projections = forward_views(bundle, xa, xb)
-    total = None
-    tau_all: list[np.ndarray] = []
-    tau_pos_heads: list[np.ndarray] = []
-    for za, zb in projections:
-        s_own = {0: T.matmul(za, T.transpose(za)), 1: T.matmul(zb, T.transpose(zb))}
-        s_cross = {0: T.matmul(za, T.transpose(zb)), 1: T.matmul(zb, T.transpose(za))}
-        if cfg.family == "multihead" and cfg.temp_mode == "adaptive":
-            phi_a = temperature_embedding(bundle.temp_net, za)
-            phi_b = temperature_embedding(bundle.temp_net, zb)
-            r_own = {0: T.matmul(phi_a, T.transpose(phi_a)), 1: T.matmul(phi_b, T.transpose(phi_b))}
-            r_cross = {0: T.matmul(phi_a, T.transpose(phi_b)), 1: T.matmul(phi_b, T.transpose(phi_a))}
-        head_terms = None
-        pos_tau_dirs = []
-        for direction in (0, 1):
-            s_pos = _diag_vector(s_cross[direction])
-            s_neg = T.concat([T.gather(s_own[direction], neg_idx),
-                              T.gather(s_cross[direction], neg_idx)], axis=1)
-            if cfg.family == "baseline":
-                make = L.ntxent_terms if cfg.variant == "ntxent" else L.infonce_terms
-                terms = make(s_pos, s_neg, tau_step)
-                pos_tau_dirs.append(np.full(batch, tau_step))
-            else:
-                if cfg.temp_mode == "adaptive":
-                    tau_pos = bounded_sigmoid(_diag_vector(r_cross[direction]), cfg.bounds)
-                    tau_neg = bounded_sigmoid(
-                        T.concat([T.gather(r_own[direction], neg_idx),
-                                  T.gather(r_cross[direction], neg_idx)], axis=1), cfg.bounds)
-                else:
-                    tau_pos = Tensor(np.full(batch, tau_step))
-                    tau_neg = Tensor(np.full((batch, 2 * batch - 2), tau_step))
-                if cfg.variant == "infonce":
-                    s_cand = T.concat([s_neg, T.reshape(s_pos, (batch, 1))], axis=1)
-                    tau_cand = T.concat([tau_neg, T.reshape(tau_pos, (batch, 1))], axis=1)
-                else:
-                    s_cand, tau_cand = s_neg, tau_neg
-                terms = L.nce_head_terms(
-                    s_pos, tau_pos, s_cand, tau_cand,
-                    d_prime=za.shape[-1], beta=cfg.beta, neg_agg=cfg.neg_agg,
-                    kappa=cfg.kappa, dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
-                )
-                pos_tau_dirs.append(tau_pos.data.copy())
-                if cfg.neg_agg == "topk":
-                    sel = L.topk_indices(s_cand.data, cfg.kappa)
-                    tau_all.append(np.take_along_axis(tau_cand.data, sel, axis=-1).ravel())
-                else:
-                    tau_all.append(tau_cand.data.ravel().copy())
-            direction_mean = _mean_terms(terms)
-            head_terms = direction_mean if head_terms is None else head_terms + direction_mean
-        head_terms = LossTerms(0.5 * head_terms.pos, 0.5 * head_terms.neg, 0.5 * head_terms.omega)
-        if cfg.family == "baseline":
-            tau_all.append(np.array([tau_step]))
-        else:
-            tau_all.append(np.concatenate(pos_tau_dirs))
-        tau_pos_heads.append(np.concatenate(pos_tau_dirs))
-        total = _accumulate(total, head_terms)
-    temps = StepTemps(np.concatenate(tau_all), np.stack(tau_pos_heads, axis=1))
-    return total, temps
-
-
-def _batch_negcos(bundle, cfg: LossConfig, xa, xb, tau_step):
-    if bundle.predictor is None:
-        raise ContractViolation("the negative-cosine variant needs a predictor")
-    batch = xa.shape[0]
-    _, _, projections = forward_views(bundle, xa, xb)
-    total = None
-    tau_all: list[np.ndarray] = []
-    tau_pos_heads: list[np.ndarray] = []
-    for za, zb in projections:
-        pa = bundle.predictor(za)
-        pb = bundle.predictor(zb)
-        if cfg.family == "baseline":
-            value = L.negcos_loss(pa, pb, za, zb)
-            terms = LossTerms(T.mean(value), Tensor(0.0), Tensor(0.0))
-            pos_taus = np.full(2 * batch, tau_step)
-        else:
-            one_head = dataclasses.replace(cfg, heads=1)
-            head_temps = None
-            if cfg.temp_mode == "adaptive":
-                head_temps = [L.negcos_temperatures(pa, pb, za, zb, bundle.temp_net, cfg.bounds)]
-                pos_taus = np.concatenate([t.data for t in head_temps[0]])
-            else:
-                pos_taus = np.full(2 * batch, tau_step)
-            raw = L.multihead_negcos(one_head, [(pa, pb, za, zb)], tau=tau_step, temps=head_temps)
-            terms = _mean_terms(raw)
-        tau_pos_heads.append(pos_taus)
-        tau_all.append(pos_taus)
-        total = _accumulate(total, terms)
-    temps = StepTemps(np.concatenate(tau_all), np.stack(tau_pos_heads, axis=1))
-    return total, temps
-
-
-def _batch_cross_corr(bundle, cfg: LossConfig, xa, xb, tau_step):
-    ha = T.l2_normalize(bundle.encoder(xa))
-    hb = T.l2_normalize(bundle.encoder(xb))
-    total = None
-    tau_all: list[np.ndarray] = []
-    tau_pos_heads: list[np.ndarray] = []
-    for head in bundle.heads:
-        ya = L.batch_standardize(head(ha))
-        yb = L.batch_standardize(head(hb))
-        d_prime = ya.shape[1]
-        if cfg.family == "baseline":
-            value = L.cross_corr_loss(ya, yb, cfg.lambd)
-            terms = LossTerms(value, Tensor(0.0), Tensor(0.0))
-            tau_pos_heads.append(np.full(d_prime, tau_step))
-            tau_all.append(np.array([tau_step]))
-        else:
-            one_head = dataclasses.replace(cfg, heads=1)
-            head_temps = None
-            if cfg.temp_mode == "adaptive":
-                t_mat = L.channel_temperatures(ya, yb, bundle.temp_net_bt, cfg.bounds)
-                head_temps = [t_mat]
-                tau_pos_heads.append(np.diag(t_mat.data).copy())
-                tau_all.append(t_mat.data.ravel().copy())
-            else:
-                tau_pos_heads.append(np.full(d_prime, tau_step))
-                tau_all.append(np.array([tau_step]))
-            terms = L.multihead_cross_corr(one_head, [(ya, yb)], tau=tau_step, temps=head_temps)
-        total = _accumulate(total, terms)
-    temps = StepTemps(np.concatenate(tau_all), np.stack(tau_pos_heads, axis=1))
-    return total, temps
+                tau_step) -> tuple[LossTerms, L.StepTemps]:
+    """Loss terms and temperatures of one two-view batch: the forward
+    pass, then one loss call over every head. ``tau_step`` is the
+    scheduled temperature or the marker "adaptive"."""
+    if cfg.variant == "barlow":
+        # the cross-correlation standardizes the raw head outputs
+        ha = T.l2_normalize(bundle.encoder(xa))
+        hb = T.l2_normalize(bundle.encoder(xb))
+        views = [(L.batch_standardize(head(ha)), L.batch_standardize(head(hb)))
+                 for head in bundle.heads]
+        loss, net = L.multihead_cross_corr, bundle.temp_net_bt
+    else:
+        _, _, views = forward_views(bundle, xa, xb)
+        loss, net = L.nce_loss, bundle.temp_net
+        if cfg.variant == "simsiam":
+            if bundle.predictor is None:
+                raise ContractViolation("the negative-cosine variant needs a predictor")
+            views = [(bundle.predictor(za), bundle.predictor(zb), za, zb) for za, zb in views]
+            loss = L.multihead_negcos
+    temps = L.AdaptiveTemps(net, views) if tau_step == "adaptive" else tau_step
+    return loss(cfg, views, temps)
 
 
 # -- pretraining ---------------------------------------------------------
@@ -315,6 +164,18 @@ def _stack(views: list[Image]) -> np.ndarray:
     return np.stack([v.flat() for v in views])
 
 
+def _two_view_batches(dataset: Dataset, train_idx: np.ndarray, pipeline: AugPipeline,
+                      train_cfg: TrainConfig, epoch: int):
+    """The epoch's shuffled two-view batches as (step, xa, xb); at least
+    one batch even when the split is smaller than the batch size."""
+    size = train_cfg.batch_size
+    perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
+    for step in range(max(1, len(train_idx) // size)):
+        views = [make_two_views(dataset.images[j], pipeline, epoch, int(j), train_cfg.run_seed)
+                 for j in train_idx[perm[step * size:(step + 1) * size]]]
+        yield step, Tensor(_stack([a for a, _ in views])), Tensor(_stack([b for _, b in views]))
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -338,23 +199,12 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     params = bundle.parameters()
     opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
                       _lr_scales(bundle, params, train_cfg))
-    n_batches = len(train_idx) // train_cfg.batch_size
     train_rows: list[str] = []
     eval_rows: list[str] = []
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / train_cfg.epochs))
         tau_step = temperature_for_step(loss_cfg, epoch, train_cfg.epochs)
-        perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
-        for step in range(n_batches):
-            chosen = train_idx[perm[step * train_cfg.batch_size:(step + 1) * train_cfg.batch_size]]
-            views_a, views_b = [], []
-            for j in chosen:
-                va, vb = make_two_views(dataset.images[j], pipeline, epoch, int(j),
-                                        train_cfg.run_seed)
-                views_a.append(va)
-                views_b.append(vb)
-            xa = Tensor(_stack(views_a))
-            xb = Tensor(_stack(views_b))
+        for step, xa, xb in _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch):
             terms, temps = _batch_loss(bundle, loss_cfg, xa, xb, tau_step)
             loss = terms.total()
             value = loss.item()
@@ -528,7 +378,6 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
                       _lr_scales(bundle, params, train_cfg))
     train_idx, _ = stratified_split(dataset.labels, train_cfg.test_fraction)
-    n_batches = max(1, len(train_idx) // train_cfg.batch_size)
     d_prime = model_cfg.d_prime
     # Per head and anchor the two losses differ by this input-independent
     # constant (softmax density normalization plus the constant penalty).
@@ -539,24 +388,14 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     done = 0
     epoch = 0
     while done < steps:
-        perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
-        for step in range(n_batches):
-            if done >= steps:
-                break
-            chosen = train_idx[perm[step * train_cfg.batch_size:(step + 1) * train_cfg.batch_size]]
-            views_a, views_b = [], []
-            for j in chosen:
-                va, vb = make_two_views(dataset.images[j], pipeline, epoch, int(j),
-                                        train_cfg.run_seed)
-                views_a.append(va)
-                views_b.append(vb)
-            xa = Tensor(_stack(views_a))
-            xb = Tensor(_stack(views_b))
-            loss_m, _ = _batch_loss(bundle, multi, xa, xb, tau)
+        batches = _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
+        for _, xa, xb in itertools.islice(batches, steps - done):
+            _, _, projections = forward_views(bundle, xa, xb)
+            loss_m, _ = L.nce_loss(multi, projections, tau)
             zero_grads(params)
             backward(loss_m.total())
             grads_m = [grad_of(p).copy() for p in params]
-            loss_b, _ = _batch_loss(bundle, base, xa, xb, tau)
+            loss_b, _ = L.nce_loss(base, projections, tau)
             zero_grads(params)
             backward(loss_b.total())
             grads_b = [grad_of(p).copy() for p in params]

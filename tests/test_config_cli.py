@@ -1,11 +1,14 @@
 """Configuration schema and the command-line surface."""
+import dataclasses
 import json
 
 import pytest
 
 from contrastlab.cli import main
-from contrastlab.config import ConfigError, load_config, resolve_config
-from contrastlab.augment import SyntheticSpec, generate_dataset, write_dataset
+from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
+from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset, write_dataset
+from contrastlab.losses import LossConfig
+from contrastlab.train import EvalConfig, ModelConfig, TrainConfig
 
 
 class TestResolve:
@@ -16,6 +19,15 @@ class TestResolve:
         assert resolved["loss"]["bounds"] == {"eta": 1e-5, "iota": 2.0}
         assert resolved["train"]["epochs"] == 60
         assert resolved["io"]["dataset"] is None
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        exp = experiment_from_dict(resolve_config({}))
+        for got, want in ((exp.model, ModelConfig()), (exp.loss, LossConfig()),
+                          (exp.pipeline, AugPipeline()), (exp.train, TrainConfig()),
+                          (exp.eval, EvalConfig()), (exp.synthetic, SyntheticSpec())):
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), \
+                    f"{type(want).__name__}.{field.name}"
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="loss.gamma"):

@@ -77,17 +77,49 @@ class TestTempPenalty:
         with pytest.raises(DomainError):
             L.temp_penalty(Tensor(0.0), 4)
 
+def unit(*rows):
+    """A (k, d') stack of the given rows scaled to unit norm."""
+    rows = np.array(rows, dtype=float)
+    return Tensor(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def unit_views(views):
+    return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
+
+
+def random_views(stream, heads, batch=3, d_prime=4):
+    """Per-head raw (B, d') view pairs; losses read their unit projections."""
+    return [(rand_tensor(stream, (batch, d_prime)), rand_tensor(stream, (batch, d_prime)))
+            for _ in range(heads)]
+
+
+def nce(cfg, projections, temps=None) -> L.LossTerms:
+    """In-batch loss terms; a non-adaptive cfg defaults to its tau0."""
+    return L.nce_loss(cfg, projections, cfg.tau0 if temps is None else temps)[0]
+
+
+def mass_one_negatives():
+    """B = 2 with a_k = b_k: each row's positive has similarity 1, and its
+    two negatives share similarity -log 2, so their exp-mass at tau = 1
+    is exactly one (what a single negative at similarity 0 gives)."""
+    s = -math.log(2.0)
+    u, v = unit([1.0, 0.0]), unit([s, math.sqrt(1.0 - s * s)])
+    z = Tensor(np.vstack([u.data, v.data]))
+    return [(z, Tensor(z.data.copy()))]
+
+
+def baseline_cfg(variant, tau=1.0):
+    return LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=tau)
+
 
 class TestBaselineLosses:
     def test_ntxent_single_negative(self):
-        # sim+ = 1, one negative sim- = 0, tau = 1: -log(e^1/e^0) = -1
-        loss = L.ntxent_loss(Tensor([1.0, 0.0]), Tensor([1.0, 0.0]),
-                             Tensor([[0.0, 1.0]]), tau=1.0)
+        # sim+ = 1, negatives' exp-mass 1 (= e^0), tau = 1: -log(e^1/e^0) = -1
+        loss = nce(baseline_cfg("ntxent"), mass_one_negatives()).total()
         np.testing.assert_allclose(loss.item(), -1.0, atol=1e-12)
 
     def test_infonce_single_negative(self):
-        loss = L.infonce_loss(Tensor([1.0, 0.0]), Tensor([1.0, 0.0]),
-                              Tensor([[0.0, 1.0]]), tau=1.0)
+        loss = nce(baseline_cfg("infonce"), mass_one_negatives()).total()
         np.testing.assert_allclose(loss.item(), math.log(1.0 + math.exp(-1.0)), atol=1e-12)
 
     def test_negcos_perfect_alignment(self):
@@ -108,9 +140,10 @@ class TestBaselineLosses:
             L.cross_corr_loss(z, z, lambd=1.0)
 
     def test_ntxent_requires_negatives(self):
+        # a batch of one has no in-batch negative
+        z = unit([1.0, 0.0])
         with pytest.raises(ContractViolation):
-            L.ntxent_loss(Tensor([1.0, 0.0]), Tensor([1.0, 0.0]),
-                          Tensor(np.zeros((0, 2))), tau=1.0)
+            nce(baseline_cfg("ntxent"), [(z, Tensor(z.data.copy()))])
 
     def test_standardize_then_check_passes(self):
         rng = np.random.default_rng(1)
@@ -127,65 +160,62 @@ def one_head_cfg(**kw):
 
 class TestMultiheadNtxent:
     def test_single_negative_identity_case(self):
-        cfg = one_head_cfg()
-        terms = L.multihead_ntxent(cfg, [(Tensor([1.0, 0.0]), Tensor([1.0, 0.0]))],
-                                   [Tensor([[0.0, 1.0]])])
+        # a_k = b_k, rows orthogonal: sim+ = 1, hardest negative 0 -> -1
+        z = unit([1.0, 0.0], [0.0, 1.0])
+        terms = nce(one_head_cfg(), [(z, Tensor(z.data.copy()))])
         np.testing.assert_allclose(terms.total().item(), -1.0, atol=1e-12)
 
     def test_equal_sims_cancel_per_head(self):
         for heads in (1, 3):
             cfg = one_head_cfg(heads=heads)
-            pairs, negatives = [], []
             stream = SplitMix64(derive(3, heads))
+            views = []
             for _ in range(heads):
-                a = rand_tensor(stream, (4,))
-                pairs.append((a, Tensor(a.data.copy())))
-                negatives.append(Tensor(a.data.copy()[None, :]))
-            terms = L.multihead_ntxent(cfg, pairs, negatives)
+                row = rand_tensor(stream, (1, 4)).data
+                views.append((unit(row[0], row[0]), unit(row[0], row[0])))
+            terms = nce(cfg, views)
             np.testing.assert_allclose(terms.total().item(), 0.0, atol=1e-12)
 
     def test_unit_penalties_cancel(self):
         # beta = 1, d' = 2, tau+ = tau- = 1: Omega = 1 on both sides
-        pair = (Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-        negs = Tensor([[0.5, 0.5]])
-        base = L.multihead_ntxent(one_head_cfg(), [pair], [negs]).total().item()
-        with_pen = L.multihead_ntxent(one_head_cfg(beta=1.0), [pair], [negs]).total().item()
+        views = [(unit([1.0, 0.0], [0.5, 0.5]), unit([0.0, 1.0], [0.3, -0.8]))]
+        base = nce(one_head_cfg(), views).total().item()
+        with_pen = nce(one_head_cfg(beta=1.0), views).total().item()
         np.testing.assert_allclose(with_pen, base, atol=1e-12)
 
     def test_per_head_additivity(self):
-        stream = SplitMix64(8)
-        pairs = [(rand_tensor(stream, (4,)), rand_tensor(stream, (4,))) for _ in range(3)]
-        negatives = [rand_tensor(stream, (5, 4)) for _ in range(3)]
-        cfg3 = one_head_cfg(heads=3, beta=0.3, kappa=2)
-        total = L.multihead_ntxent(cfg3, pairs, negatives).total().item()
+        views = unit_views(random_views(SplitMix64(8), 3))
+        total = nce(one_head_cfg(heads=3, beta=0.3, kappa=2), views).total().item()
         cfg1 = one_head_cfg(heads=1, beta=0.3, kappa=2)
-        parts = sum(L.multihead_ntxent(cfg1, [p], [n]).total().item()
-                    for p, n in zip(pairs, negatives))
+        parts = sum(nce(cfg1, [v]).total().item() for v in views)
         np.testing.assert_allclose(total, parts, rtol=1e-12)
 
     def test_identical_heads_scale_loss(self):
-        stream = SplitMix64(9)
-        pair = (rand_tensor(stream, (4,)), rand_tensor(stream, (4,)))
-        negs = rand_tensor(stream, (5, 4))
-        one = L.multihead_ntxent(one_head_cfg(beta=0.2), [pair], [negs]).total().item()
-        two = L.multihead_ntxent(one_head_cfg(heads=2, beta=0.2),
-                                 [pair, pair], [negs, negs]).total().item()
+        views = unit_views(random_views(SplitMix64(9), 1))
+        one = nce(one_head_cfg(beta=0.2), views).total().item()
+        two = nce(one_head_cfg(heads=2, beta=0.2), views * 2).total().item()
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     def test_kappa_exceeding_negatives_rejected(self):
-        cfg = one_head_cfg(kappa=3)
+        # B = 2 leaves two negatives per anchor
+        z = unit([1.0, 0.0], [1.0, 1.0])
         with pytest.raises(ContractViolation):
-            L.multihead_ntxent(cfg, [(Tensor([1.0, 0.0]), Tensor([1.0, 0.0]))],
-                               [Tensor([[0.0, 1.0], [1.0, 1.0]])])
+            nce(one_head_cfg(kappa=3), [(z, Tensor(z.data.copy()))])
 
     def test_beta_zero_removes_penalty_dependence(self):
         """With beta = 0 and constant temperatures, changing tau moves only
         the similarity-weighted terms; penalty stays exactly zero."""
-        stream = SplitMix64(10)
-        pair = (rand_tensor(stream, (4,)), rand_tensor(stream, (4,)))
-        negs = rand_tensor(stream, (5, 4))
-        terms = L.multihead_ntxent(one_head_cfg(beta=0.0, tau0=0.37), [pair], [negs])
+        views = unit_views(random_views(SplitMix64(10), 1))
+        terms = nce(one_head_cfg(beta=0.0, tau0=0.37), views)
         assert terms.omega.item() == 0.0
+
+
+def gram(views):
+    """Similarity matrix over the rows of concat([z_a, z_b]) and each
+    row's partner, in numpy."""
+    z = np.vstack([t.data for t in views])
+    n = z.shape[0]
+    return z @ z.T, (np.arange(n) + n // 2) % n
 
 
 class TestTopK:
@@ -204,52 +234,47 @@ class TestTopK:
         np.testing.assert_array_equal(idx, [1, 2])
 
     def test_full_set_average(self):
-        # kappa = N+1 with constant temperature averages all candidates
-        stream = SplitMix64(13)
-        pair = (rand_tensor(stream, (4,)), rand_tensor(stream, (4,)))
-        negs = rand_tensor(stream, (5, 4))
+        # kappa = N+1 with constant temperature averages all candidates:
+        # B = 3 gives N = 4 negatives plus the positive
+        views = unit_views(random_views(SplitMix64(13), 1))
         tau = 0.7
-        cfg = one_head_cfg(variant="infonce", kappa=6, tau0=tau)
-        loss = L.multihead_infonce(cfg, [pair], [negs]).total().item()
-        s_pos = L.cosine_sim(*pair).item()
-        s_negs = (T.matmul(T.l2_normalize(negs), T.l2_normalize(pair[0]))).data
-        cands = np.append(s_negs, s_pos)
-        np.testing.assert_allclose(loss, -s_pos / tau + cands.mean() / tau, rtol=1e-12)
+        loss = nce(one_head_cfg(variant="infonce", kappa=5, tau0=tau), views).total().item()
+        s, partner = gram(views[0])
+        rows = [-s[i, partner[i]] / tau + np.delete(s[i], i).mean() / tau for i in range(6)]
+        np.testing.assert_allclose(loss, np.mean(rows), rtol=1e-12)
 
     def test_set_penalty_dim_factor_flag(self):
-        stream = SplitMix64(14)
-        pair = (rand_tensor(stream, (4,)), rand_tensor(stream, (4,)))
-        negs = rand_tensor(stream, (5, 4))
+        views = unit_views(random_views(SplitMix64(14), 1))
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=2)
+        temps = L.AdaptiveTemps(temp_net, views)
         cfg = one_head_cfg(beta=1.0, kappa=2, temp_mode="adaptive")
-        with_factor = L.multihead_ntxent(cfg, [pair], [negs], temp_net=temp_net)
+        with_factor = nce(cfg, views, temps)
         cfg_flat = dataclasses.replace(cfg, dim_factor_in_set_penalty=False)
-        without = L.multihead_ntxent(cfg_flat, [pair], [negs], temp_net=temp_net)
-        _, tau_neg = L.pair_temperatures(pair[0], pair[1], negs, temp_net, BOUNDS)
-        s_negs = T.matmul(T.l2_normalize(negs), T.l2_normalize(pair[0])).data
-        sel = L.topk_indices(s_negs, 2)
-        taus = tau_neg.data[sel]
-        expected_gap = (4 / 2 - 1) * np.log(taus).sum()  # (d'/2 - 1) sum log tau
+        without = nce(cfg_flat, views, temps)
+        s, partner = gram(views[0])
+        phi = temp_net(Tensor(np.vstack([t.data for t in views[0]]))).data
+        taus = BOUNDS.iota / (1.0 + np.exp(phi @ phi.T)) + BOUNDS.eta
+        gaps = []
+        for i in range(6):
+            negatives = [j for j in range(6) if j not in (i, partner[i])]
+            sel = sorted(negatives, key=lambda j: -s[i, j])[:2]
+            gaps.append((4 / 2 - 1) * np.log(taus[i, sel]).sum())  # (d'/2 - 1) sum log tau
         np.testing.assert_allclose(with_factor.total().item() - without.total().item(),
-                                   -expected_gap, rtol=1e-10)
+                                   -np.mean(gaps), rtol=1e-10)
 
 
 class TestMultiheadInfonce:
     def test_positive_selected_gives_zero(self):
-        # sim+ = 1 beats every negative; max picks the positive: -1 + 1 = 0
-        cfg = one_head_cfg(variant="infonce")
-        pair = (Tensor([1.0, 0.0]), Tensor([1.0, 0.0]))
-        negs = Tensor([[0.0, 1.0], [-1.0, 0.0]])
-        loss = L.multihead_infonce(cfg, [pair], [negs]).total().item()
+        # sim+ = 1 beats every negative (0); max picks the positive: -1 + 1 = 0
+        z = unit([1.0, 0.0], [0.0, 1.0])
+        loss = nce(one_head_cfg(variant="infonce"), [(z, Tensor(z.data.copy()))]).total().item()
         np.testing.assert_allclose(loss, 0.0, atol=1e-12)
 
     def test_reduces_to_ntxent_when_negatives_dominate(self):
-        cfg = one_head_cfg(variant="infonce")
-        cfg_nt = one_head_cfg(variant="ntxent")
-        pair = (Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))      # sim+ = 0
-        negs = Tensor([[1.0, 0.1], [0.9, 0.1]])              # both ~1
-        a = L.multihead_infonce(cfg, [pair], [negs]).total().item()
-        b = L.multihead_ntxent(cfg_nt, [pair], [negs]).total().item()
+        # every row has a negative (~0.995) above its positive (0 or 0.198)
+        views = [(unit([1.0, 0.0, 0.0], [1.0, 0.1, 0.0]), unit([0.0, 1.0, 0.0], [0.1, 1.0, 0.0]))]
+        a = nce(one_head_cfg(variant="infonce"), views).total().item()
+        b = nce(one_head_cfg(variant="ntxent"), views).total().item()
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -259,7 +284,7 @@ class TestMultiheadNegcos:
         branches = [(u, Tensor(u.data.copy()), Tensor(u.data.copy()), Tensor(u.data.copy()))]
         cfg = one_head_cfg(variant="simsiam")
         np.testing.assert_allclose(
-            L.multihead_negcos(cfg, branches).total().item(), -1.0, atol=1e-12)
+            L.multihead_negcos(cfg, branches, 1.0)[0].total().item(), -1.0, atol=1e-12)
 
     def test_stop_gradient_branches_get_zero_gradient(self):
         stream = SplitMix64(15)
@@ -268,9 +293,9 @@ class TestMultiheadNegcos:
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=3)
         cfg = one_head_cfg(variant="simsiam", beta=0.5, temp_mode="adaptive")
         leaves = [live_a, live_b, tgt_a, tgt_b]
+        branches = [(live_a, live_b, tgt_a, tgt_b)]
         zero_grads(leaves)
-        backward(L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)],
-                                    temp_net=temp_net).total())
+        backward(L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, branches))[0].total())
         assert tgt_a.grad is None and tgt_b.grad is None
         assert np.abs(grad_of(live_a)).max() > 0
 
@@ -284,7 +309,7 @@ class TestMultiheadNegcos:
 
         def value():
             return L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)],
-                                      tau=1.0).total().item()
+                                      1.0)[0].total().item()
 
         base = value()
         tgt_a.data[0] += 1e-3
@@ -294,9 +319,9 @@ class TestMultiheadNegcos:
         stream = SplitMix64(17)
         branch = tuple(rand_tensor(stream, (4,)) for _ in range(4))
         one = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4),
-                                 [branch], tau=0.7).total().item()
+                                 [branch], 0.7)[0].total().item()
         two = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4, heads=2),
-                                 [branch, branch], tau=0.7).total().item()
+                                 [branch, branch], 0.7)[0].total().item()
         np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
 
 
@@ -311,16 +336,16 @@ class TestMultiheadCrossCorr:
     def test_identity_correlation_zero_loss(self):
         z = Tensor(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
         cfg = one_head_cfg(variant="barlow", lambd=0.6)
-        terms = L.multihead_cross_corr(cfg, [(z, Tensor(z.data.copy()))])
+        terms, _ = L.multihead_cross_corr(cfg, [(z, Tensor(z.data.copy()))], 1.0)
         np.testing.assert_allclose(terms.total().item(), 0.0, atol=1e-12)
 
     def test_lambda_gates_off_diagonals(self):
         za, zb = standardized_pair(18)
         cfg0 = one_head_cfg(variant="barlow", lambd=0.0)
-        base = L.multihead_cross_corr(cfg0, [(za, zb)]).total().item()
+        base = L.multihead_cross_corr(cfg0, [(za, zb)], 1.0)[0].total().item()
         # permuting one side's channels changes off-diagonal structure only
         # through the diagonal; with lambda=0 the loss ignores off-diagonals
-        terms = L.multihead_cross_corr(cfg0, [(za, zb)])
+        terms, _ = L.multihead_cross_corr(cfg0, [(za, zb)], 1.0)
         assert terms.neg.item() == 0.0
         assert base == terms.total().item()
 
@@ -331,14 +356,14 @@ class TestMultiheadCrossCorr:
         za = Tensor(np.column_stack([base_cols[:, 0], base_cols[:, 1]]))
         zb = Tensor(np.column_stack([base_cols[:, 1] * -1.0, base_cols[:, 0] * -1.0]))
         cfg = one_head_cfg(variant="barlow", lambd=1.0)
-        with_pair = L.multihead_cross_corr(cfg, [(za, zb)]).total().item()
+        with_pair = L.multihead_cross_corr(cfg, [(za, zb)], 1.0)[0].total().item()
         # diagonals are 0 here: loss = sum (1-0)^2 * 2 + lambda * (1 + 1)
         np.testing.assert_allclose(with_pair, 2.0 + 2.0, atol=1e-12)
 
     def test_small_batch_rejected(self):
         z = Tensor(np.ones((1, 2)))
         with pytest.raises(ContractViolation):
-            L.multihead_cross_corr(one_head_cfg(variant="barlow"), [(z, z)])
+            L.multihead_cross_corr(one_head_cfg(variant="barlow"), [(z, z)], 1.0)
 
 
 class TestSoftmaxAggregate:
@@ -397,52 +422,51 @@ class TestSoftmaxAggregate:
         out = L.softmax_negatives(Tensor(sims), Tensor(taus), 8)
         np.testing.assert_allclose(out.data, naive, rtol=1e-13)
 
-
 class TestMleOracle:
     def _instance(self, seed, heads):
-        stream = SplitMix64(seed)
-        pairs = [(rand_tensor(stream, (8,)), rand_tensor(stream, (8,))) for _ in range(heads)]
-        negatives = [rand_tensor(stream, (6, 8)) for _ in range(heads)]
-        temp_net = Mlp.init(MlpSpec((8, 8)), derive(seed, "phi"))
-        return pairs, negatives, temp_net
+        views = random_views(SplitMix64(seed), heads, batch=4, d_prime=8)
+        return views, Mlp.init(MlpSpec((8, 8)), derive(seed, "phi"))
 
     @pytest.mark.parametrize("variant", ["ntxent", "infonce"])
     def test_value_offset_over_random_instances(self, variant):
-        loss_op = L.multihead_ntxent if variant == "ntxent" else L.multihead_infonce
         for i in range(100):
             heads = 1 + 2 * (i % 2)
-            pairs, negatives, temp_net = self._instance(derive(100, variant, i), heads)
+            views, temp_net = self._instance(derive(100, variant, i), heads)
+            projections = unit_views(views)
+            temps = L.AdaptiveTemps(temp_net, projections)
             cfg = LossConfig(variant=variant, heads=heads, beta=1.0, temp_mode="adaptive",
                              neg_agg="softmax", bounds=BOUNDS)
-            loss = loss_op(cfg, pairs, negatives, temp_net=temp_net).total().item()
-            temps = [L.pair_temperatures(a, p, n, temp_net, BOUNDS)
-                     for (a, p), n in zip(pairs, negatives)]
-            oracle = L.gaussian_ratio_loss(variant, pairs, negatives, temps, 8).item()
+            loss = nce(cfg, projections, temps).total().item()
+            oracle = L.gaussian_ratio_loss(variant, projections, temps, BOUNDS).item()
             expected = loss + heads * 4.0 * math.log(2 * math.pi)
             assert abs(oracle - expected) / max(1.0, abs(oracle)) < 1e-8
 
     def test_gradients_agree(self):
-        pairs, negatives, temp_net = self._instance(42, 2)
+        views, temp_net = self._instance(42, 2)
         cfg = LossConfig(variant="ntxent", heads=2, beta=1.0, temp_mode="adaptive",
                          neg_agg="softmax", bounds=BOUNDS)
-        leaves = [t for pair in pairs for t in pair] + negatives + temp_net.params
+        leaves = [t for pair in views for t in pair] + temp_net.params
+        projections = unit_views(views)
+        temps = L.AdaptiveTemps(temp_net, projections)
         zero_grads(leaves)
-        backward(L.multihead_ntxent(cfg, pairs, negatives, temp_net=temp_net).total())
+        backward(nce(cfg, projections, temps).total())
         g_loss = [grad_of(p).copy() for p in leaves]
         zero_grads(leaves)
-        temps = [L.pair_temperatures(a, p, n, temp_net, BOUNDS)
-                 for (a, p), n in zip(pairs, negatives)]
-        backward(L.gaussian_ratio_loss("ntxent", pairs, negatives, temps, 8))
+        backward(L.gaussian_ratio_loss("ntxent", projections, temps, BOUNDS))
         g_oracle = [grad_of(p).copy() for p in leaves]
         for a, b in zip(g_loss, g_oracle):
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
 
     def test_symmetric_ratio_is_zero(self):
-        u = Tensor([1.0, 0.0])
-        pairs = [(u, Tensor([0.0, 1.0]))]
-        negatives = [Tensor([[0.0, 1.0]])]
-        temps = [(Tensor(0.4), Tensor([0.4]))]
-        oracle = L.gaussian_ratio_loss("ntxent", pairs, negatives, temps, 2)
+        # B = 2 in two orthogonal planes: each row's negatives sit at
+        # similarity 0 and its positive at tau log 2, so at a constant tau
+        # the positive's density equals the negatives' summed density.
+        tau = 0.4
+        p = tau * math.log(2.0)
+        q = math.sqrt(1.0 - p * p)
+        z_a = Tensor([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        z_b = Tensor([[p, q, 0.0, 0.0], [0.0, 0.0, p, q]])
+        oracle = L.gaussian_ratio_loss("ntxent", [(z_a, z_b)], tau)
         np.testing.assert_allclose(oracle.item(), 0.0, atol=1e-12)
 
 
@@ -451,29 +475,27 @@ class TestTemperatureGradientFlow:
     temperature net is trained through them, the features are not."""
 
     def _instance(self):
-        stream = SplitMix64(91)
-        pairs = [(rand_tensor(stream, (8,)), rand_tensor(stream, (8,))) for _ in range(2)]
-        negatives = [rand_tensor(stream, (6, 8)) for _ in range(2)]
-        return pairs, negatives, Mlp.init(MlpSpec((8, 8)), seed=12)
+        views = random_views(SplitMix64(91), 2, batch=4, d_prime=8)
+        return views, Mlp.init(MlpSpec((8, 8)), seed=12)
 
     @pytest.mark.parametrize("variant", ["ntxent", "infonce"])
     def test_temperature_net_path_equals_frozen_temperatures(self, variant):
-        """The adaptive loss is the same function, in value and in every
-        gradient, as the loss fed temperatures of frozen input copies."""
-        pairs, negatives, temp_net = self._instance()
+        """Temperatures read from the live projections (as in training)
+        and from frozen copies of them (as in the finite-difference
+        checks) give the same loss, in value and in every gradient."""
+        views, temp_net = self._instance()
         cfg = LossConfig(variant=variant, heads=2, beta=1.0, temp_mode="adaptive",
                          neg_agg="softmax", bounds=BOUNDS)
-        op = L.multihead_ntxent if variant == "ntxent" else L.multihead_infonce
-        leaves = [t for pair in pairs for t in pair] + negatives + temp_net.params
+        leaves = [t for pair in views for t in pair] + temp_net.params
         zero_grads(leaves)
-        live = op(cfg, pairs, negatives, temp_net=temp_net).total()
+        projections = unit_views(views)
+        live = nce(cfg, projections, L.AdaptiveTemps(temp_net, projections)).total()
         backward(live)
         g_live = [grad_of(p).copy() for p in leaves]
-        frozen = [(Tensor(a.data.copy()), Tensor(p.data.copy()), Tensor(n.data.copy()))
-                  for (a, p), n in zip(pairs, negatives)]
         zero_grads(leaves)
-        temps = [L.pair_temperatures(a, p, n, temp_net, BOUNDS) for a, p, n in frozen]
-        fixed = op(cfg, pairs, negatives, temps=temps).total()
+        projections = unit_views(views)
+        frozen = [(Tensor(a.data.copy()), Tensor(b.data.copy())) for a, b in projections]
+        fixed = nce(cfg, projections, L.AdaptiveTemps(temp_net, frozen)).total()
         backward(fixed)
         g_fixed = [grad_of(p).copy() for p in leaves]
         assert live.item() == fixed.item()
@@ -483,57 +505,56 @@ class TestTemperatureGradientFlow:
 
     def test_other_variants_accept_frozen_temperatures(self):
         stream = SplitMix64(92)
-        live_a, live_b = rand_tensor(stream, (5, 8)), rand_tensor(stream, (5, 8))
-        tgt_a, tgt_b = rand_tensor(stream, (5, 8)), rand_tensor(stream, (5, 8))
+        branches = [tuple(rand_tensor(stream, (5, 8)) for _ in range(4))]
+        frozen = [tuple(Tensor(t.data.copy()) for t in branches[0])]
         temp_net = Mlp.init(MlpSpec((8, 8)), seed=13)
         cfg = one_head_cfg(variant="simsiam", temp_mode="adaptive", beta=0.5)
-        via_net = L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)], temp_net=temp_net)
-        temps = [L.negcos_temperatures(live_a, live_b, tgt_a, tgt_b, temp_net, BOUNDS)]
-        via_temps = L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)], temps=temps)
-        np.testing.assert_array_equal(via_net.total().data, via_temps.total().data)
+        live, _ = L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, branches))
+        fixed, _ = L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, frozen))
+        np.testing.assert_array_equal(live.total().data, fixed.total().data)
         za, zb = standardized_pair(93, n=6, d=4)
         temp_bt = Mlp.init(MlpSpec((6, 6)), seed=14)
         cfg = one_head_cfg(variant="barlow", temp_mode="adaptive", beta=0.5)
-        via_net = L.multihead_cross_corr(cfg, [(za, zb)], temp_net_bt=temp_bt)
-        t_mat = L.channel_temperatures(za, zb, temp_bt, BOUNDS)
-        via_temps = L.multihead_cross_corr(cfg, [(za, zb)], temps=[t_mat])
-        assert via_net.total().item() == via_temps.total().item()
+        live, _ = L.multihead_cross_corr(cfg, [(za, zb)], L.AdaptiveTemps(temp_bt, [(za, zb)]))
+        frozen = [(Tensor(za.data.copy()), Tensor(zb.data.copy()))]
+        fixed, _ = L.multihead_cross_corr(cfg, [(za, zb)], L.AdaptiveTemps(temp_bt, frozen))
+        assert live.total().item() == fixed.total().item()
 
     def test_temperature_path_sends_no_gradient_to_features(self):
-        """With similarities independent of the inputs (beta only acts via
-        the penalty), the inputs receive exactly zero gradient while the
-        penalty's value still depends on them."""
-        pairs, negatives, temp_net = self._instance()
-        (anchor, positive), negs = pairs[0], negatives[0]
-        tau_pos, tau_neg = L.pair_temperatures(anchor, positive, negs, temp_net, BOUNDS)
-        penalty = T.sum_(L.temp_penalty(tau_pos, 8)) + T.sum_(L.temp_penalty(tau_neg, 8))
-        leaves = [anchor, positive, negs] + temp_net.params
+        """The softmax loss's penalty depends on the features only through
+        the temperatures: the features receive exactly zero gradient from
+        it while its value still depends on them."""
+        views, temp_net = self._instance()
+        cfg = LossConfig(variant="ntxent", heads=2, beta=1.0, temp_mode="adaptive",
+                         neg_agg="softmax", bounds=BOUNDS)
+
+        def penalty():
+            projections = unit_views(views)
+            return nce(cfg, projections, L.AdaptiveTemps(temp_net, projections)).omega
+
+        leaves = [t for pair in views for t in pair] + temp_net.params
         zero_grads(leaves)
-        backward(penalty)
-        for t in (anchor, positive, negs):
-            assert np.all(grad_of(t) == 0.0)
+        omega = penalty()
+        backward(omega)
+        for a, b in views:
+            assert np.all(grad_of(a) == 0.0) and np.all(grad_of(b) == 0.0)
         assert any(np.abs(grad_of(p)).max() > 0 for p in temp_net.params)
-        before = penalty.item()
-        anchor.data[0] += 0.5
-        tau_pos, tau_neg = L.pair_temperatures(anchor, positive, negs, temp_net, BOUNDS)
-        after = (T.sum_(L.temp_penalty(tau_pos, 8)) + T.sum_(L.temp_penalty(tau_neg, 8))).item()
-        assert after != before
+        views[0][0].data[0, 0] += 0.5
+        assert penalty().item() != omega.item()
 
 
 class TestReductionProperty:
     def test_gradient_matches_baseline(self):
-        stream = SplitMix64(77)
-        anchor, positive = rand_tensor(stream, (8,)), rand_tensor(stream, (8,))
-        negs = rand_tensor(stream, (6, 8))
-        leaves = [anchor, positive, negs]
+        views = random_views(SplitMix64(77), 1, batch=4, d_prime=8)
+        leaves = [views[0][0], views[0][1]]
         for beta in (0.0, 0.5, 2.0):
             cfg = LossConfig(variant="ntxent", heads=1, beta=beta, temp_mode="constant",
                              tau0=0.2, neg_agg="softmax")
             zero_grads(leaves)
-            backward(L.multihead_ntxent(cfg, [(anchor, positive)], [negs]).total())
+            backward(nce(cfg, unit_views(views)).total())
             g_multi = [grad_of(p).copy() for p in leaves]
             zero_grads(leaves)
-            backward(L.ntxent_loss(anchor, positive, negs, tau=0.2))
+            backward(nce(baseline_cfg("ntxent", tau=0.2), unit_views(views)).total())
             g_base = [grad_of(p).copy() for p in leaves]
             for a, b in zip(g_multi, g_base):
                 assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
@@ -544,27 +565,23 @@ class TestLossGradcheck:
     @pytest.mark.parametrize("temp_mode", ["constant", "adaptive"])
     @pytest.mark.parametrize("agg,kappa", [("topk", 1), ("topk", 3), ("softmax", 1)])
     def test_nce_variants(self, variant, temp_mode, agg, kappa):
-        stream = SplitMix64(derive(55, variant, temp_mode, agg, kappa))
-        pairs = [(rand_tensor(stream, (8,)), rand_tensor(stream, (8,))) for _ in range(2)]
-        negatives = [rand_tensor(stream, (6, 8)) for _ in range(2)]
+        views = random_views(SplitMix64(derive(55, variant, temp_mode, agg, kappa)), 2,
+                             batch=4, d_prime=8)
         temp_net = Mlp.init(MlpSpec((8, 8)), seed=4)
         cfg = LossConfig(variant=variant, heads=2, beta=0.7, kappa=kappa,
                          temp_mode=temp_mode, tau0=0.5, neg_agg=agg, bounds=BOUNDS)
-        op = L.multihead_ntxent if variant == "ntxent" else L.multihead_infonce
-        params = [t for pair in pairs for t in pair] + negatives
+        params = [t for pair in views for t in pair]
+        temps = 0.5
         if temp_mode == "adaptive":
             params += temp_net.params
-        # Temperatures read gradient-stopped features, so the numeric probe
-        # computes them from frozen copies (phi's parameters stay probed).
-        frozen_pairs = [(Tensor(a.data.copy()), Tensor(p.data.copy())) for a, p in pairs]
-        frozen_negs = [Tensor(n.data.copy()) for n in negatives]
+            # Temperatures read gradient-stopped features, so the numeric
+            # probe computes them from frozen copies (phi's parameters stay
+            # probed).
+            frozen = [(Tensor(a.data.copy()), Tensor(b.data.copy())) for a, b in unit_views(views)]
+            temps = L.AdaptiveTemps(temp_net, frozen)
 
         def loss_fn():
-            temps = None
-            if temp_mode == "adaptive":
-                temps = [L.pair_temperatures(a, p, n, temp_net, BOUNDS)
-                         for (a, p), n in zip(frozen_pairs, frozen_negs)]
-            return op(cfg, pairs, negatives, temps=temps).total()
+            return nce(cfg, unit_views(views), temps).total()
 
         assert finite_diff_check(loss_fn, params) < 1e-4
 

@@ -13,9 +13,8 @@ from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
 from contrastlab.tensor import Tensor, backward, grad_of, zero_grads
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
-                               _batch_loss, _drop_diag_indices, build_bundle,
-                               build_eval_pairs, knn_eval, linear_probe, pretrain,
-                               temperature_for_step)
+                               _batch_loss, build_bundle, build_eval_pairs, knn_eval,
+                               linear_probe, pretrain, temperature_for_step)
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
 
@@ -41,13 +40,22 @@ class TestTemperatureSchedule:
 
 
 class TestNegativeIndices:
-    def test_drop_diagonal_structure(self):
-        idx = _drop_diag_indices(5)
-        assert idx.shape == (5, 4)
-        for i in range(5):
-            row = idx[i].tolist()
-            assert i not in row
-            assert sorted(row) == [j for j in range(5) if j != i]
+    def test_rows_exclude_self_and_partner_own_branch_first(self):
+        """Row i of the Gram matrix over concat([z_a, z_b]) pairs with its
+        partner in the other view; its negatives are every other row, own
+        branch first, each branch in batch order."""
+        batch = 5
+        partner, negatives = L.pair_indices(batch)
+        assert partner.shape == (2 * batch, 1)
+        assert negatives.shape == (2 * batch, 2 * batch - 2)
+        for i in range(2 * batch):
+            branch, k = divmod(i, batch)
+            mate = (1 - branch) * batch + k
+            assert partner[i, 0] == mate
+            row = negatives[i].tolist()
+            assert i not in row and mate not in row
+            others = [j for j in range(batch) if j != k]
+            assert row == [branch * batch + j for j in others] + [mate - k + j for j in others]
 
 
 class TestSgd:
@@ -87,16 +95,17 @@ class TestSgd:
 
 
 class TestBatchLossEquivalence:
-    def test_batch_matches_per_anchor_ops(self):
-        """The vectorized batch path equals averaging the single-anchor
-        loss over every anchor-direction, in value and in the gradient of
-        every parameter. The reference is built in the training geometry:
-        heads read unit-normalized backbone features. Head biases of 0.3
-        make a reference that feeds raw backbone features disagree."""
+    def test_batch_matches_oracle_in_training_geometry(self):
+        """The training loss equals the naive Gaussian-ratio oracle, up to
+        the (d'/2) log(2 pi) constant per head, in value and in the
+        gradient of every parameter. The oracle's projections are built
+        here in the training geometry (heads read unit-normalized
+        backbone features); head biases of 0.3 make an oracle fed raw
+        backbone features disagree."""
         dataset = small_dataset()
-        cfg = LossConfig(variant="ntxent", family="multihead", heads=2, beta=0.4,
-                         temp_mode="adaptive", neg_agg="softmax",
-                         bounds=TempBounds(1e-5, 2.0))
+        bounds = TempBounds(1e-5, 2.0)
+        cfg = LossConfig(variant="ntxent", family="multihead", heads=2, beta=1.0,
+                         temp_mode="adaptive", neg_agg="softmax", bounds=bounds)
         train_cfg = TrainConfig(epochs=1, batch_size=4, run_seed=9)
         bundle = build_bundle(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
         for head in bundle.heads:
@@ -113,30 +122,17 @@ class TestBatchLossEquivalence:
 
         ha = T.l2_normalize(bundle.encoder(xa))
         hb = T.l2_normalize(bundle.encoder(xb))
-        one = LossConfig(variant="ntxent", family="multihead", heads=1, beta=0.4,
-                         temp_mode="adaptive", neg_agg="softmax",
-                         bounds=TempBounds(1e-5, 2.0))
-        rows = np.eye(4)
-        reference = None
-        for head in bundle.heads:
-            za = T.l2_normalize(head(ha))
-            zb = T.l2_normalize(head(hb))
-            for own, other in ((za, zb), (zb, za)):
-                both = T.concat([own, other], axis=0)
-                for i in range(4):
-                    rest = [j for j in range(4) if j != i]
-                    anchor = T.matmul(Tensor(rows[i]), own)
-                    positive = T.matmul(Tensor(rows[i]), other)
-                    negatives = T.matmul(Tensor(np.eye(8)[rest + [4 + j for j in rest]]), both)
-                    term = L.multihead_ntxent(one, [(anchor, positive)], [negatives],
-                                              temp_net=bundle.temp_net).total()
-                    reference = term if reference is None else reference + term
-        reference = reference / 8.0
+        projections = [(T.l2_normalize(head(ha)), T.l2_normalize(head(hb)))
+                       for head in bundle.heads]
+        oracle = L.gaussian_ratio_loss("ntxent", projections,
+                                       L.AdaptiveTemps(bundle.temp_net, projections), bounds)
         zero_grads(params)
-        backward(reference)
-        np.testing.assert_allclose(batch_terms.total().item(), reference.item(), rtol=1e-10)
+        backward(oracle)
+        offset = 2 * 4.0 * math.log(2.0 * math.pi)
+        np.testing.assert_allclose(batch_terms.total().item() + offset, oracle.item(), rtol=1e-10)
         for got, want in zip(batch_grads, (grad_of(p) for p in params)):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
+        assert all(np.abs(grad_of(p)).max() > 0 for p in bundle.temp_net.params)
 
 
 class TestSymmetry:
