@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require, require_choice
 from .rng import SplitMix64, derive
 
 MAX_DIMENSION = 65535
@@ -147,20 +147,22 @@ class AugPipeline:
     flip_prob: float = 0.5
 
     def __post_init__(self):
-        if not self.ops:
-            raise ContractViolation("pipeline must contain at least one op")
-        if list(self.ops) != [op for op in OP_ORDER if op in self.ops]:
-            raise ContractViolation(f"ops must follow the fixed order {OP_ORDER}, got {self.ops}")
-        unknown = set(self.ops) - set(OP_ORDER)
-        if unknown:
-            raise ContractViolation(f"unknown ops {sorted(unknown)}")
+        require(len(self.ops) > 0 and list(self.ops) == [op for op in OP_ORDER if op in self.ops],
+                "ops", f"must be a nonempty subsequence of {OP_ORDER}, got {self.ops}")
+        crop, blur = self.crop_scale, self.blur_sigma
+        require(len(crop) == 2 and 0 < crop[0] <= crop[1] <= 1, "crop_scale",
+                "expected [lo, hi] with 0 < lo <= hi <= 1")
+        require(len(blur) == 2 and 0 < blur[0] <= blur[1], "blur_sigma",
+                "expected [lo, hi] with 0 < lo <= hi")
+        for name in ("gray_prob", "flip_prob"):
+            require(0 <= getattr(self, name) <= 1, name, "must lie in [0, 1]")
+        require(0 <= self.jitter_strength < 1, "jitter_strength", "must lie in [0, 1)")
 
     @classmethod
     def prefix(cls, n: int, **overrides) -> "AugPipeline":
         """The nested prefixes used for augmentation-count comparisons:
         {crop}, {crop, blur}, ... up to all five ops."""
-        if not 1 <= n <= len(OP_ORDER):
-            raise ContractViolation(f"prefix length {n} outside 1..{len(OP_ORDER)}")
+        require(1 <= n <= len(OP_ORDER), "prefix", f"must lie in 1..{len(OP_ORDER)}")
         return cls(ops=OP_ORDER[:n], **overrides)
 
 
@@ -332,12 +334,11 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if self.classes < 1 or self.per_class < 1:
-            raise ContractViolation("classes and per_class must be >= 1")
-        if self.size < 8:
-            raise ContractViolation("size must be >= 8")
-        if self.channels not in (1, 3):
-            raise ContractViolation("channels must be 1 or 3")
+        require(self.classes >= 1, "classes", "must be >= 1")
+        require(self.per_class >= 1, "per_class", "must be >= 1")
+        require(self.size >= 8, "size", "must be >= 8")
+        require_choice(self.channels, "channels", (1, 3))
+        require(self.seed >= 0, "seed", "must be >= 0")
 
 
 def _grating(size: int, orientation_vertical: bool, frequency: float,

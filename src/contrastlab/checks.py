@@ -62,6 +62,22 @@ def _instance(seed: int, heads: int, d_prime: int = 8, batch: int = 4):
     return views, temp_net
 
 
+def _negcos_instance(seed: int, heads: int, d_prime: int):
+    """Per-head raw (d',) two-view leaves, a ReLU predictor and a
+    temperature net. The predictor's biases are drawn from the instance
+    stream: with ``Mlp.init``'s zero biases, an input that turns every
+    hidden unit off predicts exactly 0, which has no direction to
+    normalize."""
+    stream = SplitMix64(derive(seed, "simsiam", heads))
+    predictor = Mlp.init(MlpSpec((d_prime, d_prime, d_prime)), derive(seed, "pred", heads))
+    temp_net = Mlp.init(MlpSpec((d_prime, d_prime)), derive(seed, "phi", heads))
+    raws = [(Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,))))
+            for _ in range(heads)]
+    for bias in predictor.params[1::2]:
+        bias.data = _rand(stream, bias.shape)
+    return raws, predictor, temp_net
+
+
 def _unit(views):
     """The unit projections the in-batch loss reads, on the graph."""
     return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
@@ -125,11 +141,7 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
     # and the temperature net against frozen stop-gradient targets and
     # temperatures computed from frozen predictor outputs.
     for heads in (1, 3):
-        stream = SplitMix64(derive(seed, "simsiam", heads))
-        predictor = Mlp.init(MlpSpec((d_prime, d_prime, d_prime)), derive(seed, "pred", heads))
-        temp_net = Mlp.init(MlpSpec((d_prime, d_prime)), derive(seed, "phi", heads))
-        raws = [(Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,))))
-                for _ in range(heads)]
+        raws, predictor, temp_net = _negcos_instance(seed, heads, d_prime)
         frozen = [(_frozen(b), _frozen(a)) for a, b in raws]
         frozen_live = [(_frozen(predictor(a)), _frozen(predictor(b))) for a, b in raws]
         flat = [t for pair in raws for t in pair]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .augment import Dataset, generate_dataset, load_dataset, stratified_split, write_dataset
 from .checks import gradcheck_suite, mle_equivalence_suite, reduction_suite
-from .config import ConfigError, Experiment, load_config, resolve_config, experiment_from_dict
+from .config import ConfigError, Experiment, load_config
 from .errors import ContractViolation, DomainError, EvaluationError
 from .metrics import separability_report, write_separability_csv
 from .nets import load_bundle
@@ -28,13 +28,7 @@ EXIT_IO = 3
 
 
 def _load_experiment(args) -> Experiment:
-    if args.config is not None:
-        experiment, _ = load_config(args.config)
-        return experiment
-    resolved = resolve_config({})
-    experiment = experiment_from_dict(resolved)
-    experiment.output_dir.mkdir(parents=True, exist_ok=True)
-    return experiment
+    return load_config(args.config)[0]
 
 
 def _load_dataset(exp: Experiment) -> Dataset:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, require, require_choice
 from .nets import Mlp, TempBounds, adaptive_temperature, bounded_sigmoid, temperature_embedding
 from .tensor import Tensor
 
@@ -85,26 +85,20 @@ class LossConfig:
     dim_factor_in_set_penalty: bool = True
 
     def __post_init__(self):
-        if self.variant not in ("ntxent", "simsiam", "barlow", "infonce"):
-            raise ContractViolation(f"unknown loss variant {self.variant!r}")
-        if self.family not in ("baseline", "multihead"):
-            raise ContractViolation(f"unknown loss family {self.family!r}")
-        if self.heads < 1:
-            raise ContractViolation("heads must be >= 1")
-        if self.beta < 0:
-            raise ContractViolation("beta must be >= 0")
-        if self.kappa < 1:
-            raise ContractViolation("kappa must be >= 1")
-        if self.lambd < 0:
-            raise ContractViolation("lambda must be >= 0")
-        if self.temp_mode not in ("constant", "cosine", "adaptive"):
-            raise ContractViolation(f"unknown temp_mode {self.temp_mode!r}")
-        if self.neg_agg not in ("topk", "softmax"):
-            raise ContractViolation(f"unknown neg_agg {self.neg_agg!r}")
-        if self.family == "baseline" and self.heads != 1:
-            raise ContractViolation("baseline family is single-head")
-        if self.family == "baseline" and self.temp_mode == "adaptive":
-            raise ContractViolation("baseline family uses a constant temperature")
+        require_choice(self.variant, "variant", ("ntxent", "simsiam", "barlow", "infonce"))
+        require_choice(self.family, "family", ("baseline", "multihead"))
+        require(self.heads >= 1, "heads", "must be >= 1")
+        require(self.beta >= 0, "beta", "must be >= 0")
+        require(self.kappa >= 1, "kappa", "must be >= 1")
+        require(self.lambd >= 0, "lambd", "must be >= 0")
+        require_choice(self.temp_mode, "temp_mode", ("constant", "cosine", "adaptive"))
+        for name in ("tau0", "tau_min", "tau_max", "tau_period"):
+            require(getattr(self, name) > 0, name, "must be > 0")
+        require_choice(self.neg_agg, "neg_agg", ("topk", "softmax"))
+        baseline = self.family == "baseline"
+        require(not baseline or self.heads == 1, "heads", "baseline family requires C = 1")
+        require(not baseline or self.temp_mode != "adaptive", "temp_mode",
+                "baseline family uses a constant or scheduled temperature")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, require
 from .rng import SplitMix64, derive
 from .tensor import Tensor
 
@@ -31,10 +31,8 @@ class TempBounds:
     iota: float = 2.0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ContractViolation(f"eta must be > 0, got {self.eta}")
-        if not self.iota > 0:
-            raise ContractViolation(f"iota must be > 0, got {self.iota}")
+        require(self.eta > 0, "eta", "must be > 0")
+        require(self.iota > 0, "iota", "must be > 0")
 
 
 def bounded_sigmoid(r: Tensor | float, bounds: TempBounds) -> Tensor:

@@ -526,16 +526,3 @@ def amtd_decode(blob: bytes) -> np.ndarray:
         raise ContractViolation("truncated AMTD payload")
     flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     return flat.astype(np.float64).reshape(shape)
-
-
-def amtd_size(blob: bytes, offset: int = 0) -> int:
-    """Byte length of the AMTD record starting at ``offset``."""
-    if blob[offset:offset + 4] != AMTD_MAGIC:
-        raise ContractViolation("bad AMTD magic")
-    _, ndim = struct.unpack_from("<II", blob, offset + 4)
-    shape = struct.unpack_from(f"<{ndim}I", blob, offset + 12)
-    (code,) = struct.unpack_from("B", blob, offset + 12 + 4 * ndim)
-    if code not in _DTYPES:
-        raise ContractViolation(f"unknown AMTD dtype code {code}")
-    count = math.prod(shape) if shape else 1
-    return 13 + 4 * ndim + count * _DTYPES[code].itemsize

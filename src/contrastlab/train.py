@@ -20,7 +20,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .augment import AugPipeline, Dataset, Image, augment_view, make_two_views, stratified_split
-from .errors import ContractViolation, EvaluationError
+from .errors import ContractViolation, EvaluationError, require
 from .losses import LossConfig, LossTerms
 from .metrics import separability_report, temperature_stats
 from .nets import ModelBundle, forward_views, save_bundle
@@ -38,8 +38,8 @@ class ModelConfig:
     d_prime: int = 16
 
     def __post_init__(self):
-        if self.d < 1 or self.d_prime < 1:
-            raise ContractViolation("model widths must be >= 1")
+        require(self.d >= 1, "d", "must be >= 1")
+        require(self.d_prime >= 1, "d_prime", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,16 @@ class TrainConfig:
     probe_per_class: int = 50
 
     def __post_init__(self):
-        if self.batch_size < 4:
-            raise ContractViolation("batch_size must be >= 4 (in-batch negatives)")
-        if self.epochs < 1:
-            raise ContractViolation("epochs must be >= 1")
-        if self.temp_lr_scale <= 0:
-            raise ContractViolation("temp_lr_scale must be > 0")
+        require(self.epochs >= 1, "epochs", "must be >= 1")
+        require(self.batch_size >= 4, "batch_size", "must be >= 4 (in-batch negatives)")
+        require(self.lr > 0, "lr", "must be > 0")
+        require(0 <= self.momentum < 1, "momentum", "must lie in [0, 1)")
+        require(self.weight_decay >= 0, "weight_decay", "must be >= 0")
+        require(self.temp_lr_scale > 0, "temp_lr_scale", "must be > 0")
+        require(self.run_seed >= 0, "run_seed", "must be >= 0")
+        require(self.eval_every >= 0, "eval_every", "must be >= 0")
+        require(0 <= self.test_fraction < 1, "test_fraction", "must lie in [0, 1)")
+        require(self.probe_per_class >= 1, "probe_per_class", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,13 @@ class EvalConfig:
     probe_sizes: tuple[int, ...] = (10, 20, 50)
     pair_count: int = 500
     pair_seed: int = 99
+
+    def __post_init__(self):
+        require(self.knn_k >= 1, "knn_k", "must be >= 1")
+        require(len(self.probe_sizes) > 0 and all(n >= 1 for n in self.probe_sizes),
+                "probe_sizes", "expected a nonempty list of integers >= 1")
+        require(self.pair_count >= 1, "pair_count", "must be >= 1")
+        require(self.pair_seed >= 0, "pair_seed", "must be >= 0")
 
 
 def temperature_for_step(cfg: LossConfig, epoch: int, total_epochs: int):

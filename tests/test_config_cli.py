@@ -1,14 +1,49 @@
-"""Configuration schema and the command-line surface."""
+"""Configuration routing, the dataclass rules behind it, and the
+command-line surface."""
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from contrastlab.cli import main
 from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
 from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset, write_dataset
+from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
+from contrastlab.nets import TempBounds
 from contrastlab.train import EvalConfig, ModelConfig, TrainConfig
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+# One rejected value per JSON field.
+BAD_VALUES = {
+    "model.d": 0, "model.d_prime": 0, "model.heads": 0,
+    "loss.family": "hybrid", "loss.variant": "tripletloss", "loss.beta": -0.5,
+    "loss.kappa": 0, "loss.lambda": -1.0, "loss.temp_mode": "linear", "loss.tau0": 0.0,
+    "loss.tau_min": 0, "loss.tau_max": -1.0, "loss.tau_period": 0.0,
+    "loss.bounds.eta": 0.0, "loss.bounds.iota": -2.0, "loss.neg_agg": "mean",
+    "loss.dim_factor_in_set_penalty": 1,
+    "augment.prefix": 6, "augment.crop_scale": [0.5, 2.0], "augment.blur_sigma": [0, 0],
+    "augment.gray_prob": 1.5, "augment.jitter_strength": 1.0, "augment.flip_prob": -0.1,
+    "train.epochs": 0, "train.batch_size": 3, "train.lr": 0.0, "train.momentum": 1.0,
+    "train.weight_decay": -1e-4, "train.temp_lr_scale": 0, "train.run_seed": -1,
+    "train.eval_every": -1, "train.test_fraction": 1.0, "train.probe_per_class": 0,
+    "eval.knn_k": 0, "eval.probe_sizes": [], "eval.pair_count": 0, "eval.pair_seed": -1,
+    "io.dataset": 5, "io.output_dir": None,
+    "io.synthetic.classes": 0, "io.synthetic.per_class": 0, "io.synthetic.size": 7,
+    "io.synthetic.channels": True, "io.synthetic.seed": -1,
+}
+
+
+def leaf_paths(doc: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in doc.items():
+        here = f"{prefix}{key}"
+        paths |= leaf_paths(value, here + ".") if isinstance(value, dict) else {here}
+    return paths
 
 
 class TestResolve:
@@ -66,6 +101,17 @@ class TestResolve:
             resolve_config({"loss": {"family": "baseline", "temp_mode": "adaptive"},
                             "model": {"heads": 1}})
 
+    def test_bench_workload_configs_resolve_unchanged(self, monkeypatch):
+        # The benchmark writes every field out; a renamed, dropped or
+        # retyped key changes what it runs.
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its @dataclass
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            doc = workloads.make_config(workload, 201, "data", "out")
+            assert resolve_config(json.loads(json.dumps(doc))) == doc, workload.name
+
     def test_resolved_echo_written(self, tmp_path):
         out = tmp_path / "runout"
         path = tmp_path / "c.json"
@@ -73,6 +119,49 @@ class TestResolve:
         _, resolved = load_config(path)
         echoed = json.loads((out / "config.resolved.json").read_text())
         assert echoed == resolved
+
+
+class TestFieldRules:
+    def test_table_covers_every_field(self):
+        assert set(BAD_VALUES) == leaf_paths(resolve_config({}))
+
+    @pytest.mark.parametrize("path", sorted(BAD_VALUES))
+    def test_bad_value_exits_2_with_one_line(self, path, tmp_path, capsys):
+        doc = {"io": {"dataset": str(tmp_path / "data"), "output_dir": str(tmp_path / "o"),
+                      "synthetic": {"classes": 2, "per_class": 3, "size": 8, "channels": 1}}}
+        *sections, leaf = path.split(".")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = BAD_VALUES[path]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        assert main(["gen-data", "-c", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config: {path}: "), err
+
+    @pytest.mark.parametrize("make,field", [
+        pytest.param(lambda: ModelConfig(d_prime=0), "d_prime", id="model"),
+        pytest.param(lambda: LossConfig(tau_period=0.0), "tau_period", id="loss"),
+        pytest.param(lambda: LossConfig(family="baseline", heads=3), "heads", id="baseline-heads"),
+        pytest.param(lambda: TempBounds(eta=0.0), "eta", id="bounds"),
+        pytest.param(lambda: AugPipeline(blur_sigma=(0.0, 0.0)), "blur_sigma", id="blur"),
+        pytest.param(lambda: AugPipeline(crop_scale=(0.5, 2.0)), "crop_scale", id="crop"),
+        pytest.param(lambda: AugPipeline(crop_scale=(0.5,)), "crop_scale", id="crop-length"),
+        pytest.param(lambda: AugPipeline(flip_prob=1.5), "flip_prob", id="flip"),
+        pytest.param(lambda: AugPipeline.prefix(0), "prefix", id="prefix"),
+        pytest.param(lambda: TrainConfig(momentum=1.0), "momentum", id="train"),
+        pytest.param(lambda: EvalConfig(probe_sizes=()), "probe_sizes", id="eval"),
+        pytest.param(lambda: SyntheticSpec(channels=2), "channels", id="synthetic"),
+    ])
+    def test_dataclasses_reject_python_callers_too(self, make, field):
+        with pytest.raises(ContractViolation) as info:
+            make()
+        assert info.value.field == field
+
+    def test_settled_ranges_accept_their_edges(self):
+        AugPipeline(crop_scale=(1.0, 1.0), blur_sigma=(2.0, 2.0), gray_prob=1.0, flip_prob=1.0)
+        AugPipeline(gray_prob=0.0, flip_prob=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +246,10 @@ class TestCommands:
                                     "train": {"epochs": 1}}))
         assert main(["knn", "-c", str(path)]) == 3
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_without_config_echoes_the_defaults(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data"]) == 2
+        assert "io.dataset" in capsys.readouterr().err
+        echoed = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+        assert echoed == resolve_config({})

@@ -8,6 +8,7 @@ import pytest
 
 from contrastlab import losses as L
 from contrastlab import tensor as T
+from contrastlab.checks import _negcos_instance
 from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
 from contrastlab.nets import Mlp, MlpSpec, TempBounds
@@ -594,3 +595,14 @@ class TestLossGradcheck:
             LossConfig(family="baseline", heads=2)
         with pytest.raises(ContractViolation):
             LossConfig(family="baseline", temp_mode="adaptive", heads=1)
+
+    @pytest.mark.parametrize("run_seed", [4, 7])
+    def test_negcos_check_instances_have_a_direction(self, run_seed):
+        # With zero predictor biases these run seeds' negative-cosine
+        # instances predicted an exact zero vector, which l2_normalize rejects.
+        seed = derive(run_seed, "gradcheck")
+        for heads in (1, 3):
+            raws, predictor, _ = _negcos_instance(seed, heads, d_prime=8)
+            cfg = LossConfig(variant="simsiam", heads=heads, temp_mode="constant", tau0=0.5)
+            branches = [(predictor(a), predictor(b), b, a) for a, b in raws]
+            assert math.isfinite(L.multihead_negcos(cfg, branches, 0.5)[0].total().item())

@@ -9,7 +9,7 @@ import pytest
 
 from contrastlab import tensor as T
 from contrastlab.errors import ContractViolation, DomainError, EvaluationError
-from contrastlab.tensor import (Tensor, amtd_decode, amtd_encode, amtd_size, backward,
+from contrastlab.tensor import (Tensor, amtd_decode, amtd_encode, backward,
                                 finite_diff_check, grad_of, stop_gradient, zero_grads)
 
 
@@ -308,7 +308,6 @@ class TestAmtdFormat:
         assert int.from_bytes(blob[16:20], "little") == 3
         assert blob[20] == 0                                  # dtype code
         assert len(blob) == 21 + 6 * 4
-        assert amtd_size(blob) == len(blob)
 
     def test_malformed_records_rejected(self):
         good = amtd_encode(np.ones(3, dtype=np.float32))
