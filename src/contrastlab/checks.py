@@ -3,12 +3,12 @@ variant, the maximum-likelihood equivalence of the softmax-aggregated
 losses, and the reduction of the single-head constant-temperature case to
 the plain ntxent baseline.
 
-Losses containing stop-gradient are checked against frozen copies: the
-numeric probe must hold the stop-gradient branch fixed, because that is
-exactly the function whose gradient the backward pass computes. This
-covers the negative-cosine targets and the inputs of every adaptive
-temperature (temperatures are recomputed from frozen copies on each
-probe, so the temperature net's own parameters are still probed).
+Every check calls a batch loss as training does, with the same kind of
+``temps`` argument: the scheduled temperature or the temperature net.
+The negative-cosine targets and the inputs of every adaptive temperature
+are stop-gradient values, and ``finite_diff_check`` holds each at the
+base point, which is exactly the function whose gradient the backward
+pass computes (the temperature net's own parameters are still probed).
 """
 from __future__ import annotations
 
@@ -44,11 +44,6 @@ class CheckResult:
 def _rand(stream: SplitMix64, shape) -> np.ndarray:
     n = int(np.prod(shape))
     return ((2.0 * stream.floats(n) - 1.0) * 2.0).reshape(shape)
-
-
-def _frozen(t: Tensor) -> Tensor:
-    """A leaf holding a copy of ``t``'s value, fixed while probes perturb ``t``."""
-    return Tensor(t.data.copy())
 
 
 def _instance(seed: int, heads: int, d_prime: int = 8, batch: int = 4):
@@ -104,31 +99,29 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
             flat)
 
     stream = SplitMix64(derive(seed, "simsiam-base"))
-    live_a, live_b = Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,)))
-    tgt_a, tgt_b = Tensor(_rand(stream, (d_prime,))), Tensor(_rand(stream, (d_prime,)))
-    run("baseline/simsiam", lambda: L.negcos_loss(live_a, live_b, tgt_a, tgt_b),
-        [live_a, live_b])
+    branch = tuple(Tensor(_rand(stream, (d_prime,))) for _ in range(4))   # live a, b; targets a, b
+    cfg = LossConfig(variant="simsiam", family="baseline", heads=1, temp_mode="constant")
+    run("baseline/simsiam", lambda: L.multihead_negcos(cfg, [branch], 0.5)[0].total(),
+        list(branch[:2]))
 
     stream = SplitMix64(derive(seed, "barlow-base"))
-    raw_a, raw_b = Tensor(_rand(stream, (n_neg, d_prime))), Tensor(_rand(stream, (n_neg, d_prime)))
-    run("baseline/barlow",
-        lambda: L.cross_corr_loss(L.batch_standardize(raw_a), L.batch_standardize(raw_b), 0.5),
-        [raw_a, raw_b])
+    raws = [Tensor(_rand(stream, (n_neg, d_prime))) for _ in range(2)]
+    cfg = LossConfig(variant="barlow", family="baseline", heads=1, lambd=0.5, temp_mode="constant")
+    run("baseline/barlow", lambda: L.multihead_cross_corr(
+        cfg, [tuple(map(L.batch_standardize, raws))], 0.5)[0].total(), raws)
 
-    # Multi-head ntxent / infonce over the full grid; temperatures read
-    # frozen copies of the projections.
+    # Multi-head ntxent / infonce over the full grid.
     for variant in ("ntxent", "infonce"):
         for heads in (1, 3):
             views, temp_net = _instance(derive(seed, variant, heads), heads, d_prime, batch)
             flat = [t for pair in views for t in pair]
-            frozen = L.AdaptiveTemps(temp_net, [(_frozen(a), _frozen(b)) for a, b in _unit(views)])
             for temp_mode in ("constant", "adaptive"):
                 for agg, kappa in (("topk", 1), ("topk", 3), ("softmax", 1)):
                     cfg = LossConfig(variant=variant, heads=heads, beta=0.7,
                                      temp_mode=temp_mode, tau0=0.5, neg_agg=agg,
                                      kappa=kappa, bounds=bounds)
                     adaptive = temp_mode == "adaptive"
-                    temps = frozen if adaptive else 0.5
+                    temps = temp_net if adaptive else 0.5
                     params = flat + (temp_net.params if adaptive else [])
 
                     def loss_fn(cfg=cfg, views=views, temps=temps):
@@ -137,26 +130,21 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
                     label = f"multihead/{variant}/C{heads}/{temp_mode}/{agg}{kappa if agg == 'topk' else ''}"
                     run(label, loss_fn, params)
 
-    # Multi-head negative cosine: probe the live branches, the predictor,
-    # and the temperature net against frozen stop-gradient targets and
-    # temperatures computed from frozen predictor outputs.
+    # Multi-head negative cosine: probe the raw leaves, the predictor and
+    # the temperature net; the raw leaves are also the stop-gradient
+    # targets, as training passes (p(z_a), p(z_b), z_a, z_b).
     for heads in (1, 3):
         raws, predictor, temp_net = _negcos_instance(seed, heads, d_prime)
-        frozen = [(_frozen(b), _frozen(a)) for a, b in raws]
-        frozen_live = [(_frozen(predictor(a)), _frozen(predictor(b))) for a, b in raws]
         flat = [t for pair in raws for t in pair]
         for temp_mode in ("constant", "adaptive"):
             cfg = LossConfig(variant="simsiam", heads=heads, beta=0.7,
                              temp_mode=temp_mode, tau0=0.5, bounds=bounds)
-            params = flat + predictor.params + (temp_net.params if temp_mode == "adaptive" else [])
-            temps = 0.5
-            if temp_mode == "adaptive":
-                temps = L.AdaptiveTemps(temp_net, [(pa, pb, tgt_a, tgt_b) for (pa, pb), (tgt_b, tgt_a)
-                                                   in zip(frozen_live, frozen)])
+            adaptive = temp_mode == "adaptive"
+            params = flat + predictor.params + (temp_net.params if adaptive else [])
+            temps = temp_net if adaptive else 0.5
 
-            def loss_fn(cfg=cfg, raws=raws, frozen=frozen, predictor=predictor, temps=temps):
-                branches = [(predictor(a), predictor(b), tgt_a, tgt_b)
-                            for (a, b), (tgt_b, tgt_a) in zip(raws, frozen)]
+            def loss_fn(cfg=cfg, raws=raws, predictor=predictor, temps=temps):
+                branches = [(predictor(a), predictor(b), a, b) for a, b in raws]
                 return L.multihead_negcos(cfg, branches, temps)[0].total()
 
             run(f"multihead/simsiam/C{heads}/{temp_mode}", loss_fn, params)
@@ -167,14 +155,12 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
         temp_bt = Mlp.init(MlpSpec((n_neg, n_neg)), derive(seed, "phi-bt", heads))
         raws = [(Tensor(_rand(stream, (n_neg, d_prime))), Tensor(_rand(stream, (n_neg, d_prime))))
                 for _ in range(heads)]
-        frozen_std = [(_frozen(L.batch_standardize(a)), _frozen(L.batch_standardize(b)))
-                      for a, b in raws]
         flat = [t for pair in raws for t in pair]
         for temp_mode in ("constant", "adaptive"):
             cfg = LossConfig(variant="barlow", heads=heads, beta=0.7, lambd=0.5,
                              temp_mode=temp_mode, tau0=0.5, bounds=bounds)
             params = flat + (temp_bt.params if temp_mode == "adaptive" else [])
-            temps = L.AdaptiveTemps(temp_bt, frozen_std) if temp_mode == "adaptive" else 0.5
+            temps = temp_bt if temp_mode == "adaptive" else 0.5
 
             def loss_fn(cfg=cfg, raws=raws, temps=temps):
                 pairs = [(L.batch_standardize(a), L.batch_standardize(b)) for a, b in raws]
@@ -203,14 +189,13 @@ def mle_equivalence_suite(n_instances: int = 100, seed: int = 515,
                              temp_mode="adaptive", neg_agg="softmax", bounds=bounds)
             leaves = [t for pair in views for t in pair] + temp_net.params
             projections = _unit(views)
-            temps = L.AdaptiveTemps(temp_net, projections)
 
-            loss = L.nce_loss(cfg, projections, temps)[0].total()
+            loss = L.nce_loss(cfg, projections, temp_net)[0].total()
             zero_grads(leaves)
             backward(loss)
             grads_loss = [grad_of(p).copy() for p in leaves]
 
-            oracle = L.gaussian_ratio_loss(variant, projections, temps, bounds)
+            oracle = L.gaussian_ratio_loss(variant, projections, temp_net, bounds)
             zero_grads(leaves)
             backward(oracle)
             grads_oracle = [grad_of(p).copy() for p in leaves]

@@ -185,9 +185,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,9 +12,8 @@ it: ``nce_loss`` (ntxent and infonce, in-batch negatives over one
 (2B, 2B) similarity matrix per head), ``multihead_negcos`` and
 ``multihead_cross_corr``. Each takes every head at once, handles both
 families, and returns the head-summed batch terms together with the
-temperatures it used. Its temperature source is the scheduled
-temperature, or ``AdaptiveTemps``: the temperature net plus the tensors
-it embeds.
+temperatures it used. Its ``temps`` is the scheduled temperature, or the
+temperature net, which embeds the loss's own inputs.
 
 Gradient flow through the adaptive temperature. With beta = 1 and
 softmax aggregation a head's ntxent term is, up to a constant, the
@@ -40,9 +39,9 @@ Without it the same run is at 0.88 and 0.69 after two epochs. So phi is
 trained through dL/dtau and the encoder and heads through dL/dz at fixed
 tau: temperatures are computed from gradient-stopped features
 (``nets.temperature_embedding``).
-The batch losses, the finite-difference checks (which pass frozen
-temperature inputs) and the maximum-likelihood oracle all go through
-that one function.
+The batch losses and the maximum-likelihood oracle all go through that
+one function, and the finite-difference check holds its stop-gradient
+values at the base point (``tensor.finite_diff_check``).
 """
 from __future__ import annotations
 
@@ -238,10 +237,12 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
 
 def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Tensor,
                    *, d_prime: int, beta: float, neg_agg: str, kappa: int,
-                   dim_factor_in_set_penalty: bool = True) -> LossTerms:
+                   dim_factor_in_set_penalty: bool = True) -> tuple[LossTerms, np.ndarray]:
     """One head's ntxent/infonce-style terms from precomputed similarities
-    and temperatures. ``s_cand`` holds the negative candidates (plus the
-    positive as the last entry for the infonce variant)."""
+    and temperatures, plus the candidate temperatures its negative term
+    read (the top-k selection, or every candidate). ``s_cand`` holds the
+    negative candidates (plus the positive as the last entry for the
+    infonce variant)."""
     pos = -(s_pos / tau_pos)
     if neg_agg == "topk":
         idx = topk_indices(s_cand.data, kappa)
@@ -253,29 +254,17 @@ def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Ten
         else:
             set_pen = T.sum_(T.log(t_sel) + 1.0 / t_sel, axis=-1)
         omega = beta * (temp_penalty(tau_pos, d_prime) - set_pen)
+        read = t_sel.data
     elif neg_agg == "softmax":
         neg = softmax_negatives(s_cand, tau_cand, d_prime)
         omega = beta * temp_penalty(tau_pos, d_prime)
+        read = tau_cand.data
     else:
         raise ContractViolation(f"unknown neg_agg {neg_agg!r}")
-    return LossTerms(pos, neg, omega)
+    return LossTerms(pos, neg, omega), read
 
 
 # -- temperature sources ----------------------------------------------------
-
-@dataclass(frozen=True)
-class AdaptiveTemps:
-    """Adaptive temperatures: the temperature net and the tensors it
-    embeds, laid out per head like the loss's own inputs.
-
-    Training passes the live features. The finite-difference checks pass
-    frozen copies, because a probe must hold the stop-gradient branch
-    fixed while it perturbs the features.
-    """
-
-    net: Mlp
-    inputs: list
-
 
 @dataclass
 class StepTemps:
@@ -293,29 +282,17 @@ def _check_heads(cfg: LossConfig, per_head) -> None:
 
 def _scheduled_tau(cfg: LossConfig, temps) -> float | None:
     """The scheduled temperature, or None when ``temps`` is adaptive.
-    ``temps`` is a number for the constant and cosine modes and an
-    ``AdaptiveTemps`` for the adaptive mode."""
-    adaptive = isinstance(temps, AdaptiveTemps)
+    ``temps`` is a number for the constant and cosine modes and the
+    temperature net (an ``Mlp``) for the adaptive mode."""
+    adaptive = isinstance(temps, Mlp)
     if adaptive != (cfg.temp_mode == "adaptive"):
-        need = "AdaptiveTemps" if cfg.temp_mode == "adaptive" else "a scheduled temperature"
+        need = "the temperature net" if cfg.temp_mode == "adaptive" else "a scheduled temperature"
         raise ContractViolation(f"temp_mode {cfg.temp_mode!r} needs {need}, got {temps!r}")
-    if adaptive:
-        _check_heads(cfg, temps.inputs)
-        return None
-    return float(temps)
+    return None if adaptive else float(temps)
 
 
 def _emitted(tau_pos: list[np.ndarray], tau_all: list[np.ndarray]) -> StepTemps:
     return StepTemps(np.concatenate(tau_all), np.stack(tau_pos, axis=1))
-
-
-def negcos_temperatures(live_a: Tensor, live_b: Tensor, target_a: Tensor, target_b: Tensor,
-                        temp_net: Mlp, bounds: TempBounds) -> tuple[Tensor, Tensor]:
-    """Adaptive temperatures of the two positive pairs of the negative-
-    cosine loss, (live_a, target_b) and (live_b, target_a)."""
-    tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b), temp_net, bounds)
-    tau_b = adaptive_temperature(T.l2_normalize(live_b), T.l2_normalize(target_a), temp_net, bounds)
-    return tau_a, tau_b
 
 
 def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net_bt: Mlp,
@@ -373,12 +350,11 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
 
     ``projections`` is a per-head list of (z_a, z_b) unit (B, d') row
     stacks (they are not re-normalized here); ``temps`` is the scheduled
-    temperature or ``AdaptiveTemps`` over per-head (B, d') pairs. Per
-    head, one Gram matrix over the 2B rows of concat([z_a, z_b]) gives
-    every similarity; each row's positive is its partner in the other
+    temperature or the temperature net. Per head, one Gram matrix over the
+    2B rows of concat([z_a, z_b]) gives every similarity; each row's positive is its partner in the other
     view and its negatives are the other 2B - 2 rows (``pair_indices``);
     the infonce candidates add the positive as the last entry. Adaptive
-    temperatures come the same way from the Gram matrix of the rows'
+    temperatures come the same way from the Gram matrix of the same rows'
     temperature embeddings; the bounded sigmoid reads only the gathered
     pair logits, so a self-pair on the diagonal, which is no pair, cannot
     trip its saturation check. The baseline family scores the rows with
@@ -398,7 +374,7 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
     total: LossTerms | None = None
     tau_pos: list[np.ndarray] = []
     tau_all: list[np.ndarray] = []
-    for c, (z_a, z_b) in enumerate(projections):
+    for z_a, z_b in projections:
         if z_a.shape != z_b.shape or z_a.data.ndim != 2 or z_a.shape[0] != batch:
             raise ContractViolation(f"expected matching ({batch}, d') views, got {z_a.shape}, {z_b.shape}")
         z = T.concat([z_a, z_b], axis=0)
@@ -410,21 +386,17 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
             tau_all.append(np.array([tau]))
         else:
             if tau is None:
-                phi = temperature_embedding(temps.net, T.concat(list(temps.inputs[c]), axis=0))
+                phi = temperature_embedding(temps, z)
                 r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)
                 t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
             else:
                 t_pos, t_cand = Tensor(np.full(2 * batch, tau)), Tensor(np.full(candidates.shape, tau))
-            terms = nce_head_terms(
+            terms, t_read = nce_head_terms(
                 s_pos, t_pos, s_cand, t_cand,
                 d_prime=z_a.shape[-1], beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
                 dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
             )
-            if cfg.neg_agg == "topk":
-                sel = topk_indices(s_cand.data, cfg.kappa)
-                tau_all.append(np.take_along_axis(t_cand.data, sel, axis=-1).ravel())
-            else:
-                tau_all.append(t_cand.data.ravel())
+            tau_all.append(t_read.ravel())
             tau_all.append(t_pos.data)
             tau_pos.append(t_pos.data)
         head = _symmetric_mean(terms, batch)
@@ -440,16 +412,17 @@ def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepT
     (B, d') row stacks or single (d',) vectors: live vectors are predictor
     outputs, targets are the opposite branch's projector outputs
     (stop-gradient is applied here). ``temps`` is the scheduled
-    temperature or ``AdaptiveTemps`` over branches of the same layout
-    (``negcos_temperatures``). Both temperature penalties enter with
-    positive sign since both pairs are positive pairs. The baseline family
+    temperature or the temperature net, which reads each positive pair,
+    (live_a, target_b) and (live_b, target_a), at unit norm. Both
+    temperature penalties enter with positive sign since both pairs are
+    positive pairs. The baseline family
     is the plain ``negcos_loss``; its temperature is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
     _check_heads(cfg, branches)
     total: LossTerms | None = None
     tau_pos: list[np.ndarray] = []
-    for c, (live_a, live_b, target_a, target_b) in enumerate(branches):
+    for live_a, live_b, target_a, target_b in branches:
         if cfg.family == "baseline":
             value = negcos_loss(live_a, live_b, target_a, target_b)
             terms = LossTerms(T.mean(value), Tensor(0.0), Tensor(0.0))
@@ -459,7 +432,10 @@ def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepT
             s_a = cosine_sim(live_a, T.stop_gradient(target_b))
             s_b = cosine_sim(live_b, T.stop_gradient(target_a))
             if tau is None:
-                tau_a, tau_b = negcos_temperatures(*temps.inputs[c], temps.net, cfg.bounds)
+                tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
+                                             temps, cfg.bounds)
+                tau_b = adaptive_temperature(T.l2_normalize(live_b), T.l2_normalize(target_a),
+                                             temps, cfg.bounds)
             else:
                 tau_a = tau_b = Tensor(np.full(s_a.shape, tau))
             pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
@@ -474,9 +450,8 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
     """Cross-correlation loss with per-channel temperatures, all heads.
 
     ``pairs`` is a per-head list of batch-standardized (N, d') projection
-    matrices. ``temps`` is the scheduled temperature or ``AdaptiveTemps``
-    of the batch-width temperature net over pairs of the same layout
-    (``channel_temperatures``). The baseline family is the plain
+    matrices. ``temps`` is the scheduled temperature or the batch-width
+    temperature net, which reads the pairs (``channel_temperatures``). The baseline family is the plain
     ``cross_corr_loss``; its temperature is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
@@ -484,14 +459,14 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
     total: LossTerms | None = None
     tau_pos: list[np.ndarray] = []
     tau_all: list[np.ndarray] = []
-    for c, (z_a, z_b) in enumerate(pairs):
+    for z_a, z_b in pairs:
         d_prime = z_a.shape[-1]
         if cfg.family == "baseline":
             terms = LossTerms(cross_corr_loss(z_a, z_b, cfg.lambd), Tensor(0.0), Tensor(0.0))
         else:
             _check_cross_corr_inputs(z_a, z_b)
             if tau is None:
-                t_mat = channel_temperatures(*temps.inputs[c], temps.net, cfg.bounds)
+                t_mat = channel_temperatures(z_a, z_b, temps, cfg.bounds)
             else:
                 t_mat = Tensor(np.full((d_prime, d_prime), tau))
             c_mat = cross_correlation(z_a, z_b)
@@ -537,21 +512,19 @@ def gaussian_ratio_loss(variant: str, projections, temps, bounds: TempBounds = T
     row's partner (numerator) and drop self and partner (denominator, the
     negatives; infonce adds the numerator), and the logs are plain logs of
     row sums (no index table, no log-sum-exp). ``temps`` is a constant
-    temperature or ``AdaptiveTemps`` as for ``nce_loss``.
+    temperature or the temperature net, which reads the same rows.
     """
     if variant not in ("ntxent", "infonce"):
         raise ContractViolation(f"oracle covers ntxent/infonce, got {variant!r}")
     total: Tensor | None = None
-    for c, (z_a, z_b) in enumerate(projections):
+    for z_a, z_b in projections:
         z = T.concat([z_a, z_b], axis=0)
         n, d_prime = z.shape
-        first = Tensor(np.repeat(np.eye(n), n, axis=0))    # row i*n + j picks row i
-        second = Tensor(np.tile(np.eye(n), (n, 1)))        # row i*n + j picks row j
-        s = T.reshape(T.sum_(T.mul(T.matmul(first, z), T.matmul(second, z)), axis=-1), (n, n))
-        if isinstance(temps, AdaptiveTemps):
-            u = T.concat(list(temps.inputs[c]), axis=0)
-            tau = T.reshape(adaptive_temperature(T.matmul(first, u), T.matmul(second, u),
-                                                 temps.net, bounds), (n, n))
+        first = T.matmul(Tensor(np.repeat(np.eye(n), n, axis=0)), z)   # row i*n + j is row i
+        second = T.matmul(Tensor(np.tile(np.eye(n), (n, 1))), z)       # row i*n + j is row j
+        s = T.reshape(T.sum_(T.mul(first, second), axis=-1), (n, n))
+        if isinstance(temps, Mlp):
+            tau = T.reshape(adaptive_temperature(first, second, temps, bounds), (n, n))
         else:
             tau = Tensor(np.full((n, n), float(temps)))
         dens = gaussian_density(s, tau, d_prime)

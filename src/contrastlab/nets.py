@@ -264,15 +264,30 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a checkpoint written by ``save_bundle``. One that does not
+    decode raises ``OSError`` naming the path: an I/O failure, not a
+    caller bug."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_bundle(blob)
+    except (ValueError, KeyError, TypeError) as exc:
+        reason = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
+        raise OSError(f"checkpoint {path}: {reason}") from None
+
+
+def _decode_bundle(blob: bytes) -> ModelBundle:
     manifest_len = int.from_bytes(blob[:8], "little")
+    if 8 + manifest_len > len(blob):
+        raise ContractViolation(f"manifest length {manifest_len} runs past the {len(blob)}-byte file")
     manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
     payload = blob[8 + manifest_len:]
     arrays = {}
     for entry in manifest["tensors"]:
-        record = payload[entry["offset"]:entry["offset"] + entry["length"]]
-        arr = T.amtd_decode(record)
+        start, end = entry["offset"], entry["offset"] + entry["length"]
+        if not 0 <= start <= end <= len(payload):
+            raise ContractViolation(f"tensor {entry['name']} lies outside the {len(payload)}-byte payload")
+        arr = T.amtd_decode(payload[start:end])
         if list(arr.shape) != entry["shape"]:
             raise ContractViolation(f"checkpoint tensor {entry['name']} has wrong shape")
         arrays[entry["name"]] = arr

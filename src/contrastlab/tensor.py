@@ -56,9 +56,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
@@ -87,25 +84,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
-    def sum(self, axis: int | None = None):
-        return sum_(self, axis)
-
-    def mean(self, axis: int | None = None):
-        return mean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def as_tensor(value) -> Tensor:
@@ -384,10 +362,32 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     return Tensor(out, (a,), grad_fn)
 
 
+# The stop-gradient values of a running ``finite_diff_check``'s base point
+# in call order (None outside a check), and the index a probe replays next
+# (None while the base point records them).
+_held: list[np.ndarray] | None = None
+_replay_at: int | None = None
+
+
 def stop_gradient(a) -> Tensor:
-    """Identity in the forward pass, zero contribution in the backward pass."""
+    """Identity in the forward pass, zero contribution in the backward pass.
+
+    A stopped value is a constant of the function whose gradient backward
+    computes, so inside ``finite_diff_check`` each call returns the value
+    the same call had at the base point."""
+    global _replay_at
     a = as_tensor(a)
-    return Tensor(a.data, (), None)
+    if _held is None:
+        return Tensor(a.data, (), None)
+    if _replay_at is None:
+        _held.append(a.data.copy())
+        return Tensor(a.data, (), None)
+    i = _replay_at
+    if i >= len(_held) or _held[i].shape != a.shape:
+        raise ContractViolation(f"a probe's stop_gradient call {i} (shape {a.shape}) has no "
+                                f"match among the base point's {len(_held)} calls")
+    _replay_at = i + 1
+    return Tensor(_held[i], (), None)
 
 
 # -- backward pass -------------------------------------------------------
@@ -448,40 +448,61 @@ def grad_of(t: Tensor) -> np.ndarray:
     return t.grad if t.grad is not None else np.zeros_like(t.data)
 
 
+def _probe(loss_fn: Callable[[], Tensor]) -> float:
+    """A probe's loss value, with the base point's stop-gradient values replayed."""
+    global _replay_at
+    _replay_at = 0
+    value = loss_fn().item()
+    if _replay_at != len(_held):
+        raise ContractViolation(
+            f"a probe made {_replay_at} stop_gradient calls, the base point {len(_held)}")
+    return value
+
+
 def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
                       h: float = 1e-5) -> float:
     """Max relative disagreement between backward and central differences.
 
     ``loss_fn`` must be a deterministic closure over ``params`` that
     rebuilds its graph on every call; parameters are perturbed in place
-    while probing. Relative error for each coordinate is
-    ``|analytic - numeric| / max(1, |analytic|)``.
+    while probing. Every ``stop_gradient`` value is held at the base point:
+    the base-point call records them in call order and each probe replays
+    them, so a probe whose calls differ in number or shape raises
+    ``ContractViolation``, as does a nested check. Relative error for each
+    coordinate is ``|analytic - numeric| / max(1, |analytic|)``.
     """
+    global _held, _replay_at
     if not 1e-7 <= h <= 1e-3:
         raise ContractViolation(f"step h={h} outside [1e-7, 1e-3]")
-    loss = loss_fn()
-    if not np.isfinite(loss.data).all():
-        raise EvaluationError("loss is not finite at the base point")
-    zero_grads(params)
-    backward(loss)
-    analytic = [grad_of(p).copy() for p in params]
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = an.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = loss_fn().item()
-            flat[i] = saved - h
-            f_minus = loss_fn().item()
-            flat[i] = saved
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise EvaluationError("loss is not finite at a probe point")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
-            if err > worst:
-                worst = err
+    if _held is not None:
+        raise ContractViolation("finite_diff_check cannot run inside another check")
+    _held = []
+    try:
+        loss = loss_fn()
+        if not np.isfinite(loss.data).all():
+            raise EvaluationError("loss is not finite at the base point")
+        zero_grads(params)
+        backward(loss)
+        analytic = [grad_of(p).copy() for p in params]
+        worst = 0.0
+        for p, an in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            aflat = an.reshape(-1)
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + h
+                f_plus = _probe(loss_fn)
+                flat[i] = saved - h
+                f_minus = _probe(loss_fn)
+                flat[i] = saved
+                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                    raise EvaluationError("loss is not finite at a probe point")
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
+                if err > worst:
+                    worst = err
+    finally:
+        _held = _replay_at = None
     return worst
 
 
@@ -509,10 +530,14 @@ def amtd_decode(blob: bytes) -> np.ndarray:
     """Decode one AMTD record into a float64 array (values upcast)."""
     if blob[:4] != AMTD_MAGIC:
         raise ContractViolation(f"bad AMTD magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ContractViolation("truncated AMTD header")
     version, ndim = struct.unpack_from("<II", blob, 4)
     if version != AMTD_VERSION:
         raise ContractViolation(f"unsupported AMTD version {version}")
     offset = 12
+    if len(blob) < offset + 4 * ndim + 1:
+        raise ContractViolation("truncated AMTD header")
     shape = struct.unpack_from(f"<{ndim}I", blob, offset)
     offset += 4 * ndim
     (code,) = struct.unpack_from("B", blob, offset)

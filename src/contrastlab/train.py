@@ -64,7 +64,7 @@ class TrainConfig:
         require(self.temp_lr_scale > 0, "temp_lr_scale", "must be > 0")
         require(self.run_seed >= 0, "run_seed", "must be >= 0")
         require(self.eval_every >= 0, "eval_every", "must be >= 0")
-        require(0 <= self.test_fraction < 1, "test_fraction", "must lie in [0, 1)")
+        require(0 < self.test_fraction < 1, "test_fraction", "must lie in (0, 1)")
         require(self.probe_per_class >= 1, "probe_per_class", "must be >= 1")
 
 
@@ -138,8 +138,7 @@ def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
                 raise ContractViolation("the negative-cosine variant needs a predictor")
             views = [(bundle.predictor(za), bundle.predictor(zb), za, zb) for za, zb in views]
             loss = L.multihead_negcos
-    temps = L.AdaptiveTemps(net, views) if tau_step == "adaptive" else tau_step
-    return loss(cfg, views, temps)
+    return loss(cfg, views, net if tau_step == "adaptive" else tau_step)
 
 
 # -- pretraining ---------------------------------------------------------

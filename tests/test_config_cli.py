@@ -13,7 +13,7 @@ from contrastlab.config import ConfigError, experiment_from_dict, load_config, r
 from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset, write_dataset
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
-from contrastlab.nets import TempBounds
+from contrastlab.nets import ModelBundle, TempBounds, save_bundle
 from contrastlab.train import EvalConfig, ModelConfig, TrainConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -151,6 +151,7 @@ class TestFieldRules:
         pytest.param(lambda: AugPipeline(flip_prob=1.5), "flip_prob", id="flip"),
         pytest.param(lambda: AugPipeline.prefix(0), "prefix", id="prefix"),
         pytest.param(lambda: TrainConfig(momentum=1.0), "momentum", id="train"),
+        pytest.param(lambda: TrainConfig(test_fraction=0.0), "test_fraction", id="test-fraction"),
         pytest.param(lambda: EvalConfig(probe_sizes=()), "probe_sizes", id="eval"),
         pytest.param(lambda: SyntheticSpec(channels=2), "channels", id="synthetic"),
     ])
@@ -246,6 +247,22 @@ class TestCommands:
                                     "train": {"epochs": 1}}))
         assert main(["knn", "-c", str(path)]) == 3
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"io": {"output_dir": str(out)}}))
+        checkpoint = out / "checkpoint.bin"
+        save_bundle(ModelBundle.build(64, 16, 8, 2, seed=3), checkpoint)
+        blob = checkpoint.read_bytes()
+        n = int.from_bytes(blob[:8], "little")
+        garbled, short, cut = blob[:8] + b"#" * n + blob[8 + n:], blob[:5], blob[:8 + n + 10]
+        for damaged in (garbled, short, cut):
+            checkpoint.write_bytes(damaged)
+            assert main(["knn", "-c", str(path)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: io: checkpoint {checkpoint}: "), err
 
     def test_without_config_echoes_the_defaults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

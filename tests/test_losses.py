@@ -1,4 +1,4 @@
-"""Loss families: frozen example values, penalty properties, aggregation
+"""Loss families: fixed example values, penalty properties, aggregation
 rules, reduction/equivalence identities, and finite-difference checks."""
 import dataclasses
 import math
@@ -247,11 +247,10 @@ class TestTopK:
     def test_set_penalty_dim_factor_flag(self):
         views = unit_views(random_views(SplitMix64(14), 1))
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=2)
-        temps = L.AdaptiveTemps(temp_net, views)
         cfg = one_head_cfg(beta=1.0, kappa=2, temp_mode="adaptive")
-        with_factor = nce(cfg, views, temps)
+        with_factor = nce(cfg, views, temp_net)
         cfg_flat = dataclasses.replace(cfg, dim_factor_in_set_penalty=False)
-        without = nce(cfg_flat, views, temps)
+        without = nce(cfg_flat, views, temp_net)
         s, partner = gram(views[0])
         phi = temp_net(Tensor(np.vstack([t.data for t in views[0]]))).data
         taus = BOUNDS.iota / (1.0 + np.exp(phi @ phi.T)) + BOUNDS.eta
@@ -296,7 +295,7 @@ class TestMultiheadNegcos:
         leaves = [live_a, live_b, tgt_a, tgt_b]
         branches = [(live_a, live_b, tgt_a, tgt_b)]
         zero_grads(leaves)
-        backward(L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, branches))[0].total())
+        backward(L.multihead_negcos(cfg, branches, temp_net)[0].total())
         assert tgt_a.grad is None and tgt_b.grad is None
         assert np.abs(grad_of(live_a)).max() > 0
 
@@ -434,11 +433,10 @@ class TestMleOracle:
             heads = 1 + 2 * (i % 2)
             views, temp_net = self._instance(derive(100, variant, i), heads)
             projections = unit_views(views)
-            temps = L.AdaptiveTemps(temp_net, projections)
             cfg = LossConfig(variant=variant, heads=heads, beta=1.0, temp_mode="adaptive",
                              neg_agg="softmax", bounds=BOUNDS)
-            loss = nce(cfg, projections, temps).total().item()
-            oracle = L.gaussian_ratio_loss(variant, projections, temps, BOUNDS).item()
+            loss = nce(cfg, projections, temp_net).total().item()
+            oracle = L.gaussian_ratio_loss(variant, projections, temp_net, BOUNDS).item()
             expected = loss + heads * 4.0 * math.log(2 * math.pi)
             assert abs(oracle - expected) / max(1.0, abs(oracle)) < 1e-8
 
@@ -448,12 +446,11 @@ class TestMleOracle:
                          neg_agg="softmax", bounds=BOUNDS)
         leaves = [t for pair in views for t in pair] + temp_net.params
         projections = unit_views(views)
-        temps = L.AdaptiveTemps(temp_net, projections)
         zero_grads(leaves)
-        backward(nce(cfg, projections, temps).total())
+        backward(nce(cfg, projections, temp_net).total())
         g_loss = [grad_of(p).copy() for p in leaves]
         zero_grads(leaves)
-        backward(L.gaussian_ratio_loss("ntxent", projections, temps, BOUNDS))
+        backward(L.gaussian_ratio_loss("ntxent", projections, temp_net, BOUNDS))
         g_oracle = [grad_of(p).copy() for p in leaves]
         for a, b in zip(g_loss, g_oracle):
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
@@ -479,68 +476,43 @@ class TestTemperatureGradientFlow:
         views = random_views(SplitMix64(91), 2, batch=4, d_prime=8)
         return views, Mlp.init(MlpSpec((8, 8)), seed=12)
 
-    @pytest.mark.parametrize("variant", ["ntxent", "infonce"])
-    def test_temperature_net_path_equals_frozen_temperatures(self, variant):
-        """Temperatures read from the live projections (as in training)
-        and from frozen copies of them (as in the finite-difference
-        checks) give the same loss, in value and in every gradient."""
-        views, temp_net = self._instance()
-        cfg = LossConfig(variant=variant, heads=2, beta=1.0, temp_mode="adaptive",
-                         neg_agg="softmax", bounds=BOUNDS)
-        leaves = [t for pair in views for t in pair] + temp_net.params
-        zero_grads(leaves)
-        projections = unit_views(views)
-        live = nce(cfg, projections, L.AdaptiveTemps(temp_net, projections)).total()
-        backward(live)
-        g_live = [grad_of(p).copy() for p in leaves]
-        zero_grads(leaves)
-        projections = unit_views(views)
-        frozen = [(Tensor(a.data.copy()), Tensor(b.data.copy())) for a, b in projections]
-        fixed = nce(cfg, projections, L.AdaptiveTemps(temp_net, frozen)).total()
-        backward(fixed)
-        g_fixed = [grad_of(p).copy() for p in leaves]
-        assert live.item() == fixed.item()
-        for a, b in zip(g_live, g_fixed):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-        assert any(np.abs(grad_of(p)).max() > 0 for p in temp_net.params)
+    @pytest.mark.parametrize("variant", ["ntxent", "simsiam", "barlow"])
+    def test_temperature_path_sends_no_gradient_to_features(self, variant):
+        """A penalty depends on the features only through the
+        temperatures: the features receive exactly zero gradient from it
+        while its value still depends on them."""
+        stream = SplitMix64(derive(92, variant))
+        if variant == "ntxent":
+            views, temp_net = self._instance()
+            leaves = [t for pair in views for t in pair]
+            cfg = LossConfig(variant="ntxent", heads=2, beta=1.0, temp_mode="adaptive",
+                             neg_agg="softmax", bounds=BOUNDS)
 
-    def test_other_variants_accept_frozen_temperatures(self):
-        stream = SplitMix64(92)
-        branches = [tuple(rand_tensor(stream, (5, 8)) for _ in range(4))]
-        frozen = [tuple(Tensor(t.data.copy()) for t in branches[0])]
-        temp_net = Mlp.init(MlpSpec((8, 8)), seed=13)
-        cfg = one_head_cfg(variant="simsiam", temp_mode="adaptive", beta=0.5)
-        live, _ = L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, branches))
-        fixed, _ = L.multihead_negcos(cfg, branches, L.AdaptiveTemps(temp_net, frozen))
-        np.testing.assert_array_equal(live.total().data, fixed.total().data)
-        za, zb = standardized_pair(93, n=6, d=4)
-        temp_bt = Mlp.init(MlpSpec((6, 6)), seed=14)
-        cfg = one_head_cfg(variant="barlow", temp_mode="adaptive", beta=0.5)
-        live, _ = L.multihead_cross_corr(cfg, [(za, zb)], L.AdaptiveTemps(temp_bt, [(za, zb)]))
-        frozen = [(Tensor(za.data.copy()), Tensor(zb.data.copy()))]
-        fixed, _ = L.multihead_cross_corr(cfg, [(za, zb)], L.AdaptiveTemps(temp_bt, frozen))
-        assert live.total().item() == fixed.total().item()
+            def penalty():
+                return nce(cfg, unit_views(views), temp_net).omega
+        elif variant == "simsiam":
+            leaves = [rand_tensor(stream, (5, 8)) for _ in range(4)]
+            temp_net = Mlp.init(MlpSpec((8, 8)), seed=13)
+            cfg = one_head_cfg(variant="simsiam", temp_mode="adaptive", beta=0.5)
 
-    def test_temperature_path_sends_no_gradient_to_features(self):
-        """The softmax loss's penalty depends on the features only through
-        the temperatures: the features receive exactly zero gradient from
-        it while its value still depends on them."""
-        views, temp_net = self._instance()
-        cfg = LossConfig(variant="ntxent", heads=2, beta=1.0, temp_mode="adaptive",
-                         neg_agg="softmax", bounds=BOUNDS)
+            def penalty():
+                return L.multihead_negcos(cfg, [tuple(leaves)], temp_net)[0].omega
+        else:
+            leaves = [rand_tensor(stream, (6, 4)) for _ in range(2)]
+            temp_net = Mlp.init(MlpSpec((6, 6)), seed=14)
+            cfg = one_head_cfg(variant="barlow", temp_mode="adaptive", beta=0.5)
 
-        def penalty():
-            projections = unit_views(views)
-            return nce(cfg, projections, L.AdaptiveTemps(temp_net, projections)).omega
+            def penalty():
+                pairs = [tuple(L.batch_standardize(t) for t in leaves)]
+                return L.multihead_cross_corr(cfg, pairs, temp_net)[0].omega
 
-        leaves = [t for pair in views for t in pair] + temp_net.params
-        zero_grads(leaves)
+        zero_grads(leaves + temp_net.params)
         omega = penalty()
         backward(omega)
-        for a, b in views:
-            assert np.all(grad_of(a) == 0.0) and np.all(grad_of(b) == 0.0)
+        for leaf in leaves:
+            assert np.all(grad_of(leaf) == 0.0)
         assert any(np.abs(grad_of(p)).max() > 0 for p in temp_net.params)
-        views[0][0].data[0, 0] += 0.5
+        leaves[0].data[0, 0] += 0.5
         assert penalty().item() != omega.item()
 
 
@@ -571,15 +543,9 @@ class TestLossGradcheck:
         temp_net = Mlp.init(MlpSpec((8, 8)), seed=4)
         cfg = LossConfig(variant=variant, heads=2, beta=0.7, kappa=kappa,
                          temp_mode=temp_mode, tau0=0.5, neg_agg=agg, bounds=BOUNDS)
-        params = [t for pair in views for t in pair]
-        temps = 0.5
-        if temp_mode == "adaptive":
-            params += temp_net.params
-            # Temperatures read gradient-stopped features, so the numeric
-            # probe computes them from frozen copies (phi's parameters stay
-            # probed).
-            frozen = [(Tensor(a.data.copy()), Tensor(b.data.copy())) for a, b in unit_views(views)]
-            temps = L.AdaptiveTemps(temp_net, frozen)
+        adaptive = temp_mode == "adaptive"
+        params = [t for pair in views for t in pair] + (temp_net.params if adaptive else [])
+        temps = temp_net if adaptive else 0.5
 
         def loss_fn():
             return nce(cfg, unit_views(views), temps).total()

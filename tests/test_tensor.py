@@ -287,6 +287,60 @@ class TestFiniteDiffCheck:
             finite_diff_check(lambda: T.sum_(x) / 0.0 if False else Tensor(np.inf), [x])
 
 
+class TestHeldStopGradients:
+    """A probe holds every stop-gradient value at the base point."""
+
+    def test_stopped_factor_is_a_constant(self):
+        x = Tensor([0.3, -1.2, 2.0])
+        assert finite_diff_check(lambda: T.sum_(x * stop_gradient(x)), [x]) < 1e-8
+
+    @pytest.mark.parametrize("probe_stops", [
+        pytest.param(lambda x: [], id="fewer"),
+        pytest.param(lambda x: [x, x], id="more"),
+        pytest.param(lambda x: [T.reshape(x, (1, 3))], id="shape"),
+    ])
+    def test_probe_with_other_stop_gradient_calls_rejected(self, probe_stops):
+        x = Tensor([0.3, -1.2, 2.0])
+        calls = []
+
+        def loss():
+            out = T.sum_(x * x)
+            for t in probe_stops(x) if calls else [x]:
+                out = out + T.sum_(stop_gradient(t))
+            calls.append(1)
+            return out
+
+        with pytest.raises(ContractViolation):
+            finite_diff_check(loss, [x])
+
+    def test_nested_check_rejected(self):
+        x = Tensor([0.5])
+
+        def loss():
+            finite_diff_check(lambda: T.sum_(x * x), [x])
+            return T.sum_(x * x)
+
+        with pytest.raises(ContractViolation):
+            finite_diff_check(loss, [x])
+
+    def test_nothing_held_after_a_check_that_raised(self):
+        x = Tensor([0.3, -1.2])
+        calls = []
+
+        def loss():
+            calls.append(1)
+            if len(calls) > 2:
+                raise EvaluationError("probe failed")
+            return T.sum_(x * stop_gradient(x))
+
+        with pytest.raises(EvaluationError):
+            finite_diff_check(loss, [x])
+        assert T._held is None and T._replay_at is None
+        y = Tensor([1.0, 2.0])
+        assert stop_gradient(y).data is y.data
+        assert finite_diff_check(lambda: T.sum_(y * y), [y]) < 1e-8
+
+
 class TestAmtdFormat:
     def test_f32_round_trip(self):
         values = np.array([[0.5, -1.25], [3.0, 255.0]])
@@ -317,3 +371,6 @@ class TestAmtdFormat:
             amtd_decode(good[:4] + (99).to_bytes(4, "little") + good[8:])
         with pytest.raises(ContractViolation):
             amtd_decode(good[:-2])
+        for cut in (6, 12, 16):   # inside version/ndim, the extents, the dtype byte
+            with pytest.raises(ContractViolation, match="truncated AMTD header"):
+                amtd_decode(good[:cut])

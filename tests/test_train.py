@@ -124,8 +124,7 @@ class TestBatchLossEquivalence:
         hb = T.l2_normalize(bundle.encoder(xb))
         projections = [(T.l2_normalize(head(ha)), T.l2_normalize(head(hb)))
                        for head in bundle.heads]
-        oracle = L.gaussian_ratio_loss("ntxent", projections,
-                                       L.AdaptiveTemps(bundle.temp_net, projections), bounds)
+        oracle = L.gaussian_ratio_loss("ntxent", projections, bundle.temp_net, bounds)
         zero_grads(params)
         backward(oracle)
         offset = 2 * 4.0 * math.log(2.0 * math.pi)
