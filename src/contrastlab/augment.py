@@ -1,4 +1,7 @@
-"""Image I/O for binary PNM files and the stochastic two-view pipeline.
+"""Image I/O for binary PNM files, the dataset layout and the
+stochastic two-view pipeline. Pixels are plain float64 arrays of reals
+in [0, 1]: an image or view is (height, width, channels), and a
+``Dataset`` holds one (N, height, width, channels) array, checked once.
 
 The pipeline applies an ordered subset of five ops (crop, blur, gray,
 jitter, flip). Every random draw comes from a splitmix64 stream keyed by
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,36 +33,6 @@ class PnmError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-@dataclass
-class Image:
-    """Pixels as reals in [0, 1], shape (height, width, channels)."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float64)
-        if p.ndim != 3 or p.shape[2] not in (1, 3):
-            raise ContractViolation(f"expected (h, w, 1|3) pixels, got {p.shape}")
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise ContractViolation("pixel values must lie in [0, 1]")
-        self.pixels = p
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
-    def flat(self) -> np.ndarray:
-        return self.pixels.reshape(-1)
 
 
 # -- PNM parse / write ------------------------------------------------------
@@ -91,8 +65,9 @@ def _read_int(blob: bytes, pos: int, field: str) -> tuple[int, int]:
     return value, pos
 
 
-def parse_pnm(blob: bytes) -> Image:
-    """Parse binary P5 (grayscale) or P6 (color) with maxval 255.
+def parse_pnm(blob: bytes) -> np.ndarray:
+    """Parse binary P5 (grayscale) or P6 (color) with maxval 255 into an
+    ``(height, width, channels)`` array of reals in [0, 1].
 
     Whitespace and ``#`` comments are accepted anywhere in the header;
     exactly one whitespace byte separates the maxval from the payload.
@@ -121,15 +96,16 @@ def parse_pnm(blob: bytes) -> Image:
     if len(payload) != expected:
         raise PnmError("payload", f"expected {expected} bytes, got {len(payload)}")
     values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return Image(values.reshape(height, width, channels))
+    return values.reshape(height, width, channels)
 
 
-def write_pnm(image: Image) -> bytes:
-    """Emit the canonical single-whitespace form; pixels are rounded to
-    the nearest /255 step."""
-    magic = b"P5" if image.channels == 1 else b"P6"
-    header = b"%s %d %d 255\n" % (magic, image.width, image.height)
-    payload = np.rint(image.pixels * 255.0).astype(np.uint8).tobytes()
+def write_pnm(pixels: np.ndarray) -> bytes:
+    """Emit ``(height, width, 1|3)`` pixels in the canonical
+    single-whitespace form, rounded to the nearest /255 step."""
+    height, width, channels = pixels.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    header = b"%s %d %d 255\n" % (magic, width, height)
+    payload = np.rint(pixels * 255.0).astype(np.uint8).tobytes()
     return header + payload
 
 
@@ -243,22 +219,19 @@ _OPS = {"crop": _op_crop, "blur": _op_blur, "gray": _op_gray,
         "jitter": _op_jitter, "flip": _op_flip}
 
 
-def augment_view(image: Image, pipeline: AugPipeline, seed: int) -> Image:
-    """Apply the enabled ops in fixed order; output keeps the input
-    resolution and stays clamped to [0, 1]."""
-    if image.height < 8 or image.width < 8:
-        raise ContractViolation(f"image {image.width}x{image.height} below the 8x8 minimum")
-    pixels = image.pixels
+def augment_view(pixels: np.ndarray, pipeline: AugPipeline, seed: int) -> np.ndarray:
+    """Apply the enabled ops in fixed order to one (h, w, c) image; the
+    view keeps its resolution and stays clamped to [0, 1]."""
     for op_index, name in enumerate(OP_ORDER):
         if name not in pipeline.ops:
             continue
         stream = SplitMix64(derive(seed, op_index))
         pixels = np.clip(_OPS[name](pixels, pipeline, stream), 0.0, 1.0)
-    return Image(pixels)
+    return pixels
 
 
-def make_two_views(image: Image, pipeline: AugPipeline, epoch: int,
-                   sample_index: int, run_seed: int) -> tuple[Image, Image]:
+def make_two_views(image: np.ndarray, pipeline: AugPipeline, epoch: int,
+                   sample_index: int, run_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independently seeded views of one sample — a positive pair."""
     view_a = augment_view(image, pipeline, derive(run_seed, "view", epoch, sample_index, 0))
     view_b = augment_view(image, pipeline, derive(run_seed, "view", epoch, sample_index, 1))
@@ -269,26 +242,40 @@ def make_two_views(image: Image, pipeline: AugPipeline, epoch: int,
 
 @dataclass
 class Dataset:
-    images: list[Image]
+    """One label and one filename per image of ``pixels``. Views and
+    batches read the pixels unchecked, so they are checked here."""
+
+    pixels: np.ndarray
     labels: np.ndarray
     filenames: list[str]
 
-    def __len__(self) -> int:
-        return len(self.images)
+    def __post_init__(self):
+        p = self.pixels
+        if p.ndim != 4 or p.dtype != np.float64 or p.shape[3] not in (1, 3) \
+                or not len(p) or min(p.shape[1:3]) < 8:
+            raise ContractViolation("expected float64 pixels of shape (n >= 1, h >= 8, w >= 8, "
+                                    f"1|3), got {p.dtype} {p.shape}")
+        if not (p.min() >= 0.0 and p.max() <= 1.0):
+            raise ContractViolation("pixel values must lie in [0, 1]")
+        if not len(self.labels) == len(self.filenames) == len(p):
+            raise ContractViolation(f"{len(p)} images, {len(self.labels)} labels and "
+                                    f"{len(self.filenames)} filenames")
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
+    def __len__(self) -> int:
+        return len(self.pixels)
 
 
 def load_dataset(directory) -> Dataset:
-    """Read a directory of .pgm/.ppm files indexed by labels.csv
-    (header ``filename,label``)."""
+    """Read a directory of .pgm/.ppm files indexed by labels.csv (header
+    ``filename,label``; names stay inside the directory) into one array.
+    A file that does not decode or differs in shape from the first one
+    raises ``OSError`` naming it."""
     directory = Path(directory)
     index = directory / "labels.csv"
     if not index.exists():
         raise FileNotFoundError(f"missing {index}")
-    images, labels, names = [], [], []
+    root = os.path.abspath(directory)
+    labels, names = [], []
     with open(index, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -303,12 +290,26 @@ def load_dataset(directory) -> Dataset:
             except ValueError:
                 raise ContractViolation(f"{index} row {row_no}: label {label_text!r} is not an integer") from None
             path = directory / name
+            if os.path.commonpath([root, os.path.abspath(os.path.join(root, name))]) != root:
+                raise ContractViolation(f"{index} row {row_no}: {name} lies outside {directory}")
             if not path.exists():
                 raise ContractViolation(f"{index} row {row_no}: missing file {name}")
-            images.append(parse_pnm(path.read_bytes()))
             labels.append(label)
             names.append(name)
-    return Dataset(images, np.asarray(labels, dtype=np.int64), names)
+    pixels = np.empty(0)          # an index that lists no image fails the Dataset check
+    for k, name in enumerate(names):
+        path = directory / name
+        try:
+            image = parse_pnm(path.read_bytes())
+        except PnmError as exc:
+            raise OSError(f"{path}: {exc}") from None
+        if k == 0:
+            pixels = np.empty((len(names),) + image.shape)
+        if image.shape != pixels.shape[1:]:
+            raise OSError(f"{path}: shape {image.shape} differs from {names[0]}'s "
+                          f"{pixels.shape[1:]}")
+        pixels[k] = image
+    return Dataset(pixels, np.asarray(labels, dtype=np.int64), names)
 
 
 def stratified_split(labels: np.ndarray, test_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +361,8 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
     different cue subsets — the similarity of a positive pair then varies
     widely with the augmentation draw. Classes stay invariant to
     horizontal flips (phases are random)."""
-    images, labels, names = [], [], []
+    pixels = np.empty((spec.classes * spec.per_class, spec.size, spec.size, spec.channels))
+    names = []
     for cls in range(spec.classes):
         vertical = bool(cls % 2)
         coarse_freq = 2.0 + 1.5 * (cls // 2)
@@ -378,15 +380,13 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
             mono = mono + noise
             if spec.channels == 3:
                 tint = 0.75 + stream.floats(3) * 0.5
-                pixels = mono[:, :, None] * tint[None, None, :]
+                sample = mono[:, :, None] * tint[None, None, :]
             else:
-                pixels = mono[:, :, None]
-            pixels = np.clip(pixels, 0.0, 1.0)
-            pixels = np.rint(pixels * 255.0) / 255.0
-            images.append(Image(pixels))
-            labels.append(cls)
+                sample = mono[:, :, None]
+            pixels[cls * spec.per_class + i] = np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0
             names.append(f"c{cls}_{i:04d}.{'ppm' if spec.channels == 3 else 'pgm'}")
-    return Dataset(images, np.asarray(labels, dtype=np.int64), names)
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.per_class)
+    return Dataset(pixels, labels, names)
 
 
 def write_dataset(dataset: Dataset, directory) -> None:
@@ -397,5 +397,5 @@ def write_dataset(dataset: Dataset, directory) -> None:
         writer.writerow(["filename", "label"])
         for name, label in zip(dataset.filenames, dataset.labels):
             writer.writerow([name, int(label)])
-    for name, image in zip(dataset.filenames, dataset.images):
+    for name, image in zip(dataset.filenames, dataset.pixels):
         (directory / name).write_bytes(write_pnm(image))

@@ -110,13 +110,17 @@ def _append_eval_rows(exp: Experiment, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
+def _split_features(exp: Experiment):
+    """The checkpoint's features and the labels of the train and the test
+    split: the first four arguments of both evaluation protocols."""
+    bundle, dataset, train_idx, test_idx = _load_run(exp)
+    return (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
+            encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
+
+
 def cmd_knn(args) -> int:
     exp = _load_experiment(args)
-    bundle, dataset, train_idx, test_idx = _load_run(exp)
-    train_feats = encode_features(bundle, [dataset.images[i] for i in train_idx])
-    test_feats = encode_features(bundle, [dataset.images[i] for i in test_idx])
-    acc = knn_eval(train_feats, dataset.labels[train_idx], test_feats,
-                   dataset.labels[test_idx], exp.eval.knn_k)
+    acc = knn_eval(*_split_features(exp), exp.eval.knn_k)
     _append_eval_rows(exp, [f"-1,{acc!r},,"])
     print(f"knn_acc={acc}")
     return EXIT_OK
@@ -124,14 +128,10 @@ def cmd_knn(args) -> int:
 
 def cmd_probe(args) -> int:
     exp = _load_experiment(args)
-    bundle, dataset, train_idx, test_idx = _load_run(exp)
-    train_feats = encode_features(bundle, [dataset.images[i] for i in train_idx])
-    test_feats = encode_features(bundle, [dataset.images[i] for i in test_idx])
+    split = _split_features(exp)
     rows = []
     for size in exp.eval.probe_sizes:
-        acc = linear_probe(train_feats, dataset.labels[train_idx], test_feats,
-                           dataset.labels[test_idx], size,
-                           derive(exp.train.run_seed, "probe", size))
+        acc = linear_probe(*split, size, derive(exp.train.run_seed, "probe"))
         rows.append(f"-1,,{acc!r},")
         print(f"probe_acc[{size} per class]={acc}")
     _append_eval_rows(exp, rows)
@@ -141,8 +141,7 @@ def cmd_probe(args) -> int:
 def cmd_analyze(args) -> int:
     exp = _load_experiment(args)
     bundle, dataset, train_idx, test_idx = _load_run(exp)
-    test_images = [dataset.images[i] for i in test_idx]
-    pos_pairs, neg_pairs = build_eval_pairs(test_images, exp.pipeline,
+    pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], exp.pipeline,
                                             exp.eval.pair_seed, exp.eval.pair_count)
     reports = [separability_report(bundle, pos_pairs, neg_pairs, source)
                for source in ("projected", "backbone")]

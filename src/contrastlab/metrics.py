@@ -51,8 +51,9 @@ def histogram_from_values(values) -> SimilarityHistogram:
 
 
 def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
-    """Similarity of each (view_u, view_v) pair through the model, in the
-    geometry training optimizes (``nets.forward_views``).
+    """Similarity of each pair of views through the model, in the
+    geometry training optimizes (``nets.forward_views``). ``pairs``
+    unpacks into two aligned ``(n, h, w, c)`` view arrays (u, v).
 
     ``projected``: mean over heads of the cosine similarity of the
     per-head projections (similarities averaged, not features).
@@ -60,15 +61,16 @@ def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
     """
     if source not in ("projected", "backbone"):
         raise ContractViolation(f"unknown similarity source {source!r}")
-    if not pairs:
+    u, v = pairs
+    if len(u) == 0:
         raise ContractViolation("empty pair list")
-    xu = Tensor(np.stack([u.flat() for u, _ in pairs]))
-    xv = Tensor(np.stack([v.flat() for _, v in pairs]))
+    xu = Tensor(u.reshape(len(u), -1))
+    xv = Tensor(v.reshape(len(v), -1))
     hu, hv, projections = forward_views(bundle, xu, xv)
     if source == "backbone":
         sims = T.sum_(T.mul(T.l2_normalize(hu), T.l2_normalize(hv)), axis=-1)
         return sims.data.copy()
-    acc = np.zeros(len(pairs))
+    acc = np.zeros(len(u))
     for zu, zv in projections:
         acc += T.sum_(T.mul(zu, zv), axis=-1).data
     return acc / bundle.n_heads

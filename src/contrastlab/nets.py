@@ -241,7 +241,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
         specs[name] = list(mlp.spec.widths)
         for layer in range(mlp.spec.n_layers):
             for kind, param in (("w", mlp.params[2 * layer]), ("b", mlp.params[2 * layer + 1])):
-                blob = T.amtd_encode(param.data, dtype_code=0)
+                blob = T.amtd_encode(param.data, dtype_code=2)
                 tensors.append({
                     "name": f"{name}/{layer}/{kind}",
                     "shape": list(param.shape),

@@ -510,7 +510,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
 
 AMTD_MAGIC = b"AMTD"
 AMTD_VERSION = 1
-_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
+_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1"), 2: np.dtype("<f8")}
 
 
 def amtd_encode(values: np.ndarray, dtype_code: int = 0) -> bytes:

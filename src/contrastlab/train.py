@@ -6,7 +6,8 @@ and every projection head (``nets.forward_views``), makes one call to the
 configured batch loss in ``losses`` (for ntxent/infonce: in-batch
 negatives, all views of the other images, N = 2(B-1), with both
 anchor/positive directions averaged), and applies one SGD-with-momentum
-update. Identical config and seed give byte-identical logs.
+update. Identical config and seed give byte-identical logs. Pixels stay
+plain arrays: batches, features and evaluation pairs index ``Dataset.pixels``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .augment import AugPipeline, Dataset, Image, augment_view, make_two_views, stratified_split
+from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split
 from .errors import ContractViolation, EvaluationError, require
 from .losses import LossConfig, LossTerms
 from .metrics import separability_report, temperature_stats
@@ -160,7 +161,7 @@ def _lr_scales(bundle: ModelBundle, params: list[Tensor],
 
 def build_bundle(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
                  train_cfg: TrainConfig) -> ModelBundle:
-    d_in = dataset.images[0].flat().size
+    d_in = dataset.pixels[0].size
     needs_bt = loss_cfg.variant == "barlow" and loss_cfg.temp_mode == "adaptive"
     return ModelBundle.build(
         d_in, model_cfg.d, model_cfg.d_prime, loss_cfg.heads,
@@ -170,10 +171,6 @@ def build_bundle(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     )
 
 
-def _stack(views: list[Image]) -> np.ndarray:
-    return np.stack([v.flat() for v in views])
-
-
 def _two_view_batches(dataset: Dataset, train_idx: np.ndarray, pipeline: AugPipeline,
                       train_cfg: TrainConfig, epoch: int):
     """The epoch's shuffled two-view batches as (step, xa, xb); at least
@@ -181,17 +178,21 @@ def _two_view_batches(dataset: Dataset, train_idx: np.ndarray, pipeline: AugPipe
     size = train_cfg.batch_size
     perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
     for step in range(max(1, len(train_idx) // size)):
-        views = [make_two_views(dataset.images[j], pipeline, epoch, int(j), train_cfg.run_seed)
-                 for j in train_idx[perm[step * size:(step + 1) * size]]]
-        yield step, Tensor(_stack([a for a, _ in views])), Tensor(_stack([b for _, b in views]))
+        batch = train_idx[perm[step * size:(step + 1) * size]]
+        views = np.empty((2, len(batch)) + dataset.pixels.shape[1:])
+        for row, j in enumerate(batch):
+            views[:, row] = make_two_views(dataset.pixels[j], pipeline, epoch, int(j), train_cfg.run_seed)
+        xa, xb = (Tensor(v.reshape(len(batch), -1)) for v in views)
+        yield step, xa, xb
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def encode_features(bundle: ModelBundle, images: list[Image]) -> np.ndarray:
-    return bundle.encoder(Tensor(_stack(images))).data.copy()
+def encode_features(bundle: ModelBundle, pixels: np.ndarray) -> np.ndarray:
+    """Encoder outputs of (n, h, w, c) images, one row each."""
+    return bundle.encoder(Tensor(pixels.reshape(len(pixels), -1))).data.copy()
 
 
 def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
@@ -257,41 +258,37 @@ def write_rows(path: Path, header: str, rows: list[str]) -> None:
 def evaluate(bundle: ModelBundle, dataset: Dataset, train_idx, test_idx,
              train_cfg: TrainConfig, eval_cfg: EvalConfig,
              pipeline: AugPipeline) -> tuple[float, float, float]:
-    train_feats = encode_features(bundle, [dataset.images[i] for i in train_idx])
-    test_feats = encode_features(bundle, [dataset.images[i] for i in test_idx])
-    train_labels = dataset.labels[train_idx]
-    test_labels = dataset.labels[test_idx]
-    knn_acc = knn_eval(train_feats, train_labels, test_feats, test_labels, eval_cfg.knn_k)
-    probe_acc = linear_probe(train_feats, train_labels, test_feats, test_labels,
-                             train_cfg.probe_per_class, derive(train_cfg.run_seed, "probe"))
-    pos_pairs, neg_pairs = build_eval_pairs([dataset.images[i] for i in test_idx],
-                                            pipeline, eval_cfg.pair_seed, eval_cfg.pair_count)
+    split = (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
+             encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
+    knn_acc = knn_eval(*split, eval_cfg.knn_k)
+    probe_acc = linear_probe(*split, train_cfg.probe_per_class, derive(train_cfg.run_seed, "probe"))
+    pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], pipeline,
+                                            eval_cfg.pair_seed, eval_cfg.pair_count)
     overlap = separability_report(bundle, pos_pairs, neg_pairs, "projected").overlap
     return knn_acc, probe_acc, overlap
 
 
-def build_eval_pairs(images: list[Image], pipeline: AugPipeline, seed: int,
-                     count: int) -> tuple[list, list]:
-    """Fixed-seed evaluation pairs: positives are two fresh views of one
-    held-out image, negatives are views of two distinct held-out images."""
+def build_eval_pairs(images: np.ndarray, pipeline: AugPipeline, seed: int,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-seed positive and negative pairs as (2, count, h, w, c) view
+    arrays (u, v): two views of one held-out image, or of two distinct ones."""
     if len(images) < 2:
         raise ContractViolation("need at least two held-out images")
     stream = SplitMix64(derive(seed, "choose"))
-    pos_pairs, neg_pairs = [], []
+    pos = np.empty((2, count) + images.shape[1:])
+    neg = np.empty_like(pos)
     for p in range(count):
         i = stream.next_index(len(images))
-        va = augment_view(images[i], pipeline, derive(seed, "pos", p, 0))
-        vb = augment_view(images[i], pipeline, derive(seed, "pos", p, 1))
-        pos_pairs.append((va, vb))
+        pos[0, p] = augment_view(images[i], pipeline, derive(seed, "pos", p, 0))
+        pos[1, p] = augment_view(images[i], pipeline, derive(seed, "pos", p, 1))
     for p in range(count):
         i = stream.next_index(len(images))
         j = stream.next_index(len(images))
         while j == i:
             j = stream.next_index(len(images))
-        va = augment_view(images[i], pipeline, derive(seed, "neg", p, 0))
-        vb = augment_view(images[j], pipeline, derive(seed, "neg", p, 1))
-        neg_pairs.append((va, vb))
-    return pos_pairs, neg_pairs
+        neg[0, p] = augment_view(images[i], pipeline, derive(seed, "neg", p, 0))
+        neg[1, p] = augment_view(images[j], pipeline, derive(seed, "neg", p, 1))
+    return pos, neg
 
 
 # -- frozen-feature evaluation protocols ----------------------------------

@@ -257,7 +257,7 @@ class TestCriterion10PnmParser:
             if canonical and rewritten != blob:
                 corpus_ok = False
             again = parse_pnm(rewritten)
-            if not np.array_equal(again.pixels, image.pixels):
+            if not np.array_equal(again, image):
                 corpus_ok = False
         fixtures = [
             (b"P4 2 2 255\n" + bytes(4), "magic"),

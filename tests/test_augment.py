@@ -4,7 +4,7 @@ and the synthetic generator."""
 import numpy as np
 import pytest
 
-from contrastlab.augment import (AugPipeline, Image, PnmError, SyntheticSpec,
+from contrastlab.augment import (AugPipeline, Dataset, PnmError, SyntheticSpec,
                                  augment_view, generate_dataset, load_dataset,
                                  make_two_views, parse_pnm, stratified_split,
                                  write_dataset, write_pnm)
@@ -15,9 +15,9 @@ class TestPnm:
     def test_parse_gray_2x2(self):
         blob = b"P5 2 2 255\n" + bytes([0, 255, 128, 64])
         img = parse_pnm(blob)
-        assert (img.width, img.height, img.channels) == (2, 2, 1)
+        assert img.shape == (2, 2, 1) and img.dtype == np.float64
         np.testing.assert_allclose(
-            img.pixels.reshape(-1), [0.0, 1.0, 128 / 255, 64 / 255], atol=1e-9)
+            img.reshape(-1), [0.0, 1.0, 128 / 255, 64 / 255], atol=1e-9)
 
     def test_round_trip_canonical_bytes(self):
         blob = b"P6 2 1 255\n" + bytes([10, 20, 30, 40, 50, 60])
@@ -26,13 +26,13 @@ class TestPnm:
     def test_comments_and_whitespace(self):
         blob = b"P5\n# a comment\n 2\t2 # widths\n255\n" + bytes(4)
         img = parse_pnm(blob)
-        assert img.width == 2 and img.height == 2
+        assert img.shape == (2, 2, 1)
 
     def test_image_round_trip_with_comments(self):
         blob = b"P5 # x\n3 1 255\n" + bytes([7, 8, 9])
         img = parse_pnm(blob)
         again = parse_pnm(write_pnm(img))
-        np.testing.assert_array_equal(img.pixels, again.pixels)
+        np.testing.assert_array_equal(img, again)
 
     @pytest.mark.parametrize("blob,field", [
         (b"P4 2 2 255\n" + bytes(4), "magic"),
@@ -53,26 +53,46 @@ class TestPnm:
         assert err.value.field == "payload"
 
 
-class TestImage:
+def one_image_dataset(pixels):
+    return Dataset(pixels[None], np.zeros(1, dtype=np.int64), ["a.pgm"])
+
+
+class TestDataset:
     def test_pixel_range_enforced(self):
-        with pytest.raises(ContractViolation):
-            Image(np.full((8, 8, 1), 1.5))
+        with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+            one_image_dataset(np.full((8, 8, 1), 1.5))
+        with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+            one_image_dataset(np.full((8, 8, 1), np.nan))
 
     def test_channel_count_enforced(self):
         with pytest.raises(ContractViolation):
-            Image(np.zeros((8, 8, 2)))
+            one_image_dataset(np.zeros((8, 8, 2)))
+
+    def test_small_image_rejected(self):
+        with pytest.raises(ContractViolation, match="h >= 8, w >= 8"):
+            one_image_dataset(np.zeros((4, 8, 1)))
+
+    def test_label_count_enforced(self):
+        with pytest.raises(ContractViolation, match="2 labels"):
+            Dataset(np.zeros((1, 8, 8, 1)), np.zeros(2, dtype=np.int64), ["a.pgm"])
+        with pytest.raises(ContractViolation, match="0 filenames"):
+            Dataset(np.zeros((1, 8, 8, 1)), np.zeros(1, dtype=np.int64), [])
+
+    def test_layout_enforced(self):
+        for bad in (np.zeros((8, 8, 1)), np.zeros((0, 8, 8, 1)),
+                    np.zeros((1, 8, 8, 1), np.float32)):
+            with pytest.raises(ContractViolation, match="float64"):
+                Dataset(bad, np.zeros(len(bad), dtype=np.int64), ["a.pgm"] * len(bad))
 
 
 def checker_image(size=16, channels=3):
     base = np.indices((size, size)).sum(axis=0) % 2
-    pixels = np.repeat(base[:, :, None], channels, axis=2) * 0.8 + 0.1
-    return Image(pixels)
+    return np.repeat(base[:, :, None], channels, axis=2) * 0.8 + 0.1
 
 
 def gradient_image(size=16, channels=3):
     ramp = np.linspace(0.0, 1.0, size)
-    pixels = np.repeat(np.tile(ramp, (size, 1))[:, :, None], channels, axis=2)
-    return Image(pixels)
+    return np.repeat(np.tile(ramp, (size, 1))[:, :, None], channels, axis=2)
 
 
 class TestPipelineConstruction:
@@ -96,36 +116,31 @@ class TestAugmentOps:
         img = gradient_image()
         pipeline = AugPipeline(ops=("flip",), flip_prob=1.0)
         out = augment_view(img, pipeline, seed=1)
-        np.testing.assert_array_equal(out.pixels, img.pixels[:, ::-1])
+        np.testing.assert_array_equal(out, img[:, ::-1])
 
     def test_gray_uses_luma_weights(self):
         img = checker_image()
-        img.pixels[:, :, 0] *= 0.9
-        img = Image(img.pixels)
+        img[:, :, 0] *= 0.9
         pipeline = AugPipeline(ops=("gray",), gray_prob=1.0)
         out = augment_view(img, pipeline, seed=2)
-        luma = img.pixels @ np.array([0.299, 0.587, 0.114])
+        luma = img @ np.array([0.299, 0.587, 0.114])
         for c in range(3):
-            np.testing.assert_allclose(out.pixels[:, :, c], luma, atol=1e-12)
+            np.testing.assert_allclose(out[:, :, c], luma, atol=1e-12)
 
     def test_same_seed_bitwise_identical(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(5)
         a = augment_view(img, pipeline, seed=33)
         b = augment_view(img, pipeline, seed=33)
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(a, b)
 
     def test_outputs_stay_in_range_and_shape(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(5)
         for seed in range(40):
             out = augment_view(img, pipeline, seed=seed)
-            assert out.pixels.shape == img.pixels.shape
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-
-    def test_small_image_rejected(self):
-        with pytest.raises(ContractViolation):
-            augment_view(Image(np.zeros((4, 4, 1))), AugPipeline.prefix(1), seed=0)
+            assert out.shape == img.shape
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_flip_frequency(self):
         img = gradient_image()
@@ -134,13 +149,12 @@ class TestAugmentOps:
         trials = 10_000
         for seed in range(trials):
             out = augment_view(img, pipeline, seed=seed)
-            flipped += int(not np.array_equal(out.pixels, img.pixels))
+            flipped += int(not np.array_equal(out, img))
         assert abs(flipped / trials - 0.5) < 0.02
 
     def test_blur_preserves_constant_image(self):
-        img = Image(np.full((16, 16, 1), 0.25))
-        out = augment_view(img, AugPipeline(ops=("blur",)), seed=3)
-        np.testing.assert_allclose(out.pixels, 0.25, atol=1e-12)
+        out = augment_view(np.full((16, 16, 1), 0.25), AugPipeline(ops=("blur",)), seed=3)
+        np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
 
 class TestTwoViews:
@@ -148,17 +162,17 @@ class TestTwoViews:
         img = checker_image()
         va, vb = make_two_views(img, AugPipeline.prefix(5), epoch=0, sample_index=3,
                                 run_seed=9)
-        assert not np.array_equal(va.pixels, vb.pixels)
+        assert not np.array_equal(va, vb)
 
     def test_pure_function_of_seeds(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(4)
         a1 = make_two_views(img, pipeline, 2, 17, run_seed=5)
         a2 = make_two_views(img, pipeline, 2, 17, run_seed=5)
-        np.testing.assert_array_equal(a1[0].pixels, a2[0].pixels)
-        np.testing.assert_array_equal(a1[1].pixels, a2[1].pixels)
+        np.testing.assert_array_equal(a1[0], a2[0])
+        np.testing.assert_array_equal(a1[1], a2[1])
         b = make_two_views(img, pipeline, 3, 17, run_seed=5)
-        assert not np.array_equal(a1[0].pixels, b[0].pixels)
+        assert not np.array_equal(a1[0], b[0])
 
 
 class TestDatasetLayout:
@@ -168,8 +182,7 @@ class TestDatasetLayout:
         loaded = load_dataset(tmp_path)
         assert len(loaded) == 6
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
-        for a, b in zip(loaded.images, dataset.images):
-            np.testing.assert_array_equal(a.pixels, b.pixels)
+        np.testing.assert_array_equal(loaded.pixels, dataset.pixels)
 
     def test_loader_names_offending_row(self, tmp_path):
         (tmp_path / "labels.csv").write_text("filename,label\nmissing.pgm,0\n")
@@ -182,6 +195,22 @@ class TestDatasetLayout:
         (tmp_path / "labels.csv").write_text(
             f"filename,label\n{dataset.filenames[0]},notanint\n")
         with pytest.raises(ContractViolation, match="row 2"):
+            load_dataset(tmp_path)
+
+    def test_loader_confines_names_to_directory(self, tmp_path):
+        dataset = generate_dataset(SyntheticSpec(classes=1, per_class=1, size=8, channels=1))
+        write_dataset(dataset, tmp_path)
+        inside = tmp_path / "inside"
+        inside.mkdir()
+        escaping = ("../" + dataset.filenames[0], str(tmp_path / dataset.filenames[0]))
+        for name in escaping:
+            (inside / "labels.csv").write_text(f"filename,label\n{name},0\n")
+            with pytest.raises(ContractViolation, match="row 2: .* lies outside"):
+                load_dataset(inside)
+
+    def test_loader_rejects_empty_index(self, tmp_path):
+        (tmp_path / "labels.csv").write_text("filename,label\n")
+        with pytest.raises(ContractViolation, match="n >= 1"):
             load_dataset(tmp_path)
 
     def test_loader_requires_header(self, tmp_path):
@@ -200,16 +229,15 @@ class TestSyntheticGenerator:
     def test_determinism(self):
         a = generate_dataset(SyntheticSpec(classes=2, per_class=4, size=8, seed=3))
         b = generate_dataset(SyntheticSpec(classes=2, per_class=4, size=8, seed=3))
-        for ia, ib in zip(a.images, b.images):
-            np.testing.assert_array_equal(ia.pixels, ib.pixels)
+        np.testing.assert_array_equal(a.pixels, b.pixels)
 
     def test_shapes_and_labels(self):
         dataset = generate_dataset(SyntheticSpec(classes=3, per_class=5, size=8, channels=1))
         assert len(dataset) == 15
-        assert dataset.n_classes == 3
-        assert dataset.images[0].pixels.shape == (8, 8, 1)
+        np.testing.assert_array_equal(np.unique(dataset.labels), [0, 1, 2])
+        assert dataset.pixels.shape == (15, 8, 8, 1)
 
     def test_pixels_quantized_to_255_grid(self):
         dataset = generate_dataset(SyntheticSpec(classes=1, per_class=2, size=8))
-        scaled = dataset.images[0].pixels * 255.0
+        scaled = dataset.pixels * 255.0
         np.testing.assert_allclose(scaled, np.rint(scaled), atol=1e-9)

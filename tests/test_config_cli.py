@@ -10,7 +10,8 @@ import pytest
 
 from contrastlab.cli import main
 from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
-from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset, write_dataset
+from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, write_dataset,
+                                 write_pnm)
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
 from contrastlab.nets import ModelBundle, TempBounds, save_bundle
@@ -211,6 +212,46 @@ class TestCommands:
         first = (out / "train_log.csv").read_bytes()
         main(["pretrain", "-c", str(cfg_path)])
         assert (out / "train_log.csv").read_bytes() == first
+
+    def test_eval_commands_score_the_trained_model(self, small_config, tmp_path, capsys):
+        """knn, probe and analyze on the checkpoint print exactly the
+        values pretrain computed in process (its eval_log.csv row)."""
+        _, cfg_path = small_config
+        doc = json.loads(cfg_path.read_text())
+        per_class = doc["train"]["probe_per_class"]
+        doc["eval"]["probe_sizes"] = [per_class]
+        doc["io"]["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 0
+        row = (tmp_path / "out" / "eval_log.csv").read_text().splitlines()[1]
+        _, knn_acc, probe_acc, overlap = row.split(",")
+        capsys.readouterr()
+        for command in ("knn", "probe", "analyze"):
+            assert main([command, "-c", str(path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert f"knn_acc={knn_acc}" in printed
+        assert f"probe_acc[{per_class} per class]={probe_acc}" in printed
+        assert f"overlap[projected]={overlap}" in printed
+
+    @pytest.mark.parametrize("damage", ["truncated-payload", "smaller-image"])
+    def test_bad_dataset_file_is_io_error(self, small_config, tmp_path, capsys, damage):
+        _, cfg_path = small_config
+        data_dir = tmp_path / "data"
+        dataset = generate_dataset(SyntheticSpec(classes=2, per_class=12, size=16, channels=1))
+        write_dataset(dataset, data_dir)
+        bad = data_dir / dataset.filenames[3]
+        if damage == "truncated-payload":
+            bad.write_bytes(b"P5 16 16 255\n\x80")
+        else:
+            bad.write_bytes(write_pnm(dataset.pixels[3, :8, :8]))
+        doc = json.loads(cfg_path.read_text())
+        doc["io"].update(dataset=str(data_dir), output_dir=str(tmp_path / "out"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: io: {bad}: "), err
 
     def test_missing_dataset_exit_code_names_field(self, tmp_path, capsys):
         doc = {"io": {"dataset": str(tmp_path / "nope"), "output_dir": str(tmp_path / "o")}}

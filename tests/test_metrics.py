@@ -8,7 +8,6 @@ from contrastlab.metrics import (N_BINS, SimilarityHistogram, histogram_from_val
                                  overlap_coefficient, pair_similarities,
                                  separability_report, temperature_stats,
                                  write_separability_csv)
-from contrastlab.augment import Image
 from contrastlab.nets import ModelBundle
 from contrastlab.tensor import Tensor
 
@@ -111,12 +110,16 @@ class TestModelSimilarities:
     def _bundle(self):
         return ModelBundle.build(d_in=16 * 16, d=8, d_prime=4, n_heads=3, seed=31)
 
-    def _image(self, fill):
-        return Image(np.full((16, 16, 1), fill))
+    def _views(self, fill, n=1):
+        return np.full((n, 16, 16, 1), fill)
+
+    def _random_pairs(self, rng, n):
+        """(u, v) view arrays, drawn pair by pair (u then v)."""
+        return rng.uniform(size=(n, 2, 16, 16, 1)).swapaxes(0, 1)
 
     def test_identical_views_similarity_one(self):
         bundle = self._bundle()
-        pairs = [(self._image(0.3), self._image(0.3))] * 5
+        pairs = (self._views(0.3, 5), self._views(0.3, 5))
         sims = pair_similarities(bundle, pairs, "projected")
         np.testing.assert_allclose(sims, 1.0, atol=1e-12)
         sims_b = pair_similarities(bundle, pairs, "backbone")
@@ -124,9 +127,7 @@ class TestModelSimilarities:
 
     def test_projected_averages_head_similarities(self):
         bundle = self._bundle()
-        rng = np.random.default_rng(4)
-        pairs = [(Image(rng.uniform(size=(16, 16, 1))), Image(rng.uniform(size=(16, 16, 1))))
-                 for _ in range(3)]
+        pairs = self._random_pairs(np.random.default_rng(4), 3)
         averaged = pair_similarities(bundle, pairs, "projected")
         singles = []
         for c in range(3):
@@ -142,11 +143,9 @@ class TestModelSimilarities:
         for head in bundle.heads:
             for bias in head.params[1::2]:
                 bias.data[:] = 0.3
-        rng = np.random.default_rng(6)
-        pairs = [(Image(rng.uniform(size=(16, 16, 1))), Image(rng.uniform(size=(16, 16, 1))))
-                 for _ in range(6)]
-        xu = Tensor(np.stack([u.flat() for u, _ in pairs]))
-        xv = Tensor(np.stack([v.flat() for _, v in pairs]))
+        pairs = self._random_pairs(np.random.default_rng(6), 6)
+        xu = Tensor(pairs[0].reshape(6, -1))
+        xv = Tensor(pairs[1].reshape(6, -1))
         hu, hv = bundle.encoder(xu), bundle.encoder(xv)
 
         def projected(fu, fv):
@@ -160,20 +159,20 @@ class TestModelSimilarities:
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ContractViolation):
-            pair_similarities(self._bundle(), [(self._image(0.1), self._image(0.1))], "logits")
+            pair_similarities(self._bundle(), (self._views(0.1), self._views(0.1)), "logits")
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ContractViolation):
-            pair_similarities(self._bundle(), [], "projected")
+            pair_similarities(self._bundle(), (self._views(0.1, 0), self._views(0.1, 0)),
+                              "projected")
 
 
 class TestSeparabilityCsv:
     def test_layout_and_summary_row(self, tmp_path):
         bundle = ModelBundle.build(d_in=16 * 16, d=8, d_prime=4, n_heads=2, seed=33)
         rng = np.random.default_rng(5)
-        mk = lambda: Image(rng.uniform(size=(16, 16, 1)))
-        pos = [(mk(), mk()) for _ in range(10)]
-        neg = [(mk(), mk()) for _ in range(10)]
+        pos = rng.uniform(size=(10, 2, 16, 16, 1)).swapaxes(0, 1)
+        neg = rng.uniform(size=(10, 2, 16, 16, 1)).swapaxes(0, 1)
         report = separability_report(bundle, pos, neg, "projected")
         out = tmp_path / "separability.csv"
         write_separability_csv(out, [report])

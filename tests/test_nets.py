@@ -204,6 +204,18 @@ class TestCheckpoint:
         assert loaded.n_heads == 2
         assert loaded.predictor is not None and loaded.temp_net_bt is not None
         for orig, back in zip(bundle.parameters(), loaded.parameters()):
+            assert back.data.tobytes() == orig.data.tobytes()
+
+    def test_float32_checkpoint_still_loads(self, tmp_path, monkeypatch):
+        """Checkpoints written before AMTD dtype code 2 stored float32."""
+        bundle = ModelBundle.build(d_in=6, d=8, d_prime=4, n_heads=2, seed=21)
+        path = tmp_path / "ckpt.bin"
+        encode = T.amtd_encode
+        monkeypatch.setattr(T, "amtd_encode", lambda values, dtype_code: encode(values, 0))
+        save_bundle(bundle, path)
+        monkeypatch.undo()
+        loaded = load_bundle(path)
+        for orig, back in zip(bundle.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(back.data, orig.data.astype(np.float32).astype(np.float64))
 
     def test_forward_agreement_after_reload(self, tmp_path):

@@ -348,6 +348,12 @@ class TestAmtdFormat:
         np.testing.assert_array_equal(out, values)
         assert out.dtype == np.float64
 
+    def test_f64_round_trip_is_bit_exact(self):
+        values = np.array([[0.1, -1.0 / 3.0], [np.pi, 1e-300]])
+        blob = amtd_encode(values, dtype_code=2)
+        assert blob[20] == 2 and len(blob) == 21 + 4 * 8
+        assert amtd_decode(blob).tobytes() == values.tobytes()
+
     def test_u8_round_trip(self):
         values = np.arange(12, dtype=np.uint8).reshape(3, 4)
         out = amtd_decode(amtd_encode(values, dtype_code=1))

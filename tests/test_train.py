@@ -314,11 +314,12 @@ class TestPretrain:
 class TestEvalPairs:
     def test_deterministic_and_distinct(self):
         dataset = small_dataset()
-        images = dataset.images[:10]
+        images = dataset.pixels[:10]
         pipe = AugPipeline.prefix(3)
         pos1, neg1 = build_eval_pairs(images, pipe, seed=7, count=15)
         pos2, neg2 = build_eval_pairs(images, pipe, seed=7, count=15)
-        for (a1, b1), (a2, b2) in zip(pos1, pos2):
-            np.testing.assert_array_equal(a1.pixels, a2.pixels)
-            np.testing.assert_array_equal(b1.pixels, b2.pixels)
-        assert len(pos1) == len(neg1) == 15
+        (a1, b1), (a2, b2) = pos1, pos2
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(b1, b2)
+        for u, v in (pos1, neg1):
+            assert u.shape == v.shape == (15,) + images.shape[1:]
