@@ -4,13 +4,18 @@ in [0, 1]: an image or view is (height, width, channels), and a
 ``Dataset`` holds one (N, height, width, channels) array, checked once.
 
 The pipeline applies an ordered subset of five ops (crop, blur, gray,
-jitter, flip). Every random draw comes from a splitmix64 stream keyed by
-(seed, op index), so a view is a pure function of (image, pipeline, seed)
-and whole epochs are reproducible regardless of execution order.
+jitter, flip). Views are computed as stacks: ``augment_views`` runs each
+op once over an (n, height, width, channels) array, and ``make_two_views``
+computes a sample's two views in one pass. The draws stay per view: each
+comes from a splitmix64 stream keyed by (view seed, op index), so a view
+is a pure function of (image, pipeline, seed), whatever stack it is
+computed in, and whole epochs are reproducible regardless of execution
+order.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -142,100 +147,150 @@ class AugPipeline:
         return cls(ops=OP_ORDER[:n], **overrides)
 
 
-def _bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    in_h, in_w = pixels.shape[:2]
-    if (in_h, in_w) == (out_h, out_w):
-        return pixels
-    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
-    ys = np.clip(ys, 0.0, in_h - 1.0)
-    xs = np.clip(xs, 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = pixels[y0][:, x0] * (1 - wx) + pixels[y0][:, x1] * wx
-    bottom = pixels[y1][:, x0] * (1 - wx) + pixels[y1][:, x1] * wx
-    return top * (1 - wy) + bottom * wy
+@functools.lru_cache(maxsize=256)
+def _resize_table(side: int, size: int, channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear resampling of ``side`` samples to ``size`` along one axis
+    (half-pixel centres, edges clamped), as one view's rows of a stack:
+    the (2, 1, size) lower and upper source sample of each output sample,
+    and the (2, 1, size, channels) weights ``1 - t`` and ``t`` they get,
+    repeated over the channels so that products run over whole rows."""
+    coords = np.clip((np.arange(size) + 0.5) * (side / size) - 0.5, 0.0, side - 1.0)
+    lower = np.floor(coords).astype(np.intp)
+    t = coords - lower
+    index = np.stack([lower, np.minimum(lower + 1, side - 1)])[:, None]
+    weight = np.repeat(np.stack([1 - t, t])[:, None, :, None], channels, axis=3)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
-def _op_crop(pixels: np.ndarray, pipeline: AugPipeline, stream: SplitMix64) -> np.ndarray:
-    h, w = pixels.shape[:2]
+@functools.lru_cache(maxsize=64)
+def _reflect_index(n: int) -> np.ndarray:
+    """Gather index of a one-sample reflect pad: x[1], x[0..n-1], x[n-2]."""
+    index = np.concatenate(([1], np.arange(n), [n - 2]))
+    index.setflags(write=False)
+    return index
+
+
+def _crop(views: np.ndarray, pipeline: AugPipeline, streams) -> tuple[np.ndarray, np.ndarray]:
+    """A random square crop of each view, resized back to (h, w), and
+    which views the resize changed."""
+    n, h, w, c = views.shape
     lo, hi = pipeline.crop_scale
-    scale = lo + stream.next_float() * (hi - lo)
-    side = max(1, int(round(math.sqrt(scale) * min(h, w))))
-    oy = stream.next_index(h - side + 1)
-    ox = stream.next_index(w - side + 1)
-    crop = pixels[oy:oy + side, ox:ox + side]
-    return _bilinear_resize(crop, h, w)
+    draws = []
+    for stream in streams:
+        scale = lo + stream.next_float() * (hi - lo)
+        side = max(1, int(round(math.sqrt(scale) * min(h, w))))
+        draws.append((side, stream.next_index(h - side + 1), stream.next_index(w - side + 1)))
+    side, oy, ox = np.array(draws).T
+    y = [_resize_table(s, h, 1) for s, _, _ in draws]
+    x = [_resize_table(s, w, c) for s, _, _ in draws]
+    # Each output pixel's lower and upper source row and column, as
+    # offsets into the stack flattened to (n * h * w, c) pixels.
+    rows = (np.concatenate([i for i, _ in y], axis=1) + (np.arange(n) * h + oy)[:, None]) * w
+    cols = np.concatenate([i for i, _ in x], axis=1) + ox[:, None]
+    wy = np.concatenate([t for _, t in y], axis=1)[:, :, :, None]            # (2, n, h, 1, 1)
+    wx = np.concatenate([t for _, t in x], axis=1)[:, :, None]               # (2, n, 1, w, c)
+    corners = views.reshape(-1, c).take(rows[:, None, :, :, None] + cols[:, :, None], axis=0)
+    across = corners[:, 0] * wx[0] + corners[:, 1] * wx[1]         # corners: [y][x]
+    return across[0] * wy[0] + across[1] * wy[1], (side != h) | (side != w)
 
 
-def _op_blur(pixels: np.ndarray, pipeline: AugPipeline, stream: SplitMix64) -> np.ndarray:
+def _blur(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
+    """A separable 3-tap Gaussian of random sigma per view, reflect-padded."""
+    h, w = views.shape[1:3]
     lo, hi = pipeline.blur_sigma
-    sigma = lo + stream.next_float() * (hi - lo)
-    side = math.exp(-0.5 / (sigma * sigma))
-    kernel = np.array([side, 1.0, side])
-    kernel /= kernel.sum()
-    padded = np.pad(pixels, ((1, 1), (0, 0), (0, 0)), mode="reflect")
-    out = kernel[0] * padded[:-2] + kernel[1] * padded[1:-1] + kernel[2] * padded[2:]
-    padded = np.pad(out, ((0, 0), (1, 1), (0, 0)), mode="reflect")
-    return kernel[0] * padded[:, :-2] + kernel[1] * padded[:, 1:-1] + kernel[2] * padded[:, 2:]
+    kernels = []
+    for stream in streams:
+        sigma = lo + stream.next_float() * (hi - lo)
+        side = math.exp(-0.5 / (sigma * sigma))
+        total = (side + 1.0) + side         # numpy's sum of [side, 1, side], in its order
+        kernels.append((side / total, 1.0 / total))
+    edge, middle = np.array(kernels).T[:, :, None, None, None]
+    padded = views.take(_reflect_index(h), axis=1)
+    views = edge * padded[:, :-2] + middle * padded[:, 1:-1] + edge * padded[:, 2:]
+    padded = views.take(_reflect_index(w), axis=2)
+    return edge * padded[:, :, :-2] + middle * padded[:, :, 1:-1] + edge * padded[:, :, 2:]
 
 
-def _luma(pixels: np.ndarray) -> np.ndarray:
-    return pixels @ LUMA_WEIGHTS if pixels.shape[2] == 3 else pixels[:, :, 0]
+def _luma(views: np.ndarray) -> np.ndarray:
+    return views @ LUMA_WEIGHTS if views.shape[3] == 3 else views[..., 0]
 
 
-def _op_gray(pixels: np.ndarray, pipeline: AugPipeline, stream: SplitMix64) -> np.ndarray:
-    triggered = stream.next_float() < pipeline.gray_prob
-    if not triggered or pixels.shape[2] == 1:
-        return pixels
-    return np.repeat(_luma(pixels)[:, :, None], 3, axis=2)
+def _gray(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
+    chosen = np.array([stream.next_float() < pipeline.gray_prob for stream in streams])
+    if views.shape[3] == 3 and chosen.any():
+        views[chosen] = _luma(views[chosen])[..., None]
+    return views
 
 
-def _op_jitter(pixels: np.ndarray, pipeline: AugPipeline, stream: SplitMix64) -> np.ndarray:
+def _jitter(views: np.ndarray, pipeline: AugPipeline, streams,
+            resized: np.ndarray) -> np.ndarray:
+    """Brightness, contrast about the view's mean luma, then saturation."""
     s = pipeline.jitter_strength
-    brightness = 1.0 - s + stream.next_float() * 2.0 * s
-    contrast = 1.0 - s + stream.next_float() * 2.0 * s
-    saturation = 1.0 - s + stream.next_float() * 2.0 * s
-    out = np.clip(pixels * brightness, 0.0, 1.0)
-    mean = _luma(out).mean()
+    factors = np.array([[1.0 - s + stream.next_float() * 2.0 * s for _ in range(3)]
+                        for stream in streams])
+    brightness, contrast, saturation = factors.T[:, :, None, None, None]
+    out = np.clip(views * brightness, 0.0, 1.0)
+    # A float sum depends on its order, and a view's bytes must not depend
+    # on its stack. Each mean luma sums in the order that computing the
+    # view alone gave (memory order): by rows, except for a 1-channel view
+    # that a crop resized, which the resize left column-major and blur
+    # kept so. 3-channel luma comes from `@`, which writes rows.
+    luma = _luma(out)
+    mean = luma.reshape(len(luma), -1).sum(axis=1)
+    if views.shape[3] == 1 and resized.any():
+        by_column = luma.transpose(0, 2, 1).reshape(len(luma), -1).sum(axis=1)
+        mean = np.where(resized, by_column, mean)
+    mean = (mean / luma[0].size)[:, None, None, None]
     out = np.clip(mean + (out - mean) * contrast, 0.0, 1.0)
-    if pixels.shape[2] == 3:
-        luma = _luma(out)[:, :, None]
+    if views.shape[3] == 3:
+        luma = _luma(out)[..., None]
         out = np.clip(luma + (out - luma) * saturation, 0.0, 1.0)
     return out
 
 
-def _op_flip(pixels: np.ndarray, pipeline: AugPipeline, stream: SplitMix64) -> np.ndarray:
-    if stream.next_float() < pipeline.flip_prob:
-        return pixels[:, ::-1].copy()
-    return pixels
+def _flip(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
+    chosen = np.array([stream.next_float() < pipeline.flip_prob for stream in streams])
+    views[chosen] = views[chosen, :, ::-1]
+    return views
 
 
-_OPS = {"crop": _op_crop, "blur": _op_blur, "gray": _op_gray,
-        "jitter": _op_jitter, "flip": _op_flip}
-
-
-def augment_view(pixels: np.ndarray, pipeline: AugPipeline, seed: int) -> np.ndarray:
-    """Apply the enabled ops in fixed order to one (h, w, c) image; the
-    view keeps its resolution and stays clamped to [0, 1]."""
+def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
+    """Views of an (n, h, w, c) stack, view k seeded by ``seeds[k]``: the
+    enabled ops in fixed order, each run once on the whole stack. Views
+    keep their resolution, stay clamped to [0, 1] and own their memory."""
+    views = np.array(images, dtype=np.float64)
+    resized = np.zeros(len(views), dtype=bool)
     for op_index, name in enumerate(OP_ORDER):
         if name not in pipeline.ops:
             continue
-        stream = SplitMix64(derive(seed, op_index))
-        pixels = np.clip(_OPS[name](pixels, pipeline, stream), 0.0, 1.0)
-    return pixels
+        streams = [SplitMix64(derive(seed, op_index)) for seed in seeds]
+        if name == "crop":
+            views, resized = _crop(views, pipeline, streams)
+        elif name == "blur":
+            views = _blur(views, pipeline, streams)
+        elif name == "gray":
+            views = _gray(views, pipeline, streams)
+        elif name == "jitter":
+            views = _jitter(views, pipeline, streams, resized)
+        else:
+            views = _flip(views, pipeline, streams)
+        np.clip(views, 0.0, 1.0, out=views)
+    return views
+
+
+def augment_view(pixels: np.ndarray, pipeline: AugPipeline, seed: int) -> np.ndarray:
+    """One (h, w, c) view: ``augment_views`` on a stack of one."""
+    return augment_views(pixels[None], pipeline, [seed])[0]
 
 
 def make_two_views(image: np.ndarray, pipeline: AugPipeline, epoch: int,
-                   sample_index: int, run_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently seeded views of one sample — a positive pair."""
-    view_a = augment_view(image, pipeline, derive(run_seed, "view", epoch, sample_index, 0))
-    view_b = augment_view(image, pipeline, derive(run_seed, "view", epoch, sample_index, 1))
-    return view_a, view_b
+                   sample_index: int, run_seed: int) -> np.ndarray:
+    """Two independently seeded views of one sample — a positive pair —
+    as one (2, h, w, c) array, computed in one pass."""
+    seeds = [derive(run_seed, "view", epoch, sample_index, branch) for branch in (0, 1)]
+    return augment_views(np.array((image, image)), pipeline, seeds)
 
 
 # -- dataset layout -----------------------------------------------------------

@@ -1,14 +1,18 @@
-"""PNM parsing, the augmentation ops, two-view seeding, dataset layout,
-and the synthetic generator."""
+"""PNM parsing, the augmentation ops (against a naive per-view
+reference), two-view seeding, dataset layout, and the synthetic
+generator."""
+
+import math
 
 import numpy as np
 import pytest
 
-from contrastlab.augment import (AugPipeline, Dataset, PnmError, SyntheticSpec,
-                                 augment_view, generate_dataset, load_dataset,
-                                 make_two_views, parse_pnm, stratified_split,
-                                 write_dataset, write_pnm)
+from contrastlab.augment import (LUMA_WEIGHTS, OP_ORDER, AugPipeline, Dataset, PnmError,
+                                 SyntheticSpec, augment_view, augment_views,
+                                 generate_dataset, load_dataset, make_two_views, parse_pnm,
+                                 stratified_split, write_dataset, write_pnm)
 from contrastlab.errors import ContractViolation
+from contrastlab.rng import SplitMix64, derive
 
 
 class TestPnm:
@@ -95,6 +99,137 @@ def gradient_image(size=16, channels=3):
     return np.repeat(np.tile(ramp, (size, 1))[:, :, None], channels, axis=2)
 
 
+# -- naive per-view reference ----------------------------------------------
+# One view at a time, one op at a time, as the pipeline was first written.
+# `augment_views` computes whole stacks and must match these bytes: the
+# float sums here (the blur kernel's normaliser, jitter's mean luma in
+# the view's memory order) fix the order the stacked ops reproduce.
+
+def reference_resize(pixels, out_h, out_w):
+    in_h, in_w = pixels.shape[:2]
+    if (in_h, in_w) == (out_h, out_w):
+        return pixels
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = pixels[y0][:, x0] * (1 - wx) + pixels[y0][:, x1] * wx
+    bottom = pixels[y1][:, x0] * (1 - wx) + pixels[y1][:, x1] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def reference_crop(pixels, pipeline, stream):
+    h, w = pixels.shape[:2]
+    lo, hi = pipeline.crop_scale
+    scale = lo + stream.next_float() * (hi - lo)
+    side = max(1, int(round(math.sqrt(scale) * min(h, w))))
+    oy = stream.next_index(h - side + 1)
+    ox = stream.next_index(w - side + 1)
+    return reference_resize(pixels[oy:oy + side, ox:ox + side], h, w)
+
+
+def reference_blur(pixels, pipeline, stream):
+    lo, hi = pipeline.blur_sigma
+    sigma = lo + stream.next_float() * (hi - lo)
+    side = math.exp(-0.5 / (sigma * sigma))
+    kernel = np.array([side, 1.0, side])
+    kernel /= kernel.sum()
+    padded = np.pad(pixels, ((1, 1), (0, 0), (0, 0)), mode="reflect")
+    out = kernel[0] * padded[:-2] + kernel[1] * padded[1:-1] + kernel[2] * padded[2:]
+    padded = np.pad(out, ((0, 0), (1, 1), (0, 0)), mode="reflect")
+    return kernel[0] * padded[:, :-2] + kernel[1] * padded[:, 1:-1] + kernel[2] * padded[:, 2:]
+
+
+def reference_luma(pixels):
+    return pixels @ LUMA_WEIGHTS if pixels.shape[2] == 3 else pixels[:, :, 0]
+
+
+def reference_gray(pixels, pipeline, stream):
+    triggered = stream.next_float() < pipeline.gray_prob
+    if not triggered or pixels.shape[2] == 1:
+        return pixels
+    return np.repeat(reference_luma(pixels)[:, :, None], 3, axis=2)
+
+
+def reference_jitter(pixels, pipeline, stream):
+    s = pipeline.jitter_strength
+    brightness = 1.0 - s + stream.next_float() * 2.0 * s
+    contrast = 1.0 - s + stream.next_float() * 2.0 * s
+    saturation = 1.0 - s + stream.next_float() * 2.0 * s
+    out = np.clip(pixels * brightness, 0.0, 1.0)
+    mean = reference_luma(out).mean()
+    out = np.clip(mean + (out - mean) * contrast, 0.0, 1.0)
+    if pixels.shape[2] == 3:
+        luma = reference_luma(out)[:, :, None]
+        out = np.clip(luma + (out - luma) * saturation, 0.0, 1.0)
+    return out
+
+
+def reference_flip(pixels, pipeline, stream):
+    if stream.next_float() < pipeline.flip_prob:
+        return pixels[:, ::-1].copy()
+    return pixels
+
+
+REFERENCE_OPS = {"crop": reference_crop, "blur": reference_blur, "gray": reference_gray,
+                 "jitter": reference_jitter, "flip": reference_flip}
+
+
+def reference_view(pixels, pipeline, seed):
+    for op_index, name in enumerate(OP_ORDER):
+        if name in pipeline.ops:
+            stream = SplitMix64(derive(seed, op_index))
+            pixels = np.clip(REFERENCE_OPS[name](pixels, pipeline, stream), 0.0, 1.0)
+    return pixels
+
+
+CORPUS_SIZES = ((8, 8), (8, 32), (13, 9), (16, 16), (20, 32), (31, 31), (32, 32))
+EDGE_PARAMETERS = {"default": {}, "crop-wide": {"crop_scale": (0.1, 1.0)},
+                   "crop-whole": {"crop_scale": (1.0, 1.0)},
+                   "always": {"gray_prob": 1.0, "flip_prob": 1.0}}
+
+
+def assert_matches_reference(images, pipeline, seeds):
+    views = augment_views(images, pipeline, seeds)
+    assert views.shape == images.shape
+    for image, view, seed in zip(images, views, seeds):
+        assert view.tobytes() == reference_view(image, pipeline, seed).tobytes()
+
+
+class TestStackedViews:
+    @pytest.mark.parametrize("edge", sorted(EDGE_PARAMETERS))
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("prefix", [1, 2, 3, 4, 5])
+    def test_byte_equal_to_reference(self, prefix, channels, edge):
+        pipeline = AugPipeline.prefix(prefix, **EDGE_PARAMETERS[edge])
+        rng = np.random.default_rng([prefix, channels, sorted(EDGE_PARAMETERS).index(edge)])
+        for h, w in CORPUS_SIZES:
+            images = rng.random((5, h, w, channels))
+            for n in (1, 2, 5):
+                seeds = [int(s) for s in rng.integers(0, 2**63, n)]
+                assert_matches_reference(images[:n], pipeline, seeds)
+
+    def test_one_channel_crop_then_jitter_sums_by_column(self):
+        # A resizing crop leaves a 1-channel view column-major, and the
+        # reference's jitter mean sums it in that order.
+        pipeline = AugPipeline(ops=("crop", "jitter"))
+        rng = np.random.default_rng(11)
+        for h, w in ((16, 16), (13, 9), (32, 20)):
+            images = rng.random((2, h, w, 1))
+            for seed in range(30):
+                assert_matches_reference(images, pipeline, [seed, seed + 1000])
+
+    def test_single_view_is_stack_of_one(self):
+        image = checker_image(size=12)
+        pipeline = AugPipeline.prefix(5)
+        stacked = augment_views(np.stack([image, gradient_image(size=12)]), pipeline, [4, 5])
+        assert augment_view(image, pipeline, 4).tobytes() == stacked[0].tobytes()
+
+
 class TestPipelineConstruction:
     def test_prefixes_are_nested(self):
         names = [AugPipeline.prefix(n).ops for n in range(1, 6)]
@@ -158,6 +293,26 @@ class TestAugmentOps:
 
 
 class TestTwoViews:
+    def test_views_of_derived_seeds(self):
+        img = checker_image()
+        pipeline = AugPipeline.prefix(5)
+        views = make_two_views(img, pipeline, epoch=1, sample_index=6, run_seed=2)
+        assert views.shape == (2,) + img.shape
+        for branch in (0, 1):
+            seed = derive(2, "view", 1, 6, branch)
+            assert views[branch].tobytes() == reference_view(img, pipeline, seed).tobytes()
+
+    @pytest.mark.parametrize("pipeline", [AugPipeline(ops=("gray",)),
+                                          AugPipeline(ops=("flip",), flip_prob=0.0),
+                                          AugPipeline.prefix(1, crop_scale=(1.0, 1.0))])
+    def test_views_own_their_memory(self, pipeline):
+        dataset = generate_dataset(SyntheticSpec(classes=1, per_class=2, size=8, channels=1))
+        image = dataset.pixels[1]
+        for views in (make_two_views(image, pipeline, 0, 1, run_seed=3),
+                      augment_view(image, pipeline, seed=3)[None]):
+            np.testing.assert_array_equal(views[0], image)
+            assert views.flags.writeable and not np.shares_memory(views, dataset.pixels)
+
     def test_branches_differ(self):
         img = checker_image()
         va, vb = make_two_views(img, AugPipeline.prefix(5), epoch=0, sample_index=3,
