@@ -5,6 +5,9 @@ the plain ntxent baseline.
 
 Every check calls a batch loss as training does, with the same kind of
 ``temps`` argument: the scheduled temperature or the temperature net.
+Each instance draws its leaves per head and stacks them on the graph
+into the (C, B, d') inputs the batch losses take, so the maximum-
+likelihood oracle, which loops over the heads, reads the same leaves.
 The negative-cosine targets and the inputs of every adaptive temperature
 are stop-gradient values, and ``finite_diff_check`` holds each at the
 base point, which is exactly the function whose gradient the backward
@@ -74,8 +77,16 @@ def _negcos_instance(seed: int, heads: int, d_prime: int):
 
 
 def _unit(views):
-    """The unit projections the in-batch loss reads, on the graph."""
+    """Per-head unit projections, on the graph."""
     return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
+
+
+def _stacks(per_head) -> tuple[Tensor, ...]:
+    """Per-head tuples of (B, d') or (d',) tensors, (z_a, z_b) or
+    negative-cosine branches, as the (C, B, d') stacks a batch loss takes,
+    on the graph; a vector is a batch of one."""
+    return tuple(T.concat([T.reshape(p, (1, p.size // p.shape[-1], p.shape[-1])) for p in side])
+                 for side in zip(*per_head))
 
 
 def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[CheckResult]:
@@ -95,20 +106,20 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
     flat = [t for pair in views for t in pair]
     for variant in ("ntxent", "infonce"):
         cfg = LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=0.5)
-        run(f"baseline/{variant}", lambda cfg=cfg: L.nce_loss(cfg, _unit(views), 0.5)[0].total(),
+        run(f"baseline/{variant}", lambda cfg=cfg: L.nce_loss(cfg, _stacks(_unit(views)), 0.5)[0].total(),
             flat)
 
     stream = SplitMix64(derive(seed, "simsiam-base"))
     branch = tuple(Tensor(_rand(stream, (d_prime,))) for _ in range(4))   # live a, b; targets a, b
     cfg = LossConfig(variant="simsiam", family="baseline", heads=1, temp_mode="constant")
-    run("baseline/simsiam", lambda: L.multihead_negcos(cfg, [branch], 0.5)[0].total(),
+    run("baseline/simsiam", lambda: L.multihead_negcos(cfg, _stacks([branch]), 0.5)[0].total(),
         list(branch[:2]))
 
     stream = SplitMix64(derive(seed, "barlow-base"))
     raws = [Tensor(_rand(stream, (n_neg, d_prime))) for _ in range(2)]
     cfg = LossConfig(variant="barlow", family="baseline", heads=1, lambd=0.5, temp_mode="constant")
     run("baseline/barlow", lambda: L.multihead_cross_corr(
-        cfg, [tuple(map(L.batch_standardize, raws))], 0.5)[0].total(), raws)
+        cfg, tuple(L.batch_standardize(z) for z in _stacks([raws])), 0.5)[0].total(), raws)
 
     # Multi-head ntxent / infonce over the full grid.
     for variant in ("ntxent", "infonce"):
@@ -125,7 +136,7 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
                     params = flat + (temp_net.params if adaptive else [])
 
                     def loss_fn(cfg=cfg, views=views, temps=temps):
-                        return L.nce_loss(cfg, _unit(views), temps)[0].total()
+                        return L.nce_loss(cfg, _stacks(_unit(views)), temps)[0].total()
 
                     label = f"multihead/{variant}/C{heads}/{temp_mode}/{agg}{kappa if agg == 'topk' else ''}"
                     run(label, loss_fn, params)
@@ -145,7 +156,7 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
 
             def loss_fn(cfg=cfg, raws=raws, predictor=predictor, temps=temps):
                 branches = [(predictor(a), predictor(b), a, b) for a, b in raws]
-                return L.multihead_negcos(cfg, branches, temps)[0].total()
+                return L.multihead_negcos(cfg, _stacks(branches), temps)[0].total()
 
             run(f"multihead/simsiam/C{heads}/{temp_mode}", loss_fn, params)
 
@@ -163,7 +174,7 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
             temps = temp_bt if temp_mode == "adaptive" else 0.5
 
             def loss_fn(cfg=cfg, raws=raws, temps=temps):
-                pairs = [(L.batch_standardize(a), L.batch_standardize(b)) for a, b in raws]
+                pairs = tuple(L.batch_standardize(z) for z in _stacks(raws))
                 return L.multihead_cross_corr(cfg, pairs, temps)[0].total()
 
             run(f"multihead/barlow/C{heads}/{temp_mode}", loss_fn, params)
@@ -190,7 +201,7 @@ def mle_equivalence_suite(n_instances: int = 100, seed: int = 515,
             leaves = [t for pair in views for t in pair] + temp_net.params
             projections = _unit(views)
 
-            loss = L.nce_loss(cfg, projections, temp_net)[0].total()
+            loss = L.nce_loss(cfg, _stacks(projections), temp_net)[0].total()
             zero_grads(leaves)
             backward(loss)
             grads_loss = [grad_of(p).copy() for p in leaves]

@@ -9,9 +9,10 @@ that keeps the learned variances away from degenerate values.
 There is one batch loss per variant, and training, the finite-difference
 checks, the maximum-likelihood oracle and the reduction check all call
 it: ``nce_loss`` (ntxent and infonce, in-batch negatives over one
-(2B, 2B) similarity matrix per head), ``multihead_negcos`` and
-``multihead_cross_corr``. Each takes every head at once, handles both
-families, and returns the head-summed batch terms together with the
+(C, 2B, 2B) stack of similarity matrices), ``multihead_negcos`` and
+``multihead_cross_corr``. Each takes every head at once, as (C, B, d')
+stacks with head c in slice c, handles both families, and returns the
+batch terms, each summed over the heads in head order, with the
 temperatures it used. Its ``temps`` is the scheduled temperature, or the
 temperature net, which embeds the loss's own inputs.
 
@@ -111,14 +112,6 @@ class LossTerms:
     def total(self) -> Tensor:
         return self.pos + self.neg + self.omega
 
-    def __add__(self, other: "LossTerms") -> "LossTerms":
-        return LossTerms(self.pos + other.pos, self.neg + other.neg,
-                         self.omega + other.omega)
-
-
-def _zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape))
-
 
 # -- similarity ------------------------------------------------------------
 
@@ -153,14 +146,14 @@ def ntxent_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
     negatives only."""
     pos = -(s_pos / tau)
     neg = T.log(T.sum_(T.exp(s_neg / tau), axis=-1))
-    return LossTerms(pos, neg, _zeros_like(pos))
+    return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
 
 
 def infonce_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
     """Like ntxent but the denominator also includes the positive term."""
     pos = -(s_pos / tau)
     neg = T.log(T.exp(s_pos / tau) + T.sum_(T.exp(s_neg / tau), axis=-1))
-    return LossTerms(pos, neg, _zeros_like(pos))
+    return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
 
 
 def negcos_loss(z_a: Tensor, z_b: Tensor, target_a: Tensor, target_b: Tensor) -> Tensor:
@@ -171,15 +164,16 @@ def negcos_loss(z_a: Tensor, z_b: Tensor, target_a: Tensor, target_b: Tensor) ->
 
 
 def batch_standardize(z: Tensor) -> Tensor:
-    """Per-channel zero mean and unit population std over the batch axis."""
-    centered = z - T.mean(z, axis=0)
-    var = T.mean(T.mul(centered, centered), axis=0)
-    return centered / T.sqrt(var)
+    """Per-channel zero mean and unit population std over the batch axis
+    of an (N, d') matrix, or of each matrix of a (C, N, d') stack."""
+    row = z.shape[:-2] + (1, z.shape[-1])
+    centered = z - T.reshape(T.mean(z, axis=-2), row)
+    return centered / T.sqrt(T.reshape(T.mean(T.mul(centered, centered), axis=-2), row))
 
 
 def check_standardized(data: np.ndarray, tol: float = 1e-6) -> None:
-    mu = data.mean(axis=0)
-    std = data.std(axis=0)
+    mu = data.mean(axis=-2)
+    std = data.std(axis=-2)
     if np.any(np.abs(mu) > tol) or np.any(np.abs(std - 1.0) > tol):
         raise ContractViolation(
             "projections are not batch-standardized "
@@ -189,31 +183,36 @@ def check_standardized(data: np.ndarray, tol: float = 1e-6) -> None:
 
 def cross_correlation(z_a: Tensor, z_b: Tensor) -> Tensor:
     """Channel cross-correlation of two standardized (N, d') view
-    projections: C = z_a^T z_b / N, so C_ll = 1 when z_a = z_b."""
-    n = z_a.shape[0]
+    projections, or of each pair of matrices of two (C, N, d') stacks:
+    C = z_a^T z_b / N, so C_ll = 1 when z_a = z_b."""
+    n = z_a.shape[-2]
     return T.matmul(T.transpose(z_a), z_b) / float(n)
 
 
 def _check_cross_corr_inputs(z_a: Tensor, z_b: Tensor) -> None:
-    if z_a.shape != z_b.shape or z_a.data.ndim != 2:
-        raise ContractViolation(f"expected matching (N, d') matrices, got {z_a.shape}, {z_b.shape}")
-    if z_a.shape[0] < 2:
+    if z_a.shape != z_b.shape or z_a.data.ndim not in (2, 3):
+        raise ContractViolation(f"expected matching (N, d') matrices or stacks of them, "
+                                f"got {z_a.shape}, {z_b.shape}")
+    if z_a.shape[-2] < 2:
         raise ContractViolation("batch size must be >= 2")
     check_standardized(z_a.data)
     check_standardized(z_b.data)
 
 
+def _matrix_sum(x: Tensor) -> Tensor:
+    """Sum over the last two axes: a matrix's entries, in row-major order."""
+    return T.sum_(T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],)), axis=-1)
+
+
 def cross_corr_loss(z_a: Tensor, z_b: Tensor, lambd: float) -> Tensor:
     """Drive the cross-correlation toward identity: squared deviation of
-    the diagonal from one plus lambda-weighted squared off-diagonals."""
+    the diagonal from one plus lambda-weighted squared off-diagonals. A
+    pair of (C, N, d') stacks gives one value per head."""
     _check_cross_corr_inputs(z_a, z_b)
     c = cross_correlation(z_a, z_b)
-    d_prime = z_a.shape[1]
-    eye = Tensor(np.eye(d_prime))
-    off = Tensor(1.0 - np.eye(d_prime))
-    diag = T.sum_(T.mul(c, eye), axis=-1)
-    on_term = T.sum_(T.pow_const(1.0 - diag, 2.0))
-    off_term = lambd * T.sum_(T.mul(T.mul(c, c), off))
+    eye = np.eye(z_a.shape[-1])
+    on_term = T.sum_(T.pow_const(1.0 - T.sum_(T.mul(c, Tensor(eye)), axis=-1), 2.0), axis=-1)
+    off_term = lambd * _matrix_sum(T.mul(T.mul(c, c), Tensor(1.0 - eye)))
     return on_term + off_term
 
 
@@ -238,11 +237,12 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
 def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Tensor,
                    *, d_prime: int, beta: float, neg_agg: str, kappa: int,
                    dim_factor_in_set_penalty: bool = True) -> tuple[LossTerms, np.ndarray]:
-    """One head's ntxent/infonce-style terms from precomputed similarities
-    and temperatures, plus the candidate temperatures its negative term
-    read (the top-k selection, or every candidate). ``s_cand`` holds the
-    negative candidates (plus the positive as the last entry for the
-    infonce variant)."""
+    """Ntxent/infonce-style row terms from precomputed similarities and
+    temperatures, plus the candidate temperatures the negative term read
+    (the top-k selection, or every candidate). ``s_cand`` holds each
+    row's negative candidates along its last axis (plus the positive as
+    the last entry for the infonce variant) and ``s_pos`` the row's
+    positive; leading axes (heads, rows) are elementwise."""
     pos = -(s_pos / tau_pos)
     if neg_agg == "topk":
         idx = topk_indices(s_cand.data, kappa)
@@ -268,16 +268,11 @@ def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Ten
 
 @dataclass
 class StepTemps:
-    """Temperatures a batch loss used: every emitted value, plus the
-    positive-pair temperatures arranged (samples, heads)."""
+    """Temperatures a batch loss used: every emitted value, head by head,
+    plus the positive-pair temperatures arranged (samples, heads)."""
 
     all_values: np.ndarray
     positive: np.ndarray
-
-
-def _check_heads(cfg: LossConfig, per_head) -> None:
-    if len(per_head) != cfg.heads:
-        raise ContractViolation(f"expected {cfg.heads} per-head inputs, got {len(per_head)}")
 
 
 def _scheduled_tau(cfg: LossConfig, temps) -> float | None:
@@ -291,16 +286,27 @@ def _scheduled_tau(cfg: LossConfig, temps) -> float | None:
     return None if adaptive else float(temps)
 
 
-def _emitted(tau_pos: list[np.ndarray], tau_all: list[np.ndarray]) -> StepTemps:
-    return StepTemps(np.concatenate(tau_all), np.stack(tau_pos, axis=1))
+def _stack_shape(cfg: LossConfig, *stacks: Tensor) -> tuple[int, int, int]:
+    """The common (C, B, d') shape of a loss's input stacks, C = cfg.heads."""
+    shape = stacks[0].shape
+    if len(shape) != 3 or shape[0] != cfg.heads or any(z.shape != shape for z in stacks):
+        raise ContractViolation(f"expected {cfg.heads} heads of matching (B, d') rows, "
+                                f"got {[z.shape for z in stacks]}")
+    return shape
+
+
+def _scheduled_temps(tau: float, heads: int, samples: int) -> StepTemps:
+    """A scheduled temperature as logged: one value per head, and the
+    (samples, heads) positive-pair temperatures."""
+    return StepTemps(np.full(heads, tau), np.full((samples, heads), tau))
 
 
 def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net_bt: Mlp,
                          bounds: TempBounds) -> Tensor:
     """(d', d') per-channel-pair temperatures of the cross-correlation
-    loss: batch-dimension channel vectors pushed through the batch-width
-    temperature net."""
-    n = z_a.shape[0]
+    loss, one matrix per head of a stack: batch-dimension channel vectors
+    pushed through the batch-width temperature net."""
+    n = z_a.shape[-2]
     if temp_net_bt.spec.widths[0] != n:
         raise ContractViolation(
             f"batch-width temperature net expects batches of {temp_net_bt.spec.widths[0]}, got {n}"
@@ -330,163 +336,137 @@ def pair_indices(batch: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(matrix: Tensor, partner: np.ndarray, candidates: np.ndarray) -> tuple[Tensor, Tensor]:
-    """A (2B, 2B) pair matrix gathered at each row's partner, as a (2B,)
-    vector, and at its candidate columns."""
-    return (T.reshape(T.gather(matrix, partner), (partner.shape[0],)),
+    """A (C, 2B, 2B) stack of pair matrices gathered at each row's
+    partner, as (C, 2B), and at its candidate columns."""
+    return (T.reshape(T.gather(matrix, partner), matrix.shape[:-1]),
             T.gather(matrix, candidates))
 
 
 def _symmetric_mean(terms: LossTerms, batch: int) -> LossTerms:
-    """0.5 (m_a + m_b) of the per-direction means of (2B,) row terms: the
-    two means combine commutatively, so the loss is exactly invariant to
-    swapping the views."""
+    """Per head, 0.5 (m_a + m_b) of the per-direction means of its (2B,)
+    row terms, summed over the heads: the two means combine commutatively,
+    so the loss is exactly invariant to swapping the views."""
     def half(t: Tensor) -> Tensor:
-        return T.mean(T.mean(T.reshape(t, (2, batch)), axis=-1))
+        return T.sum_(T.mean(T.mean(T.reshape(t, (t.shape[0], 2, batch)), axis=-1), axis=-1))
     return LossTerms(half(terms.pos), half(terms.neg), half(terms.omega))
 
 
 def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]:
     """In-batch ntxent/infonce over two views, both families, all heads.
 
-    ``projections`` is a per-head list of (z_a, z_b) unit (B, d') row
-    stacks (they are not re-normalized here); ``temps`` is the scheduled
-    temperature or the temperature net. Per head, one Gram matrix over the
-    2B rows of concat([z_a, z_b]) gives every similarity; each row's positive is its partner in the other
-    view and its negatives are the other 2B - 2 rows (``pair_indices``);
-    the infonce candidates add the positive as the last entry. Adaptive
-    temperatures come the same way from the Gram matrix of the same rows'
-    temperature embeddings; the bounded sigmoid reads only the gathered
-    pair logits, so a self-pair on the diagonal, which is no pair, cannot
-    trip its saturation check. The baseline family scores the rows with
-    ``ntxent_terms``/``infonce_terms`` at the scheduled temperature, the
-    multi-head family with ``nce_head_terms``. Returns the sum over heads
-    of each head's ``_symmetric_mean`` and the temperatures used.
+    ``projections`` is (z_a, z_b), two (C, B, d') stacks of unit rows
+    (they are not re-normalized here); ``temps`` is the scheduled
+    temperature or the temperature net. One (C, 2B, 2B) stack of Gram
+    matrices over the 2B rows of each head's concat([z_a, z_b]) gives
+    every similarity; each row's positive is its partner in the other view
+    and its negatives are the other 2B - 2 rows (``pair_indices``, one
+    table for every head); the infonce candidates add the positive as the
+    last entry. Adaptive temperatures come the same way from the Gram
+    matrices of the same rows' temperature embeddings; the bounded sigmoid
+    reads only the gathered pair logits, so a self-pair on the diagonal,
+    which is no pair, cannot trip its saturation check. The baseline
+    family scores the rows with ``ntxent_terms``/``infonce_terms`` at the
+    scheduled temperature, the multi-head family with ``nce_head_terms``.
+    Returns the head sums of each head's ``_symmetric_mean`` and the
+    temperatures used.
     """
     tau = _scheduled_tau(cfg, temps)
-    _check_heads(cfg, projections)
-    batch = projections[0][0].shape[0]
+    z_a, z_b = projections
+    heads, batch, d_prime = _stack_shape(cfg, z_a, z_b)
     if batch < 2:
         raise ContractViolation("in-batch negatives need a batch of at least 2")
     partner, negatives = pair_indices(batch)
     # the baseline infonce_terms adds the positive to its denominator itself
     with_positive = cfg.variant == "infonce" and cfg.family == "multihead"
     candidates = np.hstack([negatives, partner]) if with_positive else negatives
-    total: LossTerms | None = None
-    tau_pos: list[np.ndarray] = []
-    tau_all: list[np.ndarray] = []
-    for z_a, z_b in projections:
-        if z_a.shape != z_b.shape or z_a.data.ndim != 2 or z_a.shape[0] != batch:
-            raise ContractViolation(f"expected matching ({batch}, d') views, got {z_a.shape}, {z_b.shape}")
-        z = T.concat([z_a, z_b], axis=0)
-        s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
-        if cfg.family == "baseline":
-            make = ntxent_terms if cfg.variant == "ntxent" else infonce_terms
-            terms = make(s_pos, s_cand, tau)
-            tau_pos.append(np.full(2 * batch, tau))
-            tau_all.append(np.array([tau]))
-        else:
-            if tau is None:
-                phi = temperature_embedding(temps, z)
-                r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)
-                t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
-            else:
-                t_pos, t_cand = Tensor(np.full(2 * batch, tau)), Tensor(np.full(candidates.shape, tau))
-            terms, t_read = nce_head_terms(
-                s_pos, t_pos, s_cand, t_cand,
-                d_prime=z_a.shape[-1], beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
-                dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
-            )
-            tau_all.append(t_read.ravel())
-            tau_all.append(t_pos.data)
-            tau_pos.append(t_pos.data)
-        head = _symmetric_mean(terms, batch)
-        total = head if total is None else total + head
-    return total, _emitted(tau_pos, tau_all)
+    z = T.concat([z_a, z_b], axis=1)
+    s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
+    if cfg.family == "baseline":
+        make = ntxent_terms if cfg.variant == "ntxent" else infonce_terms
+        return _symmetric_mean(make(s_pos, s_cand, tau), batch), _scheduled_temps(tau, heads, 2 * batch)
+    if tau is None:
+        phi = temperature_embedding(temps, z)
+        r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)
+        t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
+    else:
+        t_pos, t_cand = Tensor(np.full(s_pos.shape, tau)), Tensor(np.full(s_cand.shape, tau))
+    terms, t_read = nce_head_terms(
+        s_pos, t_pos, s_cand, t_cand,
+        d_prime=d_prime, beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
+        dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
+    )
+    emitted = np.hstack([t_read.reshape(heads, -1), t_pos.data]).ravel()
+    return _symmetric_mean(terms, batch), StepTemps(emitted, np.ascontiguousarray(t_pos.data.T))
 
 
 def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepTemps]:
     """Symmetric negative cosine with stop-gradient targets, all heads:
     the sum over heads of each head's batch-mean terms.
 
-    ``branches`` is a per-head list of (live_a, live_b, target_a, target_b)
-    (B, d') row stacks or single (d',) vectors: live vectors are predictor
-    outputs, targets are the opposite branch's projector outputs
-    (stop-gradient is applied here). ``temps`` is the scheduled
-    temperature or the temperature net, which reads each positive pair,
-    (live_a, target_b) and (live_b, target_a), at unit norm. Both
-    temperature penalties enter with positive sign since both pairs are
-    positive pairs. The baseline family
-    is the plain ``negcos_loss``; its temperature is only logged.
+    ``branches`` is (live_a, live_b, target_a, target_b), four (C, B, d')
+    stacks: live rows are predictor outputs, targets are the opposite
+    branch's projector outputs (stop-gradient is applied here). ``temps``
+    is the scheduled temperature or the temperature net, which reads each
+    positive pair, (live_a, target_b) and (live_b, target_a), at unit
+    norm. Both temperature penalties enter with positive sign since both
+    pairs are positive pairs. The baseline family is the plain
+    ``negcos_loss``; its temperature is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
-    _check_heads(cfg, branches)
-    total: LossTerms | None = None
-    tau_pos: list[np.ndarray] = []
-    for live_a, live_b, target_a, target_b in branches:
-        if cfg.family == "baseline":
-            value = negcos_loss(live_a, live_b, target_a, target_b)
-            terms = LossTerms(T.mean(value), Tensor(0.0), Tensor(0.0))
-            tau_pos.append(np.full(2 * value.size, tau))
-        else:
-            d_prime = live_a.shape[-1]
-            s_a = cosine_sim(live_a, T.stop_gradient(target_b))
-            s_b = cosine_sim(live_b, T.stop_gradient(target_a))
-            if tau is None:
-                tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
-                                             temps, cfg.bounds)
-                tau_b = adaptive_temperature(T.l2_normalize(live_b), T.l2_normalize(target_a),
-                                             temps, cfg.bounds)
-            else:
-                tau_a = tau_b = Tensor(np.full(s_a.shape, tau))
-            pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
-            omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
-            terms = LossTerms(T.mean(pos), Tensor(0.0), T.mean(omega))
-            tau_pos.append(np.concatenate([tau_a.data.ravel(), tau_b.data.ravel()]))
-        total = terms if total is None else total + terms
-    return total, _emitted(tau_pos, tau_pos)
+    live_a, live_b, target_a, target_b = branches
+    heads, batch, d_prime = _stack_shape(cfg, *branches)
+    if cfg.family == "baseline":
+        value = T.mean(negcos_loss(live_a, live_b, target_a, target_b), axis=-1)
+        terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
+        return terms, StepTemps(np.full(2 * batch * heads, tau), np.full((2 * batch, heads), tau))
+    s_a = cosine_sim(live_a, T.stop_gradient(target_b))
+    s_b = cosine_sim(live_b, T.stop_gradient(target_a))
+    if tau is None:
+        tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
+                                     temps, cfg.bounds)
+        tau_b = adaptive_temperature(T.l2_normalize(live_b), T.l2_normalize(target_a),
+                                     temps, cfg.bounds)
+    else:
+        tau_a = tau_b = Tensor(np.full(s_a.shape, tau))
+    pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
+    omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
+    terms = LossTerms(T.sum_(T.mean(pos, axis=-1)), Tensor(0.0), T.sum_(T.mean(omega, axis=-1)))
+    tau_pos = np.hstack([tau_a.data, tau_b.data])
+    return terms, StepTemps(tau_pos.ravel(), np.ascontiguousarray(tau_pos.T))
 
 
 def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, StepTemps]:
     """Cross-correlation loss with per-channel temperatures, all heads.
 
-    ``pairs`` is a per-head list of batch-standardized (N, d') projection
-    matrices. ``temps`` is the scheduled temperature or the batch-width
-    temperature net, which reads the pairs (``channel_temperatures``). The baseline family is the plain
-    ``cross_corr_loss``; its temperature is only logged.
+    ``pairs`` is (z_a, z_b), two (C, N, d') stacks of batch-standardized
+    projections. ``temps`` is the scheduled temperature or the batch-width
+    temperature net, which reads the pairs (``channel_temperatures``).
+    The baseline family is the plain ``cross_corr_loss``; its temperature
+    is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
-    _check_heads(cfg, pairs)
-    total: LossTerms | None = None
-    tau_pos: list[np.ndarray] = []
-    tau_all: list[np.ndarray] = []
-    for z_a, z_b in pairs:
-        d_prime = z_a.shape[-1]
-        if cfg.family == "baseline":
-            terms = LossTerms(cross_corr_loss(z_a, z_b, cfg.lambd), Tensor(0.0), Tensor(0.0))
-        else:
-            _check_cross_corr_inputs(z_a, z_b)
-            if tau is None:
-                t_mat = channel_temperatures(z_a, z_b, temps, cfg.bounds)
-            else:
-                t_mat = Tensor(np.full((d_prime, d_prime), tau))
-            c_mat = cross_correlation(z_a, z_b)
-            eye = Tensor(np.eye(d_prime))
-            off = Tensor(1.0 - np.eye(d_prime))
-            diag_c = T.sum_(T.mul(c_mat, eye), axis=-1)
-            diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
-            pos = T.sum_(T.pow_const(1.0 - diag_c / diag_t, 2.0))
-            neg = cfg.lambd * T.sum_(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
-            omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime))
-                                - T.sum_(T.mul(temp_penalty(t_mat, d_prime), off)))
-            terms = LossTerms(pos, neg, omega)
-        if tau is None:
-            tau_pos.append(np.diag(t_mat.data).copy())
-            tau_all.append(t_mat.data.ravel())
-        else:
-            tau_pos.append(np.full(d_prime, tau))
-            tau_all.append(np.array([tau]))
-        total = terms if total is None else total + terms
-    return total, _emitted(tau_pos, tau_all)
+    z_a, z_b = pairs
+    heads, _, d_prime = _stack_shape(cfg, z_a, z_b)
+    if cfg.family == "baseline":
+        terms = LossTerms(T.sum_(cross_corr_loss(z_a, z_b, cfg.lambd)), Tensor(0.0), Tensor(0.0))
+        return terms, _scheduled_temps(tau, heads, d_prime)
+    _check_cross_corr_inputs(z_a, z_b)
+    if tau is None:
+        t_mat = channel_temperatures(z_a, z_b, temps, cfg.bounds)
+    else:
+        t_mat = Tensor(np.full((heads, d_prime, d_prime), tau))
+    c_mat = cross_correlation(z_a, z_b)
+    eye = Tensor(np.eye(d_prime))
+    off = Tensor(1.0 - np.eye(d_prime))
+    diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
+    pos = T.sum_(T.pow_const(1.0 - T.sum_(T.mul(c_mat, eye), axis=-1) / diag_t, 2.0), axis=-1)
+    neg = cfg.lambd * _matrix_sum(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
+    omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime), axis=-1)
+                        - _matrix_sum(T.mul(temp_penalty(t_mat, d_prime), off)))
+    terms = LossTerms(T.sum_(pos), T.sum_(neg), T.sum_(omega))
+    if tau is not None:
+        return terms, _scheduled_temps(tau, heads, d_prime)
+    return terms, StepTemps(t_mat.data.ravel(), np.ascontiguousarray(diag_t.data.T))
 
 
 # -- maximum-likelihood oracle ----------------------------------------------

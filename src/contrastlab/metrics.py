@@ -56,8 +56,8 @@ def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
     unpacks into two aligned ``(n, h, w, c)`` view arrays (u, v).
 
     ``projected``: mean over heads of the cosine similarity of the
-    per-head projections (similarities averaged, not features).
-    ``backbone``: cosine similarity of the encoder outputs.
+    per-head projections (similarities averaged in head order, not
+    features). ``backbone``: cosine similarity of the encoder outputs.
     """
     if source not in ("projected", "backbone"):
         raise ContractViolation(f"unknown similarity source {source!r}")
@@ -66,14 +66,11 @@ def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
         raise ContractViolation("empty pair list")
     xu = Tensor(u.reshape(len(u), -1))
     xv = Tensor(v.reshape(len(v), -1))
-    hu, hv, projections = forward_views(bundle, xu, xv)
+    hu, hv, pu, pv = forward_views(bundle, xu, xv)
     if source == "backbone":
         sims = T.sum_(T.mul(T.l2_normalize(hu), T.l2_normalize(hv)), axis=-1)
         return sims.data.copy()
-    acc = np.zeros(len(u))
-    for zu, zv in projections:
-        acc += T.sum_(T.mul(zu, zv), axis=-1).data
-    return acc / bundle.n_heads
+    return T.sum_(T.mul(T.l2_normalize(pu), T.l2_normalize(pv)), axis=-1).data.mean(axis=0)
 
 
 def similarity_histogram(bundle: ModelBundle, pairs, source: str) -> SimilarityHistogram:

@@ -1,4 +1,8 @@
-"""Encoder, projection-head bank, and the shared temperature network.
+"""Encoder, projection heads, and the shared temperature network.
+
+The C heads are one ``Mlp`` whose parameters carry a leading head axis
+(weights (C, fan_in, fan_out), biases (C, 1, fan_out)): one call maps a
+(B, d) batch to a (C, B, d') stack, slice c bit-identical to head c alone.
 
 The temperature network maps a projected vector through one affine layer
 and squashes pairwise inner products with a bounded sigmoid, so every
@@ -107,32 +111,27 @@ class Mlp:
 
 @dataclass
 class ModelBundle:
-    """Encoder f, C projection heads with independent parameters, shared
-    temperature net phi, plus optional predictor (negative-cosine variant)
-    and optional batch-width temperature net (cross-correlation variant)."""
+    """Encoder f, C projection heads with independent parameters (one
+    stacked ``Mlp``), shared temperature net phi, plus optional predictor
+    (negative-cosine variant) and batch-width temperature net (barlow)."""
 
     encoder: Mlp
-    heads: list[Mlp]
+    heads: Mlp
     temp_net: Mlp
     predictor: Mlp | None = None
     temp_net_bt: Mlp | None = None
 
     def __post_init__(self):
-        if len(self.heads) < 1:
-            raise ContractViolation("need at least one projection head")
-        specs = {h.spec for h in self.heads}
-        if len(specs) != 1:
-            raise ContractViolation("all heads must share one MlpSpec")
+        shapes = [p.shape for p in self.heads.params]
+        if {len(s) for s in shapes} != {3} or len({s[0] for s in shapes}) != 1 or shapes[0][0] < 1:
+            raise ContractViolation(f"head parameters need one leading head extent >= 1, got {shapes}")
 
     @property
     def n_heads(self) -> int:
-        return len(self.heads)
+        return self.heads.params[0].shape[0]
 
     def parameters(self) -> list[Tensor]:
-        out = list(self.encoder.params)
-        for head in self.heads:
-            out.extend(head.params)
-        out.extend(self.temp_net.params)
+        out = self.encoder.params + self.heads.params + self.temp_net.params
         if self.predictor is not None:
             out.extend(self.predictor.params)
         if self.temp_net_bt is not None:
@@ -152,7 +151,9 @@ class ModelBundle:
         with hidden width d, single affine temperature layer."""
         encoder = Mlp.init(MlpSpec((d_in, d, d)), derive(seed, "encoder"))
         head_spec = MlpSpec((d, d, d_prime))
-        heads = [Mlp.init(head_spec, derive(seed, "head", c)) for c in range(n_heads)]
+        per_head = [Mlp.init(head_spec, derive(seed, "head", c)).params for c in range(n_heads)]
+        stacked = [np.stack([p[i].data for p in per_head]) for i in range(2 * head_spec.n_layers)]
+        heads = Mlp(head_spec, [Tensor(w if i % 2 == 0 else w[:, None]) for i, w in enumerate(stacked)])
         temp_net = Mlp.init(MlpSpec((d_prime, d_prime)), derive(seed, "temp"))
         predictor = None
         if with_predictor:
@@ -171,21 +172,14 @@ def forward_views(bundle: ModelBundle, x: Tensor, x_pos: Tensor):
     encoder norm inflate through a positive feedback loop under SGD,
     while the normalized form damps head gradients as 1/|h|.
 
-    Returns (h, h_pos, pairs) where pairs[c] holds the l2-normalized
-    projections (z_c, z_pos_c); everything stays on the autodiff graph.
+    Returns (h, h_pos, p, p_pos): the (B, d) encoder outputs and the raw
+    (C, B, d') head outputs of each view, all on the autodiff graph.
     """
     if x.shape[0] != x_pos.shape[0]:
         raise ContractViolation(f"batch extents differ: {x.shape[0]} vs {x_pos.shape[0]}")
     h = bundle.encoder(x)
     h_pos = bundle.encoder(x_pos)
-    hn = T.l2_normalize(h)
-    hn_pos = T.l2_normalize(h_pos)
-    pairs = []
-    for head in bundle.heads:
-        z = T.l2_normalize(head(hn))
-        z_pos = T.l2_normalize(head(hn_pos))
-        pairs.append((z, z_pos))
-    return h, h_pos, pairs
+    return h, h_pos, bundle.heads(T.l2_normalize(h)), bundle.heads(T.l2_normalize(h_pos))
 
 
 def temperature_embedding(temp_net: Mlp, z: Tensor) -> Tensor:
@@ -202,8 +196,9 @@ def temperature_embedding(temp_net: Mlp, z: Tensor) -> Tensor:
 def adaptive_temperature(u: Tensor, v: Tensor, temp_net: Mlp, bounds: TempBounds) -> Tensor:
     """Pair-adaptive temperature: bounded sigmoid of <phi(u), phi(v)>.
 
-    ``u`` and ``v`` are one vector each or aligned (B, d') rows; the
-    result is a scalar or a (B,) tensor, differentiable with respect to
+    ``u`` and ``v`` are one vector each or aligned rows, (B, d') or
+    (C, B, d'); the result has their shape without the last axis and is
+    differentiable with respect to
     phi's parameters. The inputs enter through ``temperature_embedding``
     and so receive no gradient.
     """
@@ -220,12 +215,13 @@ def adaptive_temperature(u: Tensor, v: Tensor, temp_net: Mlp, bounds: TempBounds
 # -- checkpoint format ----------------------------------------------------
 # A checkpoint is an 8-byte little-endian manifest length, the JSON
 # manifest, then concatenated AMTD tensor records. Offsets in the manifest
-# are relative to the start of the payload.
+# are relative to the start of the payload. The heads are one entry,
+# "heads", whose arrays carry the leading head axis.
+
 
 def _component_entries(bundle: ModelBundle):
     yield "encoder", bundle.encoder
-    for c, head in enumerate(bundle.heads):
-        yield f"head{c}", head
+    yield "heads", bundle.heads
     yield "temp_net", bundle.temp_net
     if bundle.predictor is not None:
         yield "predictor", bundle.predictor
@@ -251,8 +247,7 @@ def save_bundle(bundle: ModelBundle, path) -> None:
                 payload.extend(blob)
     manifest = {
         "format": "contrastlab-checkpoint",
-        "version": 1,
-        "n_heads": bundle.n_heads,
+        "version": 2,
         "specs": specs,
         "tensors": tensors,
     }
@@ -281,6 +276,9 @@ def _decode_bundle(blob: bytes) -> ModelBundle:
     if 8 + manifest_len > len(blob):
         raise ContractViolation(f"manifest length {manifest_len} runs past the {len(blob)}-byte file")
     manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
+    if manifest["format"] != "contrastlab-checkpoint" or manifest["version"] != 2:
+        raise ContractViolation(f"format {manifest['format']!r} version {manifest['version']!r} "
+                                "is not contrastlab-checkpoint version 2")
     payload = blob[8 + manifest_len:]
     arrays = {}
     for entry in manifest["tensors"]:
@@ -300,7 +298,6 @@ def _decode_bundle(blob: bytes) -> ModelBundle:
             params.append(Tensor(arrays[f"{name}/{layer}/b"]))
         return Mlp(spec, params)
 
-    heads = [rebuild(f"head{c}") for c in range(manifest["n_heads"])]
     predictor = rebuild("predictor") if "predictor" in manifest["specs"] else None
     temp_bt = rebuild("temp_net_bt") if "temp_net_bt" in manifest["specs"] else None
-    return ModelBundle(rebuild("encoder"), heads, rebuild("temp_net"), predictor, temp_bt)
+    return ModelBundle(rebuild("encoder"), rebuild("heads"), rebuild("temp_net"), predictor, temp_bt)

@@ -3,9 +3,10 @@
 Design constraints, chosen for auditability at desk scale:
 
 * storage is always float64, row-major (C order);
-* binary ops conform when shapes are equal or one operand's shape is a
-  trailing suffix of the other's (broadcast over leading batch extents
-  only — no singleton-axis broadcasting);
+* binary ops conform when shapes are equal, when one operand's shape is
+  a trailing suffix of the other's (leading-batch broadcast), or when it
+  is the other's with the row extent (axis -2) set to 1 (one row per
+  matrix, as a stacked bias); no other singleton-axis broadcasting;
 * the graph is rebuilt on every forward pass; backward walks it once in
   reverse topological order, so shared subexpressions accumulate each
   path exactly once;
@@ -91,24 +92,32 @@ def as_tensor(value) -> Tensor:
 
 
 def _joint_shape(sa: tuple, sb: tuple) -> tuple:
-    """Output shape for a binary op under leading-batch broadcasting."""
+    """Output shape for a binary op under the broadcasting rules above."""
     if sa == sb:
         return sa
     if len(sa) > len(sb) and sa[len(sa) - len(sb):] == sb:
         return sa
     if len(sb) > len(sa) and sb[len(sb) - len(sa):] == sa:
         return sb
+    if len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-1] and 1 in (sa[-2], sb[-2]):
+        return sa if sb[-2] == 1 else sb
     raise ContractViolation(
         f"operand shapes {sa} and {sb} do not conform "
-        "(equal shapes or leading-batch broadcast only)"
+        "(equal shapes, leading-batch broadcast or a row per matrix only)"
     )
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the leading extents it was broadcast across."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
+    """Sum a gradient over the extents it was broadcast across: a row over
+    its matrix's rows; leading extents innermost first, so a stack's
+    matrices are each reduced, then added in stack order. A scalar's
+    gradient is one sum of every entry."""
+    if not shape:
+        return grad.sum()
+    if grad.ndim == len(shape):
+        return grad if grad.shape == shape else grad.sum(axis=-2, keepdims=True)
+    for axis in range(grad.ndim - len(shape) - 1, -1, -1):
+        grad = grad.sum(axis=axis)
     return grad
 
 
@@ -219,20 +228,25 @@ def sqrt(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 2D @ 2D, 1D @ 2D, and 2D @ 1D operands."""
+    """Matrix product for 2D @ 2D, 1D @ 2D and 2D @ 1D operands; a 3D
+    operand is a stack of matrices, multiplied matrix by matrix with an
+    equal stack or with one 2D matrix shared by the stack."""
     a, b = as_tensor(a), as_tensor(b)
     ka, kb = a.data.ndim, b.data.ndim
-    if ka not in (1, 2) or kb not in (1, 2) or (ka, kb) == (1, 1):
-        raise ContractViolation(f"matmul supports 2Dx2D, 1Dx2D, 2Dx1D; got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if not (ka in (2, 3) and kb in (2, 3) or (ka, kb) in ((1, 2), (2, 1))):
+        raise ContractViolation(f"matmul supports 2D or 3D stacks, 1Dx2D, 2Dx1D; got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2 if kb > 1 else 0]:
         raise ContractViolation(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    if ka == kb == 3 and a.shape[0] != b.shape[0]:
+        raise ContractViolation(f"matmul stack extents differ: {a.shape} @ {b.shape}")
 
     def grad_fn(g):
-        if (ka, kb) == (2, 2):
-            return g @ b.data.T, a.data.T @ g
-        if (ka, kb) == (1, 2):
+        if ka == 1:
             return b.data @ g, np.outer(a.data, g)
-        return np.outer(g, b.data), a.data.T @ g
+        if kb == 1:
+            return np.outer(g, b.data), a.data.T @ g
+        return (_reduce_to(g @ b.data.swapaxes(-1, -2), a.shape),
+                _reduce_to(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return Tensor(a.data @ b.data, (a, b), grad_fn)
 
@@ -249,10 +263,12 @@ def dot(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes: a matrix, or every matrix of a stack."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ContractViolation(f"transpose needs a 2D tensor, got {a.shape}")
-    return Tensor(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
+    if a.data.ndim < 2:
+        raise ContractViolation(f"transpose needs a matrix or a stack of them, got {a.shape}")
+    return Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,),
+                  lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -309,37 +325,27 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def gather(a, indices) -> Tensor:
     """Select entries along the last axis; gradients scatter-add back.
 
-    For a 1D source, ``indices`` is a 1D integer array; for a 2D source,
-    ``indices`` has one row of column indices per source row.
+    ``indices`` has the source's shape with the last extent replaced by
+    the number of entries selected (a 1D source takes 1D indices), or a
+    trailing suffix of that shape, which every leading index shares: one
+    (n, k) table selects from each (n, m) matrix of a stack.
     """
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim == 1:
-        if idx.ndim != 1:
-            raise ContractViolation(f"gather on 1D source needs 1D indices, got {idx.shape}")
-        if (idx < 0).any() or (idx >= a.shape[0]).any():
-            raise ContractViolation("gather index out of range")
+    lead = a.shape[:-1]
+    if not 0 < idx.ndim <= a.data.ndim or lead[len(lead) + 1 - idx.ndim:] != idx.shape[:-1]:
+        raise ContractViolation(f"gather on {a.shape} needs indices shaped {lead + ('k',)} "
+                                f"or a trailing suffix of it, got {idx.shape}")
+    if (idx < 0).any() or (idx >= a.shape[-1]).any():
+        raise ContractViolation("gather index out of range")
+    # the flat position of every entry selected; bincount scatter-adds a
+    # repeated position in index order, as np.add.at does, but faster
+    flat = np.arange(math.prod(lead)).reshape(lead + (1,)) * a.shape[-1] + idx
 
-        def grad_fn(g):
-            out = np.zeros_like(a.data)
-            np.add.at(out, idx, g)
-            return (out,)
+    def grad_fn(g):
+        return (np.bincount(flat.ravel(), weights=g.ravel(), minlength=a.size).reshape(a.shape),)
 
-        return Tensor(a.data[idx], (a,), grad_fn)
-    if a.data.ndim == 2:
-        if idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-            raise ContractViolation(f"gather on {a.shape} needs ({a.shape[0]}, k) indices, got {idx.shape}")
-        if (idx < 0).any() or (idx >= a.shape[1]).any():
-            raise ContractViolation("gather index out of range")
-        rows = np.arange(a.shape[0])[:, None]
-
-        def grad_fn(g):
-            out = np.zeros_like(a.data)
-            np.add.at(out, (rows, idx), g)
-            return (out,)
-
-        return Tensor(a.data[rows, idx], (a,), grad_fn)
-    raise ContractViolation(f"gather supports 1D or 2D sources, got {a.shape}")
+    return Tensor(a.data.reshape(-1)[flat], (a,), grad_fn)
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:

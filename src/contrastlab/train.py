@@ -2,8 +2,9 @@
 frozen-feature evaluation protocols (nearest-neighbor and linear probe).
 
 Each step builds a two-view batch, pushes both views through the encoder
-and every projection head (``nets.forward_views``), makes one call to the
-configured batch loss in ``losses`` (for ntxent/infonce: in-batch
+and the stack of projection heads (``nets.forward_views``, one call per
+view for all C heads), makes one call to the configured batch loss in
+``losses`` on the (C, B, d') head outputs (for ntxent/infonce: in-batch
 negatives, all views of the other images, N = 2(B-1), with both
 anchor/positive directions averaged), and applies one SGD-with-momentum
 update. Identical config and seed give byte-identical logs. Pixels stay
@@ -21,7 +22,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split
-from .errors import ContractViolation, EvaluationError, require
+from .errors import ContractViolation, DomainError, EvaluationError, require
 from .losses import LossConfig, LossTerms
 from .metrics import separability_report, temperature_stats
 from .nets import ModelBundle, forward_views, save_bundle
@@ -122,22 +123,20 @@ class SgdMomentum:
 def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
                 tau_step) -> tuple[LossTerms, L.StepTemps]:
     """Loss terms and temperatures of one two-view batch: the forward
-    pass, then one loss call over every head. ``tau_step`` is the
-    scheduled temperature or the marker "adaptive"."""
+    pass, then one loss call over every head. The cross-correlation reads
+    batch-standardized head outputs, the other variants unit ones.
+    ``tau_step`` is the scheduled temperature or the marker "adaptive"."""
+    _, _, pa, pb = forward_views(bundle, xa, xb)
     if cfg.variant == "barlow":
-        # the cross-correlation standardizes the raw head outputs
-        ha = T.l2_normalize(bundle.encoder(xa))
-        hb = T.l2_normalize(bundle.encoder(xb))
-        views = [(L.batch_standardize(head(ha)), L.batch_standardize(head(hb)))
-                 for head in bundle.heads]
+        views = (L.batch_standardize(pa), L.batch_standardize(pb))
         loss, net = L.multihead_cross_corr, bundle.temp_net_bt
     else:
-        _, _, views = forward_views(bundle, xa, xb)
-        loss, net = L.nce_loss, bundle.temp_net
+        za, zb = T.l2_normalize(pa), T.l2_normalize(pb)
+        views, loss, net = (za, zb), L.nce_loss, bundle.temp_net
         if cfg.variant == "simsiam":
             if bundle.predictor is None:
                 raise ContractViolation("the negative-cosine variant needs a predictor")
-            views = [(bundle.predictor(za), bundle.predictor(zb), za, zb) for za, zb in views]
+            views = (bundle.predictor(za), bundle.predictor(zb), za, zb)
             loss = L.multihead_negcos
     return loss(cfg, views, net if tau_step == "adaptive" else tau_step)
 
@@ -216,7 +215,12 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
         lr = train_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / train_cfg.epochs))
         tau_step = temperature_for_step(loss_cfg, epoch, train_cfg.epochs)
         for step, xa, xb in _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch):
-            terms, temps = _batch_loss(bundle, loss_cfg, xa, xb, tau_step)
+            try:
+                terms, temps = _batch_loss(bundle, loss_cfg, xa, xb, tau_step)
+            except (DomainError, ContractViolation) as exc:
+                # the same error, its message naming the step
+                exc.args = (f"epoch {epoch} step {step}: {exc}",) + exc.args[1:]
+                raise
             loss = terms.total()
             value = loss.item()
             if not math.isfinite(value):
@@ -397,7 +401,8 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     while done < steps:
         batches = _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
         for _, xa, xb in itertools.islice(batches, steps - done):
-            _, _, projections = forward_views(bundle, xa, xb)
+            _, _, pa, pb = forward_views(bundle, xa, xb)
+            projections = (T.l2_normalize(pa), T.l2_normalize(pb))
             loss_m, _ = L.nce_loss(multi, projections, tau)
             zero_grads(params)
             backward(loss_m.total())

@@ -13,7 +13,7 @@ from contrastlab import losses as L
 from contrastlab import tensor as T
 from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, parse_pnm,
                                  write_pnm, PnmError)
-from contrastlab.checks import gradcheck_suite, mle_equivalence_suite, reduction_suite
+from contrastlab.checks import _stacks, gradcheck_suite, mle_equivalence_suite, reduction_suite
 from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
 from contrastlab.rng import SplitMix64, derive
@@ -133,11 +133,11 @@ class TestCriterion5StopGradient:
                          temp_mode="constant", tau0=0.5)
         leaves = [live_a, live_b, tgt_a, tgt_b]
         zero_grads(leaves)
-        backward(L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)], 0.5)[0].total())
+        backward(L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]), 0.5)[0].total())
         analytic_zero = (np.all(grad_of(tgt_a) == 0.0) and np.all(grad_of(tgt_b) == 0.0))
 
         def value():
-            return L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)],
+            return L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]),
                                       0.5)[0].total().item()
 
         sensitivities = []

@@ -305,6 +305,46 @@ class TestCommands:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: io: checkpoint {checkpoint}: "), err
 
+    @pytest.mark.parametrize("damage", ["format", "version-1", "head-extents"])
+    def test_checkpoint_manifest_is_checked(self, tmp_path, capsys, damage):
+        """A checkpoint of another format or version, or whose head layers
+        disagree on the number of heads, exits 3 with one line."""
+        out = tmp_path / "o"
+        out.mkdir()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"io": {"output_dir": str(out)}}))
+        checkpoint = out / "checkpoint.bin"
+        bundle = ModelBundle.build(64, 16, 8, 2, seed=3)
+        if damage == "head-extents":
+            for p in bundle.heads.params[2:]:
+                p.data = p.data[:1]
+        save_bundle(bundle, checkpoint)
+        if damage != "head-extents":
+            blob = checkpoint.read_bytes()
+            n = int.from_bytes(blob[:8], "little")
+            manifest = json.loads(blob[8:8 + n])
+            manifest.update({"format": "other"} if damage == "format" else {"version": 1})
+            body = json.dumps(manifest).encode()
+            checkpoint.write_bytes(len(body).to_bytes(8, "little") + body + blob[8 + n:])
+        assert main(["knn", "-c", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: io: checkpoint {checkpoint}: "), err
+
+    def test_failed_step_names_itself(self, tmp_path, capsys):
+        """At d = 8 an encoder maps an input to an exact zero vector (a
+        dead ReLU layer), which cannot be normalized: the one error line
+        names the epoch and step."""
+        doc = {"model": {"d": 8, "d_prime": 4},
+               "train": {"epochs": 1, "batch_size": 4, "probe_per_class": 2},
+               "eval": {"knn_k": 2, "pair_count": 4, "probe_sizes": [2]},
+               "io": {"output_dir": str(tmp_path / "out"),
+                      "synthetic": {"classes": 2, "per_class": 5, "size": 8, "channels": 1}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: contract: epoch 0 step 0: cannot normalize a zero vector"]
+
     def test_without_config_echoes_the_defaults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["gen-data"]) == 2

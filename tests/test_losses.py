@@ -8,7 +8,7 @@ import pytest
 
 from contrastlab import losses as L
 from contrastlab import tensor as T
-from contrastlab.checks import _negcos_instance
+from contrastlab.checks import _negcos_instance, _stacks
 from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
 from contrastlab.nets import Mlp, MlpSpec, TempBounds
@@ -95,8 +95,9 @@ def random_views(stream, heads, batch=3, d_prime=4):
 
 
 def nce(cfg, projections, temps=None) -> L.LossTerms:
-    """In-batch loss terms; a non-adaptive cfg defaults to its tau0."""
-    return L.nce_loss(cfg, projections, cfg.tau0 if temps is None else temps)[0]
+    """In-batch loss terms of per-head (z_a, z_b) pairs, stacked as the
+    loss takes them; a non-adaptive cfg defaults to its tau0."""
+    return L.nce_loss(cfg, _stacks(projections), cfg.tau0 if temps is None else temps)[0]
 
 
 def mass_one_negatives():
@@ -284,7 +285,7 @@ class TestMultiheadNegcos:
         branches = [(u, Tensor(u.data.copy()), Tensor(u.data.copy()), Tensor(u.data.copy()))]
         cfg = one_head_cfg(variant="simsiam")
         np.testing.assert_allclose(
-            L.multihead_negcos(cfg, branches, 1.0)[0].total().item(), -1.0, atol=1e-12)
+            L.multihead_negcos(cfg, _stacks(branches), 1.0)[0].total().item(), -1.0, atol=1e-12)
 
     def test_stop_gradient_branches_get_zero_gradient(self):
         stream = SplitMix64(15)
@@ -295,7 +296,7 @@ class TestMultiheadNegcos:
         leaves = [live_a, live_b, tgt_a, tgt_b]
         branches = [(live_a, live_b, tgt_a, tgt_b)]
         zero_grads(leaves)
-        backward(L.multihead_negcos(cfg, branches, temp_net)[0].total())
+        backward(L.multihead_negcos(cfg, _stacks(branches), temp_net)[0].total())
         assert tgt_a.grad is None and tgt_b.grad is None
         assert np.abs(grad_of(live_a)).max() > 0
 
@@ -308,7 +309,7 @@ class TestMultiheadNegcos:
         cfg = one_head_cfg(variant="simsiam")
 
         def value():
-            return L.multihead_negcos(cfg, [(live_a, live_b, tgt_a, tgt_b)],
+            return L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]),
                                       1.0)[0].total().item()
 
         base = value()
@@ -319,9 +320,9 @@ class TestMultiheadNegcos:
         stream = SplitMix64(17)
         branch = tuple(rand_tensor(stream, (4,)) for _ in range(4))
         one = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4),
-                                 [branch], 0.7)[0].total().item()
+                                 _stacks([branch]), 0.7)[0].total().item()
         two = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4, heads=2),
-                                 [branch, branch], 0.7)[0].total().item()
+                                 _stacks([branch, branch]), 0.7)[0].total().item()
         np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
 
 
@@ -336,16 +337,16 @@ class TestMultiheadCrossCorr:
     def test_identity_correlation_zero_loss(self):
         z = Tensor(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
         cfg = one_head_cfg(variant="barlow", lambd=0.6)
-        terms, _ = L.multihead_cross_corr(cfg, [(z, Tensor(z.data.copy()))], 1.0)
+        terms, _ = L.multihead_cross_corr(cfg, _stacks([(z, Tensor(z.data.copy()))]), 1.0)
         np.testing.assert_allclose(terms.total().item(), 0.0, atol=1e-12)
 
     def test_lambda_gates_off_diagonals(self):
         za, zb = standardized_pair(18)
         cfg0 = one_head_cfg(variant="barlow", lambd=0.0)
-        base = L.multihead_cross_corr(cfg0, [(za, zb)], 1.0)[0].total().item()
+        base = L.multihead_cross_corr(cfg0, _stacks([(za, zb)]), 1.0)[0].total().item()
         # permuting one side's channels changes off-diagonal structure only
         # through the diagonal; with lambda=0 the loss ignores off-diagonals
-        terms, _ = L.multihead_cross_corr(cfg0, [(za, zb)], 1.0)
+        terms, _ = L.multihead_cross_corr(cfg0, _stacks([(za, zb)]), 1.0)
         assert terms.neg.item() == 0.0
         assert base == terms.total().item()
 
@@ -356,14 +357,14 @@ class TestMultiheadCrossCorr:
         za = Tensor(np.column_stack([base_cols[:, 0], base_cols[:, 1]]))
         zb = Tensor(np.column_stack([base_cols[:, 1] * -1.0, base_cols[:, 0] * -1.0]))
         cfg = one_head_cfg(variant="barlow", lambd=1.0)
-        with_pair = L.multihead_cross_corr(cfg, [(za, zb)], 1.0)[0].total().item()
+        with_pair = L.multihead_cross_corr(cfg, _stacks([(za, zb)]), 1.0)[0].total().item()
         # diagonals are 0 here: loss = sum (1-0)^2 * 2 + lambda * (1 + 1)
         np.testing.assert_allclose(with_pair, 2.0 + 2.0, atol=1e-12)
 
     def test_small_batch_rejected(self):
         z = Tensor(np.ones((1, 2)))
         with pytest.raises(ContractViolation):
-            L.multihead_cross_corr(one_head_cfg(variant="barlow"), [(z, z)], 1.0)
+            L.multihead_cross_corr(one_head_cfg(variant="barlow"), _stacks([(z, z)]), 1.0)
 
 
 class TestSoftmaxAggregate:
@@ -496,14 +497,14 @@ class TestTemperatureGradientFlow:
             cfg = one_head_cfg(variant="simsiam", temp_mode="adaptive", beta=0.5)
 
             def penalty():
-                return L.multihead_negcos(cfg, [tuple(leaves)], temp_net)[0].omega
+                return L.multihead_negcos(cfg, _stacks([leaves]), temp_net)[0].omega
         else:
             leaves = [rand_tensor(stream, (6, 4)) for _ in range(2)]
             temp_net = Mlp.init(MlpSpec((6, 6)), seed=14)
             cfg = one_head_cfg(variant="barlow", temp_mode="adaptive", beta=0.5)
 
             def penalty():
-                pairs = [tuple(L.batch_standardize(t) for t in leaves)]
+                pairs = tuple(L.batch_standardize(t) for t in _stacks([leaves]))
                 return L.multihead_cross_corr(cfg, pairs, temp_net)[0].omega
 
         zero_grads(leaves + temp_net.params)
@@ -571,4 +572,4 @@ class TestLossGradcheck:
             raws, predictor, _ = _negcos_instance(seed, heads, d_prime=8)
             cfg = LossConfig(variant="simsiam", heads=heads, temp_mode="constant", tau0=0.5)
             branches = [(predictor(a), predictor(b), b, a) for a, b in raws]
-            assert math.isfinite(L.multihead_negcos(cfg, branches, 0.5)[0].total().item())
+            assert math.isfinite(L.multihead_negcos(cfg, _stacks(branches), 0.5)[0].total().item())

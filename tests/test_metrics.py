@@ -8,7 +8,7 @@ from contrastlab.metrics import (N_BINS, SimilarityHistogram, histogram_from_val
                                  overlap_coefficient, pair_similarities,
                                  separability_report, temperature_stats,
                                  write_separability_csv)
-from contrastlab.nets import ModelBundle
+from contrastlab.nets import Mlp, ModelBundle
 from contrastlab.tensor import Tensor
 
 
@@ -131,7 +131,8 @@ class TestModelSimilarities:
         averaged = pair_similarities(bundle, pairs, "projected")
         singles = []
         for c in range(3):
-            solo = ModelBundle(bundle.encoder, [bundle.heads[c]], bundle.temp_net)
+            head = Mlp(bundle.heads.spec, [Tensor(p.data[c:c + 1]) for p in bundle.heads.params])
+            solo = ModelBundle(bundle.encoder, head, bundle.temp_net)
             singles.append(pair_similarities(solo, pairs, "projected"))
         np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-12)
 
@@ -140,17 +141,16 @@ class TestModelSimilarities:
         With nonzero head biases, feeding the raw encoder output instead
         gives different similarities, so this pins the geometry."""
         bundle = self._bundle()
-        for head in bundle.heads:
-            for bias in head.params[1::2]:
-                bias.data[:] = 0.3
+        for bias in bundle.heads.params[1::2]:
+            bias.data[:] = 0.3
         pairs = self._random_pairs(np.random.default_rng(6), 6)
         xu = Tensor(pairs[0].reshape(6, -1))
         xv = Tensor(pairs[1].reshape(6, -1))
         hu, hv = bundle.encoder(xu), bundle.encoder(xv)
 
         def projected(fu, fv):
-            return np.mean([T.sum_(T.mul(T.l2_normalize(head(fu)), T.l2_normalize(head(fv))),
-                                   axis=-1).data for head in bundle.heads], axis=0)
+            return np.mean(T.sum_(T.mul(T.l2_normalize(bundle.heads(fu)),
+                                        T.l2_normalize(bundle.heads(fv))), axis=-1).data, axis=0)
 
         trained = projected(T.l2_normalize(hu), T.l2_normalize(hv))
         np.testing.assert_allclose(pair_similarities(bundle, pairs, "projected"), trained,

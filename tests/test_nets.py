@@ -22,9 +22,9 @@ class TestInit:
 
     def test_distinct_head_seeds_give_distinct_parameters(self):
         bundle = ModelBundle.build(d_in=6, d=8, d_prime=4, n_heads=3, seed=7)
-        w0 = bundle.heads[0].params[0].data
-        w1 = bundle.heads[1].params[0].data
-        assert not np.array_equal(w0, w1)
+        w = bundle.heads.params[0].data
+        assert w.shape == (3, 8, 8)
+        assert not np.array_equal(w[0], w[1])
 
     def test_he_uniform_variance(self):
         mlp = Mlp.init(MlpSpec((100, 100)), seed=3)
@@ -64,28 +64,31 @@ class TestForwardViews:
     def test_identical_inputs_give_identical_projections(self):
         bundle = self._bundle()
         x = Tensor(np.linspace(0, 1, 12).reshape(2, 6))
-        _, _, pairs = forward_views(bundle, x, Tensor(x.data.copy()))
-        for z, z_pos in pairs:
-            np.testing.assert_array_equal(z.data, z_pos.data)
+        _, _, p, p_pos = forward_views(bundle, x, Tensor(x.data.copy()))
+        assert p.shape == (3, 2, 4)
+        np.testing.assert_array_equal(p.data, p_pos.data)
 
     def test_projections_unit_norm(self):
+        """forward_views returns raw head outputs; the unit projections the
+        in-batch losses read are their row-normalized stacks."""
         bundle = self._bundle()
         rng = np.random.default_rng(0)
-        _, _, pairs = forward_views(bundle, Tensor(rng.normal(size=(5, 6))),
-                                    Tensor(rng.normal(size=(5, 6))))
-        for z, z_pos in pairs:
-            np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-12)
-            np.testing.assert_allclose(np.linalg.norm(z_pos.data, axis=1), 1.0, atol=1e-12)
+        _, _, p, p_pos = forward_views(bundle, Tensor(rng.normal(size=(5, 6))),
+                                       Tensor(rng.normal(size=(5, 6))))
+        for z in (T.l2_normalize(p), T.l2_normalize(p_pos)):
+            assert z.shape == (3, 5, 4)
+            np.testing.assert_allclose(np.linalg.norm(z.data, axis=-1), 1.0, atol=1e-12)
+        assert np.abs(np.linalg.norm(p.data, axis=-1) - 1.0).max() > 1e-3
 
     def test_three_heads_give_three_distinct_pairs(self):
         bundle = self._bundle()
         rng = np.random.default_rng(1)
-        _, _, pairs = forward_views(bundle, Tensor(rng.normal(size=(3, 6))),
-                                    Tensor(rng.normal(size=(3, 6))))
-        assert len(pairs) == 3
+        _, _, p, _ = forward_views(bundle, Tensor(rng.normal(size=(3, 6))),
+                                   Tensor(rng.normal(size=(3, 6))))
+        assert p.shape[0] == bundle.n_heads == 3
         for c in range(3):
             for c2 in range(c + 1, 3):
-                assert not np.array_equal(pairs[c][0].data, pairs[c2][0].data)
+                assert not np.array_equal(p.data[c], p.data[c2])
 
     def test_batch_extent_mismatch_rejected(self):
         bundle = self._bundle()
@@ -96,12 +99,12 @@ class TestForwardViews:
         bundle = self._bundle()
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(4, 6)))
-        _, _, before = forward_views(bundle, x, x)
-        bundle.heads[1].params[0].data += 0.25
-        _, _, after = forward_views(bundle, x, x)
-        assert not np.array_equal(before[1][0].data, after[1][0].data)
-        np.testing.assert_array_equal(before[0][0].data, after[0][0].data)
-        np.testing.assert_array_equal(before[2][0].data, after[2][0].data)
+        _, _, before, _ = forward_views(bundle, x, x)
+        bundle.heads.params[0].data[1] += 0.25
+        _, _, after, _ = forward_views(bundle, x, x)
+        assert not np.array_equal(before.data[1], after.data[1])
+        np.testing.assert_array_equal(before.data[0], after.data[0])
+        np.testing.assert_array_equal(before.data[2], after.data[2])
 
 
 class TestAdaptiveTemperature:

@@ -159,6 +159,98 @@ class TestBroadcasting:
             Tensor(np.ones((4, 3))) + Tensor(np.ones((4, 1)))
 
 
+class TestStacks:
+    """Stacks of matrices along a leading axis: matmul in its three
+    stacked forms, last-two-axes transpose, gather from a stack and the
+    one-row-per-matrix broadcast of a stacked bias."""
+
+    rng = np.random.default_rng(21)
+
+    def leaf(self, *shape):
+        return Tensor(self.rng.uniform(-2, 2, size=shape))
+
+    @pytest.mark.parametrize("sa,sb", [((4, 3), (2, 3, 5)),        # shared input, stacked weights
+                                       ((2, 4, 3), (3, 5)),        # stacked input, shared weight
+                                       ((2, 4, 3), (2, 3, 4))])    # one product per matrix
+    def test_matmul_forms(self, sa, sb):
+        a, b = self.leaf(*sa), self.leaf(*sb)
+        out = T.matmul(a, b)
+        np.testing.assert_array_equal(out.data, np.matmul(a.data, b.data))
+        for c in range(2):
+            np.testing.assert_array_equal(out.data[c], (a.data[c] if len(sa) == 3 else a.data)
+                                          @ (b.data[c] if len(sb) == 3 else b.data))
+        weights = self.leaf(*out.shape)
+        assert finite_diff_check(lambda: T.sum_(T.mul(T.matmul(a, b), weights)), [a, b]) < 1e-6
+
+    def test_shared_operand_gradient_sums_matrix_by_matrix(self):
+        """A 2D operand shared by a stack gets the per-matrix gradients
+        added in stack order, each as its own 2D product."""
+        a, w = self.leaf(3, 5, 4), self.leaf(4, 6)
+        g = self.rng.uniform(-1, 1, size=(3, 5, 6))
+        backward(T.sum_(T.reshape(T.mul(T.matmul(a, w), Tensor(g)), (90,))))
+        expected = a.data[0].T @ g[0] + a.data[1].T @ g[1] + a.data[2].T @ g[2]
+        np.testing.assert_array_equal(w.grad, expected)
+
+    @pytest.mark.parametrize("sa,sb", [((2, 4, 3), (3, 3, 5)), ((2, 4, 3), (2, 4, 5)),
+                                       ((4, 3), (2, 4, 5)), ((1, 2, 4, 3), (3, 5)),
+                                       ((3,), (2, 3, 5)), ((2, 4, 3), (3,))])
+    def test_matmul_rejects_nonconforming_stacks(self, sa, sb):
+        with pytest.raises(ContractViolation):
+            T.matmul(self.leaf(*sa), self.leaf(*sb))
+
+    def test_transpose_swaps_last_two_axes(self):
+        x = self.leaf(2, 3, 4)
+        out = T.transpose(x)
+        np.testing.assert_array_equal(out.data, np.swapaxes(x.data, -1, -2))
+        assert out.data.flags.c_contiguous
+        weights = self.leaf(2, 4, 3)
+        assert finite_diff_check(lambda: T.sum_(T.mul(T.transpose(x), weights)), [x]) < 1e-6
+        with pytest.raises(ContractViolation):
+            T.transpose(self.leaf(3))
+
+    @pytest.mark.parametrize("idx_shape", [(2, 3, 4), (3, 4)])
+    def test_gather_from_a_stack(self, idx_shape):
+        """Per-matrix index rows, or one (n, k) table shared by every matrix."""
+        x = self.leaf(2, 3, 5)
+        idx = self.rng.integers(0, 5, size=idx_shape)
+        idx[..., 0] = idx[..., 1]                 # a repeated entry scatters twice
+        out = T.gather(x, idx)
+        np.testing.assert_array_equal(
+            out.data, np.take_along_axis(x.data, np.broadcast_to(idx, (2, 3, 4)), axis=-1))
+        weights = self.leaf(2, 3, 4)
+        assert finite_diff_check(lambda: T.sum_(T.mul(T.gather(x, idx), weights)), [x]) < 1e-6
+
+    @pytest.mark.parametrize("idx", [np.zeros((3, 3, 4), int), np.zeros((2, 4), int),
+                                     np.zeros((1, 4), int), np.full((3, 4), 5)])
+    def test_gather_rejects_nonconforming_indices(self, idx):
+        with pytest.raises(ContractViolation):
+            T.gather(self.leaf(2, 3, 5), idx)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (4, 3)])
+    def test_row_per_matrix_broadcast(self, shape):
+        x, b = self.leaf(*shape), self.leaf(*shape[:-2], 1, 3)
+        np.testing.assert_array_equal((x + b).data, x.data + b.data)
+        np.testing.assert_array_equal((b * x).data, b.data * x.data)
+        weights = self.leaf(*shape)
+        assert finite_diff_check(lambda: T.sum_(T.mul(x + b, weights)), [x, b]) < 1e-6
+        zero_grads([b])
+        backward(T.sum_(T.reshape(T.mul(x + b, weights), (x.size,))))
+        np.testing.assert_array_equal(b.grad, weights.data.sum(axis=-2, keepdims=True))
+
+    def test_shared_bias_gradient_sums_rows_then_matrices(self):
+        x, b = self.leaf(3, 5, 4), self.leaf(4)
+        g = self.rng.uniform(-1, 1, size=(3, 5, 4))
+        backward(T.sum_(T.reshape(T.mul(x + b, Tensor(g)), (60,))))
+        rows = g.sum(axis=1)
+        np.testing.assert_array_equal(b.grad, rows[0] + rows[1] + rows[2])
+
+    @pytest.mark.parametrize("sa,sb", [((2, 4, 3), (3, 1, 3)), ((2, 4, 3), (2, 2, 3)),
+                                       ((2, 4, 3), (2, 1, 1)), ((2, 4, 3), (1, 4, 3))])
+    def test_row_broadcast_rejects_other_singletons(self, sa, sb):
+        with pytest.raises(ContractViolation):
+            self.leaf(*sa) + self.leaf(*sb)
+
+
 class TestDomainErrors:
     def test_log_non_positive(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from contrastlab.tensor import Tensor, backward, grad_of, zero_grads
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
                                _batch_loss, build_bundle, build_eval_pairs, knn_eval,
                                linear_probe, pretrain, temperature_for_step)
+from reference_heads import reference_forward_views, reference_heads, stacked_grads
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
 
@@ -108,9 +109,8 @@ class TestBatchLossEquivalence:
                          temp_mode="adaptive", neg_agg="softmax", bounds=bounds)
         train_cfg = TrainConfig(epochs=1, batch_size=4, run_seed=9)
         bundle = build_bundle(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
-        for head in bundle.heads:
-            for bias in head.params[1::2]:
-                bias.data[:] = 0.3
+        for bias in bundle.heads.params[1::2]:
+            bias.data[:] = 0.3
         params = bundle.parameters()
         rng = np.random.default_rng(1)
         xa = Tensor(rng.uniform(size=(4, 64)))
@@ -120,16 +120,19 @@ class TestBatchLossEquivalence:
         backward(batch_terms.total())
         batch_grads = [grad_of(p).copy() for p in params]
 
-        ha = T.l2_normalize(bundle.encoder(xa))
-        hb = T.l2_normalize(bundle.encoder(xb))
-        projections = [(T.l2_normalize(head(ha)), T.l2_normalize(head(hb)))
-                       for head in bundle.heads]
+        heads = reference_heads(bundle.heads)
+        _, _, raw = reference_forward_views(bundle.encoder, heads, xa, xb)
+        projections = [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in raw]
         oracle = L.gaussian_ratio_loss("ntxent", projections, bundle.temp_net, bounds)
-        zero_grads(params)
+        oracle_params = bundle.encoder.params + [p for h in heads for p in h.params] \
+            + bundle.temp_net.params
+        zero_grads(oracle_params)
         backward(oracle)
+        oracle_grads = ([grad_of(p) for p in bundle.encoder.params] + stacked_grads(heads)
+                        + [grad_of(p) for p in bundle.temp_net.params])
         offset = 2 * 4.0 * math.log(2.0 * math.pi)
         np.testing.assert_allclose(batch_terms.total().item() + offset, oracle.item(), rtol=1e-10)
-        for got, want in zip(batch_grads, (grad_of(p) for p in params)):
+        for got, want in zip(batch_grads, oracle_grads, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
         assert all(np.abs(grad_of(p)).max() > 0 for p in bundle.temp_net.params)
 
