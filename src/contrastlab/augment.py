@@ -18,6 +18,7 @@ import csv
 import functools
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,11 +79,8 @@ def parse_pnm(blob: bytes) -> np.ndarray:
     exactly one whitespace byte separates the maxval from the payload.
     """
     magic, pos = _read_token(blob, 0, "magic")
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
+    channels = {b"P5": 1, b"P6": 3}.get(magic)
+    if channels is None:
         raise PnmError("magic", f"unsupported magic {magic!r}")
     width, pos = _read_int(blob, pos, "width")
     if not 1 <= width <= MAX_DIMENSION:
@@ -319,6 +317,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.pixels)
 
+    def __iter__(self) -> Iterator[tuple[str, int, np.ndarray]]:
+        return zip(self.filenames, self.labels, self.pixels)
+
 
 def load_dataset(directory) -> Dataset:
     """Read a directory of .pgm/.ppm files indexed by labels.csv (header
@@ -406,9 +407,10 @@ def _grating(size: int, orientation_vertical: bool, frequency: float,
     return np.tile(wave[:, None], (1, size))
 
 
-def generate_dataset(spec: SyntheticSpec) -> Dataset:
-    """Class-coded sinusoidal patterns with the class identity written at
-    two spatial scales: a coarse grating and a fine cross-oriented one,
+def synthetic_images(spec: SyntheticSpec) -> Iterator[tuple[str, int, np.ndarray]]:
+    """(filename, label, pixels) of each sample, class by class:
+    class-coded sinusoidal patterns with the class identity written at
+    two spatial scales, a coarse grating and a fine cross-oriented one,
     mixed with independent random amplitudes per sample.
 
     Blur and aggressive crops strip the fine cue while color dropping and
@@ -416,8 +418,6 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
     different cue subsets — the similarity of a positive pair then varies
     widely with the augmentation draw. Classes stay invariant to
     horizontal flips (phases are random)."""
-    pixels = np.empty((spec.classes * spec.per_class, spec.size, spec.size, spec.channels))
-    names = []
     for cls in range(spec.classes):
         vertical = bool(cls % 2)
         coarse_freq = 2.0 + 1.5 * (cls // 2)
@@ -428,29 +428,30 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
             phase_f = stream.next_float() * 2.0 * np.pi
             amp_c = 0.08 + stream.next_float() * 0.27
             amp_f = 0.08 + stream.next_float() * 0.27
-            mono = 0.5
-            mono = mono + _grating(spec.size, vertical, coarse_freq, phase_c, amp_c)
+            mono = 0.5 + _grating(spec.size, vertical, coarse_freq, phase_c, amp_c)
             mono = mono + _grating(spec.size, not vertical, fine_freq, phase_f, amp_f)
-            noise = stream.normals(spec.size * spec.size).reshape(spec.size, spec.size) * 0.05
-            mono = mono + noise
+            mono = mono + stream.normals(spec.size ** 2).reshape(spec.size, spec.size) * 0.05
             if spec.channels == 3:
                 tint = 0.75 + stream.floats(3) * 0.5
                 sample = mono[:, :, None] * tint[None, None, :]
             else:
                 sample = mono[:, :, None]
-            pixels[cls * spec.per_class + i] = np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0
-            names.append(f"c{cls}_{i:04d}.{'ppm' if spec.channels == 3 else 'pgm'}")
-    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.per_class)
-    return Dataset(pixels, labels, names)
+            yield (f"c{cls}_{i:04d}.{'ppm' if spec.channels == 3 else 'pgm'}", cls,
+                   np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0)
 
 
-def write_dataset(dataset: Dataset, directory) -> None:
+def generate_dataset(spec: SyntheticSpec) -> Dataset:
+    names, labels, images = zip(*synthetic_images(spec))
+    return Dataset(np.stack(images), np.asarray(labels, dtype=np.int64), list(names))
+
+
+def write_dataset(samples: Iterable[tuple[str, int, np.ndarray]], directory) -> None:
+    """Write (filename, label, pixels) samples, such as a ``Dataset``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["filename", "label"])
-        for name, label in zip(dataset.filenames, dataset.labels):
+        for name, label, image in samples:
             writer.writerow([name, int(label)])
-    for name, image in zip(dataset.filenames, dataset.pixels):
-        (directory / name).write_bytes(write_pnm(image))
+            (directory / name).write_bytes(write_pnm(image))

@@ -11,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .augment import Dataset, generate_dataset, load_dataset, stratified_split, write_dataset
+from .augment import (Dataset, generate_dataset, load_dataset, stratified_split,
+                      synthetic_images, write_dataset)
 from .checks import gradcheck_suite, mle_equivalence_suite, reduction_suite
 from .config import ConfigError, Experiment, load_config
 from .errors import ContractViolation, DomainError, EvaluationError
@@ -72,9 +73,10 @@ def cmd_gen_data(args) -> int:
     exp = _load_experiment(args)
     if exp.dataset_path is None:
         raise ConfigError("io.dataset: gen-data needs a target directory")
-    dataset = generate_dataset(exp.synthetic)
-    write_dataset(dataset, exp.dataset_path)
-    print(f"wrote {len(dataset)} images to {exp.dataset_path}")
+    # Per-image arrays, all generated before the first write: one (N, H, W, C) array
+    # made repeated runs in one process grow the heap; image-by-image writes ran slower.
+    write_dataset(list(synthetic_images(exp.synthetic)), exp.dataset_path)
+    print(f"wrote {exp.synthetic.classes * exp.synthetic.per_class} images to {exp.dataset_path}")
     return EXIT_OK
 
 

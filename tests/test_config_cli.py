@@ -276,6 +276,19 @@ class TestCommands:
         assert (target / "labels.csv").exists()
         assert len(list(target.glob("*.pgm"))) == 6
 
+    def test_gen_data_writes_the_generated_dataset(self, tmp_path, capsys):
+        spec = {"classes": 2, "per_class": 5, "size": 8, "channels": 3, "seed": 4}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"io": {"dataset": str(tmp_path / "cli"),
+                                           "output_dir": str(tmp_path / "o"),
+                                           "synthetic": spec}}))
+        assert main(["gen-data", "-c", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 10 images to ")
+        write_dataset(generate_dataset(SyntheticSpec(**spec)), tmp_path / "ref")
+        for ref in (tmp_path / "ref").iterdir():
+            assert (tmp_path / "cli" / ref.name).read_bytes() == ref.read_bytes()
+        assert len(list((tmp_path / "cli").iterdir())) == 11
+
     def test_gen_data_requires_target(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"io": {"output_dir": str(tmp_path / "o")}}))
