@@ -26,7 +26,7 @@ from .augment import AugPipeline, SyntheticSpec, generate_dataset
 from .losses import LossConfig
 from .nets import Mlp, MlpSpec, TempBounds
 from .rng import SplitMix64, derive
-from .tensor import Tensor, backward, finite_diff_check, grad_of, zero_grads
+from .tensor import Tensor, backward, finite_diff_check
 from .train import ModelConfig, TrainConfig, reduction_check
 
 GRADCHECK_TOL = 1e-4
@@ -202,14 +202,9 @@ def mle_equivalence_suite(n_instances: int = 100, seed: int = 515,
             projections = _unit(views)
 
             loss = L.nce_loss(cfg, _stacks(projections), temp_net)[0].total()
-            zero_grads(leaves)
-            backward(loss)
-            grads_loss = [grad_of(p).copy() for p in leaves]
-
+            grads_loss = backward(loss, leaves)
             oracle = L.gaussian_ratio_loss(variant, projections, temp_net, bounds)
-            zero_grads(leaves)
-            backward(oracle)
-            grads_oracle = [grad_of(p).copy() for p in leaves]
+            grads_oracle = backward(oracle, leaves)
 
             expected = loss.item() + heads * (d_prime / 2.0) * math.log(2.0 * math.pi)
             max_val = max(max_val, abs(oracle.item() - expected) / max(1.0, abs(oracle.item())))

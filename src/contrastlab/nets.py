@@ -76,8 +76,14 @@ class Mlp:
     """Plain fully connected network over autodiff tensors."""
 
     def __init__(self, spec: MlpSpec, params: list[Tensor]):
+        """Each layer's weight is (..., fan_in, fan_out) and its bias
+        (..., fan_out), as the widths of ``spec`` say."""
         if len(params) != 2 * spec.n_layers:
             raise ContractViolation("parameter count does not match spec")
+        for fans, w, b in zip(zip(spec.widths, spec.widths[1:]), params[::2], params[1::2]):
+            if w.shape[-2:] != fans or b.shape[-1:] != fans[1:]:
+                raise ContractViolation(f"layer shapes {w.shape} and {b.shape} do not match "
+                                        f"widths {fans[0]} -> {fans[1]}")
         self.spec = spec
         self.params = params
 

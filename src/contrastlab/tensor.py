@@ -11,14 +11,15 @@ Design constraints, chosen for auditability at desk scale:
   reverse topological order, so shared subexpressions accumulate each
   path exactly once;
 * gradient rules are pure functions from the output gradient to the
-  parent gradients, which keeps them re-entrant and lets repeated
-  ``backward`` calls accumulate.
+  parent gradients, which keeps them re-entrant;
+* gradients are values, not tensor state: ``backward(root, leaves)``
+  returns one array per requested leaf.
 """
 from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,16 +29,15 @@ GradFn = Callable[[np.ndarray], tuple]
 
 
 class Tensor:
-    """Value array plus gradient slot and computation-graph linkage."""
+    """Value array plus computation-graph linkage."""
 
-    __slots__ = ("data", "grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "_parents", "_grad_fn")
 
     def __init__(self, data, _parents: tuple = (), _grad_fn: GradFn | None = None):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self._parents = _parents
         self._grad_fn = _grad_fn
 
@@ -53,9 +53,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractViolation(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
@@ -416,42 +413,30 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor) -> None:
-    """Populate ``grad`` of every node reachable from a scalar root.
+def backward(root: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradients of a scalar root with respect to ``leaves``, one array per
+    leaf in order; zeros for a leaf the root does not reach.
 
-    Repeated calls without ``zero_grad`` accumulate, matching the usual
-    gradient-accumulation semantics.
+    Each node's gradient is dropped once it has been passed on to its
+    parents, so only the requested leaves' gradients outlive the pass.
+    The returned arrays may share memory with each other and with the
+    graph (``add`` hands one gradient to both operands): callers must
+    not write into them.
     """
     if root.data.size != 1:
         raise ContractViolation(f"backward root must be scalar, got shape {root.shape}")
-    order = _topo_order(root)
+    wanted = {id(leaf) for leaf in leaves}
+    kept: dict[int, np.ndarray] = {}
     pass_grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = pass_grads.get(id(node))
-        if g is None:
-            continue
+    for node in reversed(_topo_order(root)):
+        g = pass_grads.pop(id(node))
+        if id(node) in wanted:
+            kept[id(node)] = g
         if node._grad_fn is not None:
             for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None:
-                    continue
                 key = id(parent)
-                if key in pass_grads:
-                    pass_grads[key] = pass_grads[key] + pg
-                else:
-                    pass_grads[key] = pg
-    for node in order:
-        g = pass_grads.get(id(node))
-        if g is not None:
-            node.grad = g if node.grad is None else node.grad + g
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
-def grad_of(t: Tensor) -> np.ndarray:
-    return t.grad if t.grad is not None else np.zeros_like(t.data)
+                pass_grads[key] = pass_grads[key] + pg if key in pass_grads else pg
+    return [kept[id(leaf)] if id(leaf) in kept else np.zeros_like(leaf.data) for leaf in leaves]
 
 
 def _probe(loss_fn: Callable[[], Tensor]) -> float:
@@ -487,9 +472,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
         loss = loss_fn()
         if not np.isfinite(loss.data).all():
             raise EvaluationError("loss is not finite at the base point")
-        zero_grads(params)
-        backward(loss)
-        analytic = [grad_of(p).copy() for p in params]
+        analytic = backward(loss, params)
         worst = 0.0
         for p, an in zip(params, analytic):
             flat = p.data.reshape(-1)

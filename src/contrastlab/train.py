@@ -28,7 +28,7 @@ from .metrics import separability_report, temperature_stats
 from .nets import ModelBundle, forward_views, save_bundle
 from .nets import bounded_sigmoid  # noqa: F401  (bench/spans.py traces train.bounded_sigmoid)
 from .rng import SplitMix64, derive
-from .tensor import Tensor, backward, grad_of, zero_grads
+from .tensor import Tensor, backward
 
 TRAIN_LOG_HEADER = "epoch,step,loss,pos_term,neg_term,omega_term,tau_min,tau_mean,tau_max,tau_var_heads"
 EVAL_LOG_HEADER = "epoch,knn_acc,probe_acc,overlap"
@@ -106,15 +106,22 @@ class SgdMomentum:
 
     def __init__(self, params: list[Tensor], momentum: float, weight_decay: float,
                  lr_scales: list[float] | None = None):
+        if lr_scales is not None and len(lr_scales) != len(params):
+            raise ContractViolation(
+                f"{len(lr_scales)} learning-rate scales for {len(params)} parameters")
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.lr_scales = lr_scales if lr_scales is not None else [1.0] * len(params)
         self.velocity = [np.zeros_like(p.data) for p in params]
 
-    def step(self, lr: float) -> None:
-        for p, v, scale in zip(self.params, self.velocity, self.lr_scales):
-            g = grad_of(p) + self.weight_decay * p.data
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
+        """One update from ``grads``, one array per parameter in order;
+        the arrays are read, never written."""
+        if len(grads) != len(self.params):
+            raise ContractViolation(f"{len(grads)} gradients for {len(self.params)} parameters")
+        for p, grad, v, scale in zip(self.params, grads, self.velocity, self.lr_scales):
+            g = grad + self.weight_decay * p.data
             v *= self.momentum
             v += g
             p.data -= lr * scale * v
@@ -152,10 +159,13 @@ class RunResult:
     test_indices: np.ndarray
 
 
-def _lr_scales(bundle: ModelBundle, params: list[Tensor],
-               train_cfg: TrainConfig) -> list[float]:
+def _optimizer(bundle: ModelBundle, train_cfg: TrainConfig) -> SgdMomentum:
+    """SGD with momentum over every parameter of the bundle, the
+    temperature nets at ``temp_lr_scale`` times the base rate."""
+    params = bundle.parameters()
     temp_ids = {id(p) for p in bundle.temperature_parameters()}
-    return [train_cfg.temp_lr_scale if id(p) in temp_ids else 1.0 for p in params]
+    return SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
+                       [train_cfg.temp_lr_scale if id(p) in temp_ids else 1.0 for p in params])
 
 
 def build_bundle(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
@@ -206,9 +216,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
         raise ContractViolation(
             f"training split ({len(train_idx)}) smaller than batch size {train_cfg.batch_size}")
     bundle = build_bundle(dataset, model_cfg, loss_cfg, train_cfg)
-    params = bundle.parameters()
-    opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
-                      _lr_scales(bundle, params, train_cfg))
+    opt = _optimizer(bundle, train_cfg)
     train_rows: list[str] = []
     eval_rows: list[str] = []
     for epoch in range(train_cfg.epochs):
@@ -227,9 +235,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
                 raise EvaluationError(
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"pos={terms.pos.item()}, neg={terms.neg.item()}, omega={terms.omega.item()}")
-            zero_grads(params)
-            backward(loss)
-            opt.step(lr)
+            opt.step(backward(loss, opt.params), lr)
             stats = temperature_stats(temps.positive)
             train_rows.append(",".join([
                 str(epoch), str(step), _fmt(value),
@@ -385,9 +391,7 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     base = LossConfig(variant="ntxent", family="baseline", heads=1,
                       temp_mode="constant", tau0=tau)
     bundle = build_bundle(dataset, model_cfg, multi, train_cfg)
-    params = bundle.parameters()
-    opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
-                      _lr_scales(bundle, params, train_cfg))
+    opt = _optimizer(bundle, train_cfg)
     train_idx, _ = stratified_split(dataset.labels, train_cfg.test_fraction)
     d_prime = model_cfg.d_prime
     # Per head and anchor the two losses differ by this input-independent
@@ -396,27 +400,19 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
         + beta * ((d_prime / 2.0) * math.log(tau) + 1.0 / tau)
     max_grad_rel = 0.0
     max_value_err = 0.0
-    done = 0
-    epoch = 0
-    while done < steps:
-        batches = _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
-        for _, xa, xb in itertools.islice(batches, steps - done):
-            _, _, pa, pb = forward_views(bundle, xa, xb)
-            projections = (T.l2_normalize(pa), T.l2_normalize(pb))
-            loss_m, _ = L.nce_loss(multi, projections, tau)
-            zero_grads(params)
-            backward(loss_m.total())
-            grads_m = [grad_of(p).copy() for p in params]
-            loss_b, _ = L.nce_loss(base, projections, tau)
-            zero_grads(params)
-            backward(loss_b.total())
-            grads_b = [grad_of(p).copy() for p in params]
-            for gm, gb in zip(grads_m, grads_b):
-                rel = np.max(np.abs(gm - gb) / np.maximum(1.0, np.abs(gm)))
-                max_grad_rel = max(max_grad_rel, float(rel))
-            value_err = abs(loss_m.total().item() - (loss_b.total().item() + offset))
-            max_value_err = max(max_value_err, value_err)
-            opt.step(train_cfg.lr)
-            done += 1
-        epoch += 1
-    return {"steps": done, "max_grad_rel": max_grad_rel, "max_value_err": max_value_err}
+    epochs = (_two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
+              for epoch in itertools.count())
+    for _, xa, xb in itertools.islice(itertools.chain.from_iterable(epochs), steps):
+        _, _, pa, pb = forward_views(bundle, xa, xb)
+        projections = (T.l2_normalize(pa), T.l2_normalize(pb))
+        loss_m, _ = L.nce_loss(multi, projections, tau)
+        grads_m = backward(loss_m.total(), opt.params)
+        loss_b, _ = L.nce_loss(base, projections, tau)
+        grads_b = backward(loss_b.total(), opt.params)
+        for gm, gb in zip(grads_m, grads_b):
+            rel = np.max(np.abs(gm - gb) / np.maximum(1.0, np.abs(gm)))
+            max_grad_rel = max(max_grad_rel, float(rel))
+        value_err = abs(loss_m.total().item() - (loss_b.total().item() + offset))
+        max_value_err = max(max_value_err, value_err)
+        opt.step(grads_b, train_cfg.lr)
+    return {"steps": steps, "max_grad_rel": max_grad_rel, "max_value_err": max_value_err}

@@ -23,12 +23,15 @@ def reference_heads(heads: Mlp) -> list[Mlp]:
             for c in range(heads.params[0].shape[0])]
 
 
-def stacked_grads(heads: list[Mlp]) -> list[np.ndarray]:
-    """The per-head parameter gradients laid out as the stacked network's."""
+def stacked_grads(heads: list[Mlp], grads: list[np.ndarray]) -> list[np.ndarray]:
+    """The per-head parameter gradients, ``grads`` in the order of
+    ``[p for h in heads for p in h.params]``, laid out as the stacked
+    network's."""
+    n = len(heads[0].params)
     out = []
-    for i in range(len(heads[0].params)):
-        grads = np.stack([T.grad_of(h.params[i]) for h in heads])
-        out.append(grads if i % 2 == 0 else grads[:, None, :])
+    for i in range(n):
+        stacked = np.stack(grads[i::n])
+        out.append(stacked if i % 2 == 0 else stacked[:, None, :])
     return out
 
 

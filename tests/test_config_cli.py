@@ -318,10 +318,11 @@ class TestCommands:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: io: checkpoint {checkpoint}: "), err
 
-    @pytest.mark.parametrize("damage", ["format", "version-1", "head-extents"])
+    @pytest.mark.parametrize("damage", ["format", "version-1", "head-extents", "widths"])
     def test_checkpoint_manifest_is_checked(self, tmp_path, capsys, damage):
-        """A checkpoint of another format or version, or whose head layers
-        disagree on the number of heads, exits 3 with one line."""
+        """A checkpoint of another format or version, whose head layers
+        disagree on the number of heads, or whose layer widths disagree
+        with its tensors, exits 3 with one line."""
         out = tmp_path / "o"
         out.mkdir()
         path = tmp_path / "c.json"
@@ -336,7 +337,8 @@ class TestCommands:
             blob = checkpoint.read_bytes()
             n = int.from_bytes(blob[:8], "little")
             manifest = json.loads(blob[8:8 + n])
-            manifest.update({"format": "other"} if damage == "format" else {"version": 1})
+            manifest.update({"format": {"format": "other"}, "version-1": {"version": 1},
+                             "widths": {"specs": dict(manifest["specs"], encoder=[64, 4, 16])}}[damage])
             body = json.dumps(manifest).encode()
             checkpoint.write_bytes(len(body).to_bytes(8, "little") + body + blob[8 + n:])
         assert main(["knn", "-c", str(path)]) == 3

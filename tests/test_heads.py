@@ -8,7 +8,7 @@ from contrastlab.losses import LossConfig
 from contrastlab.metrics import pair_similarities
 from contrastlab.nets import ModelBundle, TempBounds
 from contrastlab.rng import SplitMix64, derive
-from contrastlab.tensor import Tensor, backward, grad_of, zero_grads
+from contrastlab.tensor import Tensor, backward
 from contrastlab.train import _batch_loss
 from reference_heads import (reference_batch_loss, reference_heads, reference_pair_similarities,
                              stacked_grads)
@@ -41,10 +41,9 @@ def _bundle(cfg: LossConfig, seed: int) -> ModelBundle:
 
 
 def _run(loss_fn, params):
+    """Loss terms, temperatures, and each parameter's gradient by ``id``."""
     terms, temps = loss_fn()
-    zero_grads(params)
-    backward(terms.total())
-    return terms, temps
+    return terms, temps, dict(zip(map(id, params), backward(terms.total(), params)))
 
 
 def _compare(cfg: LossConfig, seed: int, approximate=()):
@@ -62,13 +61,15 @@ def _compare(cfg: LossConfig, seed: int, approximate=()):
     shared = {name: net for name, net in shared.items() if net is not None}
     shared_params = [p for net in shared.values() for p in net.params]
 
-    got, got_temps = _run(lambda: _batch_loss(bundle, cfg, xa, xb, tau_step), bundle.parameters())
-    got_grads = {name: [grad_of(p).copy() for p in net.params] for name, net in shared.items()}
-    got_grads["heads"] = [grad_of(p).copy() for p in bundle.heads.params]
-    want, want_temps = _run(lambda: reference_batch_loss(bundle, heads, cfg, xa, xb, tau_step),
-                            shared_params + [p for h in heads for p in h.params])
-    want_grads = {name: [grad_of(p).copy() for p in net.params] for name, net in shared.items()}
-    want_grads["heads"] = stacked_grads(heads)
+    got, got_temps, got_g = _run(lambda: _batch_loss(bundle, cfg, xa, xb, tau_step),
+                                 bundle.parameters())
+    got_grads = {name: [got_g[id(p)] for p in net.params] for name, net in shared.items()}
+    got_grads["heads"] = [got_g[id(p)] for p in bundle.heads.params]
+    head_params = [p for h in heads for p in h.params]
+    want, want_temps, want_g = _run(lambda: reference_batch_loss(bundle, heads, cfg, xa, xb, tau_step),
+                                    shared_params + head_params)
+    want_grads = {name: [want_g[id(p)] for p in net.params] for name, net in shared.items()}
+    want_grads["heads"] = stacked_grads(heads, [want_g[id(p)] for p in head_params])
 
     for term in ("pos", "neg", "omega"):
         assert getattr(got, term).item() == getattr(want, term).item(), term

@@ -13,7 +13,7 @@ from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
 from contrastlab.nets import Mlp, MlpSpec, TempBounds
 from contrastlab.rng import SplitMix64, derive
-from contrastlab.tensor import Tensor, backward, finite_diff_check, grad_of, zero_grads
+from contrastlab.tensor import Tensor, backward, finite_diff_check
 
 BOUNDS = TempBounds(1e-5, 2.0)
 
@@ -61,8 +61,7 @@ class TestTempPenalty:
     @pytest.mark.parametrize("d_prime", [2, 64, 128])
     def test_stationary_at_two_over_d(self, d_prime):
         tau = Tensor(2.0 / d_prime)
-        backward(L.temp_penalty(tau, d_prime))
-        assert abs(float(tau.grad)) < 1e-12
+        assert abs(float(backward(L.temp_penalty(tau, d_prime), [tau])[0])) < 1e-12
 
     def test_decreasing_then_increasing(self):
         for d_prime in (2, 8, 64):
@@ -295,10 +294,10 @@ class TestMultiheadNegcos:
         cfg = one_head_cfg(variant="simsiam", beta=0.5, temp_mode="adaptive")
         leaves = [live_a, live_b, tgt_a, tgt_b]
         branches = [(live_a, live_b, tgt_a, tgt_b)]
-        zero_grads(leaves)
-        backward(L.multihead_negcos(cfg, _stacks(branches), temp_net)[0].total())
-        assert tgt_a.grad is None and tgt_b.grad is None
-        assert np.abs(grad_of(live_a)).max() > 0
+        g_live_a, _, g_tgt_a, g_tgt_b = backward(
+            L.multihead_negcos(cfg, _stacks(branches), temp_net)[0].total(), leaves)
+        assert np.all(g_tgt_a == 0.0) and np.all(g_tgt_b == 0.0)
+        assert np.abs(g_live_a).max() > 0
 
     def test_value_sensitive_to_stopped_branch(self):
         """Finite differences see the stop-gradient branch even though the
@@ -401,19 +400,19 @@ class TestSoftmaxAggregate:
         out = L.softmax_negatives(sims, taus, d_prime)
         expected = math.log(n) - (d_prime / 2) * math.log(2 * math.pi * tau) + (s - 1) / tau
         np.testing.assert_allclose(out.data, expected, rtol=1e-14)
-        backward(T.sum_(out))
-        assert np.all(np.isfinite(sims.grad)) and np.all(np.isfinite(taus.grad))
+        g_sims, g_taus = backward(T.sum_(out), [sims, taus])
+        assert np.all(np.isfinite(g_sims)) and np.all(np.isfinite(g_taus))
         # equal terms: each gets softmax weight 1/n of d/ds [(s-1)/tau]
-        np.testing.assert_allclose(sims.grad, 1.0 / (n * tau), rtol=1e-12)
+        np.testing.assert_allclose(g_sims, 1.0 / (n * tau), rtol=1e-12)
 
     def test_underflowing_row_gradient_picks_the_largest_term(self):
         tau = Tensor(np.full(3, 1e-5))
         sims = Tensor(np.array([-0.2, -0.1, -0.3]))
         out = L.softmax_negatives(sims, tau, 8)
         assert math.isfinite(out.item())
-        backward(out)
-        np.testing.assert_allclose(sims.grad, [0.0, 1e5, 0.0], rtol=1e-12, atol=1e-300)
-        assert np.all(np.isfinite(tau.grad))
+        g_sims, g_tau = backward(out, [sims, tau])
+        np.testing.assert_allclose(g_sims, [0.0, 1e5, 0.0], rtol=1e-12, atol=1e-300)
+        assert np.all(np.isfinite(g_tau))
 
     def test_matches_naive_log_sum_where_it_is_representable(self):
         rng = np.random.default_rng(13)
@@ -447,12 +446,8 @@ class TestMleOracle:
                          neg_agg="softmax", bounds=BOUNDS)
         leaves = [t for pair in views for t in pair] + temp_net.params
         projections = unit_views(views)
-        zero_grads(leaves)
-        backward(nce(cfg, projections, temp_net).total())
-        g_loss = [grad_of(p).copy() for p in leaves]
-        zero_grads(leaves)
-        backward(L.gaussian_ratio_loss("ntxent", projections, temp_net, BOUNDS))
-        g_oracle = [grad_of(p).copy() for p in leaves]
+        g_loss = backward(nce(cfg, projections, temp_net).total(), leaves)
+        g_oracle = backward(L.gaussian_ratio_loss("ntxent", projections, temp_net, BOUNDS), leaves)
         for a, b in zip(g_loss, g_oracle):
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
 
@@ -507,12 +502,11 @@ class TestTemperatureGradientFlow:
                 pairs = tuple(L.batch_standardize(t) for t in _stacks([leaves]))
                 return L.multihead_cross_corr(cfg, pairs, temp_net)[0].omega
 
-        zero_grads(leaves + temp_net.params)
         omega = penalty()
-        backward(omega)
-        for leaf in leaves:
-            assert np.all(grad_of(leaf) == 0.0)
-        assert any(np.abs(grad_of(p)).max() > 0 for p in temp_net.params)
+        grads = backward(omega, leaves + temp_net.params)
+        for g in grads[:len(leaves)]:
+            assert np.all(g == 0.0)
+        assert any(np.abs(g).max() > 0 for g in grads[len(leaves):])
         leaves[0].data[0, 0] += 0.5
         assert penalty().item() != omega.item()
 
@@ -524,12 +518,8 @@ class TestReductionProperty:
         for beta in (0.0, 0.5, 2.0):
             cfg = LossConfig(variant="ntxent", heads=1, beta=beta, temp_mode="constant",
                              tau0=0.2, neg_agg="softmax")
-            zero_grads(leaves)
-            backward(nce(cfg, unit_views(views)).total())
-            g_multi = [grad_of(p).copy() for p in leaves]
-            zero_grads(leaves)
-            backward(nce(baseline_cfg("ntxent", tau=0.2), unit_views(views)).total())
-            g_base = [grad_of(p).copy() for p in leaves]
+            g_multi = backward(nce(cfg, unit_views(views)).total(), leaves)
+            g_base = backward(nce(baseline_cfg("ntxent", tau=0.2), unit_views(views)).total(), leaves)
             for a, b in zip(g_multi, g_base):
                 assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
 

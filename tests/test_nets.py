@@ -7,7 +7,7 @@ from contrastlab import tensor as T
 from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.nets import (Mlp, MlpSpec, ModelBundle, TempBounds, adaptive_temperature,
                               bounded_sigmoid, forward_views, load_bundle, save_bundle)
-from contrastlab.tensor import Tensor, backward, finite_diff_check, grad_of, zero_grads
+from contrastlab.tensor import Tensor, backward, finite_diff_check
 
 BOUNDS = TempBounds(1e-5, 2.0)
 
@@ -154,10 +154,9 @@ class TestAdaptiveTemperature:
         v = Tensor(rng.normal(size=4))
         assert finite_diff_check(
             lambda: adaptive_temperature(u, v, temp_net, BOUNDS), temp_net.params) < 1e-6
-        zero_grads([u, v])
         before = adaptive_temperature(u, v, temp_net, BOUNDS)
-        backward(before)
-        assert np.all(grad_of(u) == 0.0) and np.all(grad_of(v) == 0.0)
+        gu, gv = backward(before, [u, v])
+        assert np.all(gu == 0.0) and np.all(gv == 0.0)
         u.data[0] += 0.1
         assert adaptive_temperature(u, v, temp_net, BOUNDS).item() != before.item()
 
@@ -184,14 +183,8 @@ class TestTempNetSharing:
                 total = tau if total is None else total + tau
             return total
 
-        zero_grads(temp_net.params)
-        backward(tau_sum(range(3)))
-        full = [grad_of(p).copy() for p in temp_net.params]
-        parts = []
-        for c in range(3):
-            zero_grads(temp_net.params)
-            backward(tau_sum([c]))
-            parts.append([grad_of(p).copy() for p in temp_net.params])
+        full = backward(tau_sum(range(3)), temp_net.params)
+        parts = [backward(tau_sum([c]), temp_net.params) for c in range(3)]
         for k, g_full in enumerate(full):
             np.testing.assert_allclose(g_full, sum(p[k] for p in parts), rtol=1e-10, atol=1e-12)
         assert any(np.abs(g).max() > 0 for g in full)

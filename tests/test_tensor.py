@@ -3,6 +3,7 @@ semantics, accumulation, the finite-difference harness, and the AMTD
 tensor codec."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from contrastlab import tensor as T
 from contrastlab.errors import ContractViolation, DomainError, EvaluationError
 from contrastlab.tensor import (Tensor, amtd_decode, amtd_encode, backward,
-                                finite_diff_check, grad_of, stop_gradient, zero_grads)
+                                finite_diff_check, stop_gradient)
 
 
 class TestForwardValues:
@@ -21,8 +22,7 @@ class TestForwardValues:
         x = Tensor(0.0)
         y = T.exp(x)
         assert y.item() == 1.0
-        backward(y)
-        assert x.grad == 1.0
+        assert backward(y, [x])[0] == 1.0
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
@@ -51,44 +51,66 @@ class TestForwardValues:
 class TestBackward:
     def test_product_rule(self):
         x, y = Tensor(2.0), Tensor(3.0)
-        backward(x * y)
-        assert x.grad == 3.0 and y.grad == 2.0
+        gx, gy = backward(x * y, [x, y])
+        assert gx == 3.0 and gy == 2.0
 
     def test_relu_flat_region(self):
         x = Tensor([-1.0, -2.0, -0.5])
-        backward(T.sum_(T.relu(x)))
-        np.testing.assert_array_equal(x.grad, np.zeros(3))
+        np.testing.assert_array_equal(backward(T.sum_(T.relu(x)), [x])[0], np.zeros(3))
 
     def test_log_exp_inverse(self):
         for val in (-1.7, 0.3, 2.0):
             x = Tensor(val)
-            backward(T.log(T.exp(x)))
-            np.testing.assert_allclose(x.grad, 1.0, atol=1e-12)
+            np.testing.assert_allclose(backward(T.log(T.exp(x)), [x])[0], 1.0, atol=1e-12)
 
     def test_root_grad_is_one(self):
         x = Tensor(5.0)
         y = x * 2.0
-        backward(y)
-        assert y.grad == 1.0
+        assert backward(y, [y])[0] == 1.0
+
+    def test_root_and_interior_nodes_as_requested_leaves(self):
+        """The root and an interior node can be requested along with a leaf."""
+        x = Tensor(3.0)
+        s = x * x
+        y = s * 2.0
+        gy, gs, gx = backward(y, [y, s, x])
+        assert (gy, gs, gx) == (1.0, 2.0, 12.0)
+
+    def test_unreachable_leaf_gets_zeros(self):
+        x, other = Tensor([1.0, 2.0]), Tensor(np.ones((2, 3)))
+        gx, g_other = backward(T.sum_(x * x), [x, other])
+        np.testing.assert_array_equal(gx, [2.0, 4.0])
+        np.testing.assert_array_equal(g_other, np.zeros((2, 3)))
 
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ContractViolation):
-            backward(Tensor([1.0, 2.0]))
+            backward(Tensor([1.0, 2.0]), [])
 
-    def test_repeated_backward_accumulates(self):
-        x = Tensor(2.0)
-        y = x * x
-        backward(y)
-        first = float(x.grad)
-        backward(y)
-        assert float(x.grad) == 2.0 * first
+    def test_no_intermediate_gradient_outlives_the_pass(self):
+        """A chain of 50 ops on a 1e5-element array: once backward returns,
+        it holds the leaf's one gradient array, not one per node, and
+        each node's gradient is dropped once passed on, so the pass never
+        holds more than a few arrays at a time."""
+        x = Tensor(np.linspace(0.5, 1.5, 100_000))
+        out = x
+        for _ in range(50):
+            out = out * 1.0001
+        root = T.sum_(out)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (gx,) = backward(root, [x])
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape
+        assert held < 2 * x.data.nbytes and peak < 4 * x.data.nbytes
 
     def test_shared_subexpression_counted_once(self):
         x = Tensor(1.5)
         s = x * x
         loss = s + s
-        backward(loss)
-        np.testing.assert_allclose(x.grad, 4.0 * 1.5, atol=1e-12)
+        np.testing.assert_allclose(backward(loss, [x])[0], 4.0 * 1.5, atol=1e-12)
 
 
 class TestStopGradient:
@@ -99,14 +121,13 @@ class TestStopGradient:
 
     def test_grad_through_stopped_branch_is_zero(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        backward(T.dot(a, stop_gradient(b)))
-        np.testing.assert_array_equal(a.grad, b.data)
-        assert b.grad is None
+        ga, gb = backward(T.dot(a, stop_gradient(b)), [a, b])
+        np.testing.assert_array_equal(ga, b.data)
+        np.testing.assert_array_equal(gb, np.zeros(2))
 
     def test_single_path_chain_rule(self):
         a = Tensor([1.0, 2.0])
-        backward(T.dot(stop_gradient(a), a))
-        np.testing.assert_array_equal(a.grad, a.data)
+        np.testing.assert_array_equal(backward(T.dot(stop_gradient(a), a), [a])[0], a.data)
 
 
 def _naive_grad(node, wrt) -> float:
@@ -135,10 +156,9 @@ class TestAccumulationAgainstNaive:
             loss = t * u + T.log(t + 2.0) + s * s
             expected_x = _naive_grad(loss, x)
             expected_y = _naive_grad(loss, y)
-            zero_grads([x, y])
-            backward(loss)
-            np.testing.assert_allclose(x.grad, expected_x, rtol=1e-12)
-            np.testing.assert_allclose(y.grad, expected_y, rtol=1e-12)
+            gx, gy = backward(loss, [x, y])
+            np.testing.assert_allclose(gx, expected_x, rtol=1e-12)
+            np.testing.assert_allclose(gy, expected_y, rtol=1e-12)
 
 
 class TestBroadcasting:
@@ -147,8 +167,7 @@ class TestBroadcasting:
         b = Tensor(np.array([1.0, 2.0, 3.0]))
         out = a + b
         assert out.shape == (4, 3)
-        backward(T.sum_(out))
-        np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
+        np.testing.assert_array_equal(backward(T.sum_(out), [b])[0], np.full(3, 4.0))
 
     def test_mismatched_shapes_report_both(self):
         with pytest.raises(ContractViolation, match=r"\(4, 3\).*\(2,\)"):
@@ -187,9 +206,9 @@ class TestStacks:
         added in stack order, each as its own 2D product."""
         a, w = self.leaf(3, 5, 4), self.leaf(4, 6)
         g = self.rng.uniform(-1, 1, size=(3, 5, 6))
-        backward(T.sum_(T.reshape(T.mul(T.matmul(a, w), Tensor(g)), (90,))))
+        (gw,) = backward(T.sum_(T.reshape(T.mul(T.matmul(a, w), Tensor(g)), (90,))), [w])
         expected = a.data[0].T @ g[0] + a.data[1].T @ g[1] + a.data[2].T @ g[2]
-        np.testing.assert_array_equal(w.grad, expected)
+        np.testing.assert_array_equal(gw, expected)
 
     @pytest.mark.parametrize("sa,sb", [((2, 4, 3), (3, 3, 5)), ((2, 4, 3), (2, 4, 5)),
                                        ((4, 3), (2, 4, 5)), ((1, 2, 4, 3), (3, 5)),
@@ -233,16 +252,15 @@ class TestStacks:
         np.testing.assert_array_equal((b * x).data, b.data * x.data)
         weights = self.leaf(*shape)
         assert finite_diff_check(lambda: T.sum_(T.mul(x + b, weights)), [x, b]) < 1e-6
-        zero_grads([b])
-        backward(T.sum_(T.reshape(T.mul(x + b, weights), (x.size,))))
-        np.testing.assert_array_equal(b.grad, weights.data.sum(axis=-2, keepdims=True))
+        (gb,) = backward(T.sum_(T.reshape(T.mul(x + b, weights), (x.size,))), [b])
+        np.testing.assert_array_equal(gb, weights.data.sum(axis=-2, keepdims=True))
 
     def test_shared_bias_gradient_sums_rows_then_matrices(self):
         x, b = self.leaf(3, 5, 4), self.leaf(4)
         g = self.rng.uniform(-1, 1, size=(3, 5, 4))
-        backward(T.sum_(T.reshape(T.mul(x + b, Tensor(g)), (60,))))
+        (gb,) = backward(T.sum_(T.reshape(T.mul(x + b, Tensor(g)), (60,))), [b])
         rows = g.sum(axis=1)
-        np.testing.assert_array_equal(b.grad, rows[0] + rows[1] + rows[2])
+        np.testing.assert_array_equal(gb, rows[0] + rows[1] + rows[2])
 
     @pytest.mark.parametrize("sa,sb", [((2, 4, 3), (3, 1, 3)), ((2, 4, 3), (2, 2, 3)),
                                        ((2, 4, 3), (2, 1, 1)), ((2, 4, 3), (1, 4, 3))])
@@ -343,8 +361,7 @@ class TestPrimitiveGradients:
         x = Tensor(np.full((2, 4), -2e5))
         out = T.logsumexp(x)
         np.testing.assert_allclose(out.data, -2e5 + math.log(4), rtol=1e-15)
-        backward(T.sum_(out))
-        np.testing.assert_array_equal(x.grad, np.full((2, 4), 0.25))
+        np.testing.assert_array_equal(backward(T.sum_(out), [x])[0], np.full((2, 4), 0.25))
 
     def test_dot_and_vector_gather(self):
         rng = np.random.default_rng(10)
@@ -366,7 +383,7 @@ class TestFiniteDiffCheck:
         x = Tensor([1.0, 2.0])
         err = finite_diff_check(lambda: Tensor(3.0) * 1.0, [x])
         assert err == 0.0
-        assert np.all(grad_of(x) == 0.0)
+        assert np.all(backward(Tensor(3.0) * 1.0, [x])[0] == 0.0)
 
     def test_step_size_contract(self):
         x = Tensor([1.0])

@@ -11,7 +11,7 @@ from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
-from contrastlab.tensor import Tensor, backward, grad_of, zero_grads
+from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
                                _batch_loss, build_bundle, build_eval_pairs, knn_eval,
                                linear_probe, pretrain, temperature_for_step)
@@ -74,12 +74,11 @@ class TestSgd:
         xb = Tensor(rng.uniform(size=(8, 64)))
         terms, _ = _batch_loss(bundle, cfg, xa, xb, 0.5)
         before = terms.total().item()
-        zero_grads(params)
-        backward(terms.total())
-        grad_sq = sum(float((grad_of(p) ** 2).sum()) for p in params)
+        grads = backward(terms.total(), params)
+        grad_sq = sum(float((g ** 2).sum()) for g in grads)
         lr = 1e-4
         opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0)
-        opt.step(lr)
+        opt.step(grads, lr)
         after, _ = _batch_loss(bundle, cfg, xa, xb, 0.5)
         drop = before - after.total().item()
         assert abs(drop - lr * grad_sq) / (lr * grad_sq) < 0.10
@@ -87,12 +86,21 @@ class TestSgd:
     def test_lr_scales_apply(self):
         p = Tensor(np.array([1.0]))
         q = Tensor(np.array([1.0]))
-        p.grad = np.array([1.0])
-        q.grad = np.array([1.0])
         opt = SgdMomentum([p, q], momentum=0.0, weight_decay=0.0, lr_scales=[1.0, 0.5])
-        opt.step(0.1)
+        opt.step([np.array([1.0]), np.array([1.0])], 0.1)
         assert p.data[0] == pytest.approx(0.9)
         assert q.data[0] == pytest.approx(0.95)
+
+    def test_lengths_must_match_the_parameters(self):
+        """A learning-rate scale or a gradient per parameter, no fewer: a
+        short list would leave the parameters past its end untouched."""
+        params = [Tensor(np.array([1.0])), Tensor(np.array([1.0]))]
+        with pytest.raises(ContractViolation):
+            SgdMomentum(params, momentum=0.0, weight_decay=0.0, lr_scales=[0.5])
+        opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0)
+        with pytest.raises(ContractViolation):
+            opt.step([np.array([1.0])], 0.1)
+        assert [p.data[0] for p in params] == [1.0, 1.0]
 
 
 class TestBatchLossEquivalence:
@@ -116,25 +124,23 @@ class TestBatchLossEquivalence:
         xa = Tensor(rng.uniform(size=(4, 64)))
         xb = Tensor(rng.uniform(size=(4, 64)))
         batch_terms, _ = _batch_loss(bundle, cfg, xa, xb, "adaptive")
-        zero_grads(params)
-        backward(batch_terms.total())
-        batch_grads = [grad_of(p).copy() for p in params]
+        batch_grads = backward(batch_terms.total(), params)
 
         heads = reference_heads(bundle.heads)
         _, _, raw = reference_forward_views(bundle.encoder, heads, xa, xb)
         projections = [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in raw]
         oracle = L.gaussian_ratio_loss("ntxent", projections, bundle.temp_net, bounds)
-        oracle_params = bundle.encoder.params + [p for h in heads for p in h.params] \
-            + bundle.temp_net.params
-        zero_grads(oracle_params)
-        backward(oracle)
-        oracle_grads = ([grad_of(p) for p in bundle.encoder.params] + stacked_grads(heads)
-                        + [grad_of(p) for p in bundle.temp_net.params])
+        encoder, per_head = bundle.encoder.params, [p for h in heads for p in h.params]
+        grads = backward(oracle, encoder + per_head + bundle.temp_net.params)
+        split = len(encoder) + len(per_head)
+        temp_grads = grads[split:]
+        oracle_grads = (grads[:len(encoder)] + stacked_grads(heads, grads[len(encoder):split])
+                        + temp_grads)
         offset = 2 * 4.0 * math.log(2.0 * math.pi)
         np.testing.assert_allclose(batch_terms.total().item() + offset, oracle.item(), rtol=1e-10)
         for got, want in zip(batch_grads, oracle_grads, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
-        assert all(np.abs(grad_of(p)).max() > 0 for p in bundle.temp_net.params)
+        assert all(np.abs(g).max() > 0 for g in temp_grads)
 
 
 class TestSymmetry:
