@@ -5,9 +5,11 @@ the plain ntxent baseline.
 
 Every check calls a batch loss as training does, with the same kind of
 ``temps`` argument: the scheduled temperature or the temperature net.
-Each instance draws its leaves per head and stacks them on the graph
-into the (C, B, d') inputs the batch losses take, so the maximum-
-likelihood oracle, which loops over the heads, reads the same leaves.
+Each instance draws its leaves per head. The gradcheck ntxent, infonce
+and barlow cases probe two (C, B, d') leaves stacked from those draws;
+the negative-cosine cases, whose predictor reads one vector at a time,
+and the maximum-likelihood suite, whose oracle loops over the heads,
+keep per-head leaves and stack them on the graph.
 The negative-cosine targets and the inputs of every adaptive temperature
 are stop-gradient values, and ``finite_diff_check`` holds each at the
 base point, which is exactly the function whose gradient the backward
@@ -76,6 +78,11 @@ def _negcos_instance(seed: int, heads: int, d_prime: int):
     return raws, predictor, temp_net
 
 
+def _stacked(views) -> list[Tensor]:
+    """Per-head (z_a, z_b) leaves as two (C, B, d') leaves of the same values."""
+    return [Tensor(np.stack([t.data for t in side])) for side in zip(*views)]
+
+
 def _unit(views):
     """Per-head unit projections, on the graph."""
     return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
@@ -102,12 +109,11 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
         results.append(CheckResult(name, finite_diff_check(loss_fn, params), GRADCHECK_TOL))
 
     # Single-head baselines at a constant temperature.
-    views, _ = _instance(derive(seed, "base"), 1, d_prime, batch)
-    flat = [t for pair in views for t in pair]
+    leaves = _stacked(_instance(derive(seed, "base"), 1, d_prime, batch)[0])
     for variant in ("ntxent", "infonce"):
         cfg = LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=0.5)
-        run(f"baseline/{variant}", lambda cfg=cfg: L.nce_loss(cfg, _stacks(_unit(views)), 0.5)[0].total(),
-            flat)
+        run(f"baseline/{variant}",
+            lambda cfg=cfg: L.nce_loss(cfg, tuple(map(T.l2_normalize, leaves)), 0.5)[0].total(), leaves)
 
     stream = SplitMix64(derive(seed, "simsiam-base"))
     branch = tuple(Tensor(_rand(stream, (d_prime,))) for _ in range(4))   # live a, b; targets a, b
@@ -116,16 +122,16 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
         list(branch[:2]))
 
     stream = SplitMix64(derive(seed, "barlow-base"))
-    raws = [Tensor(_rand(stream, (n_neg, d_prime))) for _ in range(2)]
+    raws = _stacked([[Tensor(_rand(stream, (n_neg, d_prime))) for _ in range(2)]])
     cfg = LossConfig(variant="barlow", family="baseline", heads=1, lambd=0.5, temp_mode="constant")
     run("baseline/barlow", lambda: L.multihead_cross_corr(
-        cfg, tuple(L.batch_standardize(z) for z in _stacks([raws])), 0.5)[0].total(), raws)
+        cfg, tuple(map(L.batch_standardize, raws)), 0.5)[0].total(), raws)
 
     # Multi-head ntxent / infonce over the full grid.
     for variant in ("ntxent", "infonce"):
         for heads in (1, 3):
             views, temp_net = _instance(derive(seed, variant, heads), heads, d_prime, batch)
-            flat = [t for pair in views for t in pair]
+            leaves = _stacked(views)
             for temp_mode in ("constant", "adaptive"):
                 for agg, kappa in (("topk", 1), ("topk", 3), ("softmax", 1)):
                     cfg = LossConfig(variant=variant, heads=heads, beta=0.7,
@@ -133,10 +139,10 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
                                      kappa=kappa, bounds=bounds)
                     adaptive = temp_mode == "adaptive"
                     temps = temp_net if adaptive else 0.5
-                    params = flat + (temp_net.params if adaptive else [])
+                    params = leaves + (temp_net.params if adaptive else [])
 
-                    def loss_fn(cfg=cfg, views=views, temps=temps):
-                        return L.nce_loss(cfg, _stacks(_unit(views)), temps)[0].total()
+                    def loss_fn(cfg=cfg, leaves=leaves, temps=temps):
+                        return L.nce_loss(cfg, tuple(map(T.l2_normalize, leaves)), temps)[0].total()
 
                     label = f"multihead/{variant}/C{heads}/{temp_mode}/{agg}{kappa if agg == 'topk' else ''}"
                     run(label, loss_fn, params)
@@ -164,18 +170,16 @@ def gradcheck_suite(seed: int = 2024, d_prime: int = 8, n_neg: int = 6) -> list[
     for heads in (1, 3):
         stream = SplitMix64(derive(seed, "barlow", heads))
         temp_bt = Mlp.init(MlpSpec((n_neg, n_neg)), derive(seed, "phi-bt", heads))
-        raws = [(Tensor(_rand(stream, (n_neg, d_prime))), Tensor(_rand(stream, (n_neg, d_prime))))
-                for _ in range(heads)]
-        flat = [t for pair in raws for t in pair]
+        raws = _stacked([(Tensor(_rand(stream, (n_neg, d_prime))), Tensor(_rand(stream, (n_neg, d_prime))))
+                         for _ in range(heads)])
         for temp_mode in ("constant", "adaptive"):
             cfg = LossConfig(variant="barlow", heads=heads, beta=0.7, lambd=0.5,
                              temp_mode=temp_mode, tau0=0.5, bounds=bounds)
-            params = flat + (temp_bt.params if temp_mode == "adaptive" else [])
+            params = raws + (temp_bt.params if temp_mode == "adaptive" else [])
             temps = temp_bt if temp_mode == "adaptive" else 0.5
 
             def loss_fn(cfg=cfg, raws=raws, temps=temps):
-                pairs = tuple(L.batch_standardize(z) for z in _stacks(raws))
-                return L.multihead_cross_corr(cfg, pairs, temps)[0].total()
+                return L.multihead_cross_corr(cfg, tuple(map(L.batch_standardize, raws)), temps)[0].total()
 
             run(f"multihead/barlow/C{heads}/{temp_mode}", loss_fn, params)
 

@@ -131,11 +131,17 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
 # -- temperature penalty ----------------------------------------------------
 
+def _positive(tau, what: str) -> Tensor:
+    """``tau`` as a tensor, checked > 0 (fmin skips NaN, as ``.any()`` would)."""
+    tau = T.as_tensor(tau)
+    if tau.data.size and np.fmin.reduce(tau.data, axis=None) <= 0.0:
+        raise DomainError(f"{what} needs tau > 0")
+    return tau
+
+
 def temp_penalty(tau, d_prime: int) -> Tensor:
     """(d'/2) log(tau) + 1/tau, elementwise; unique minimum at tau = 2/d'."""
-    tau = T.as_tensor(tau)
-    if (tau.data <= 0.0).any():
-        raise DomainError("temperature penalty needs tau > 0")
+    tau = _positive(tau, "temperature penalty")
     return (d_prime / 2.0) * T.log(tau) + 1.0 / tau
 
 
@@ -227,9 +233,7 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     -(d'/2) log(2 pi tau_n) + (s_n - 1)/tau_n, so a row whose densities
     all underflow at small temperatures stays finite; the gradient with
     respect to the log-densities is their softmax."""
-    tau = T.as_tensor(tau)
-    if (tau.data <= 0.0).any():
-        raise DomainError("softmax aggregation needs tau > 0")
+    tau = _positive(tau, "softmax aggregation")
     log_dens = (-d_prime / 2.0) * T.log(TWO_PI * tau) + (s - 1.0) / tau
     return T.logsumexp(log_dens, axis=-1)
 
@@ -319,17 +323,20 @@ def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net_bt: Mlp,
 # -- batch losses: one call per step, all heads ------------------------------
 
 @functools.lru_cache(maxsize=16)
-def pair_indices(batch: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_indices(batch: int, with_positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Column indices into the (2B, 2B) Gram matrix over the rows of
     concat([z_a, z_b]): each row's positive partner, shape (2B, 1), and
-    its 2B - 2 in-batch negatives, shape (2B, 2B - 2). A row's negatives
-    are its own branch first, then the other branch, each in batch order
-    with the row itself and its partner left out. Cached per batch size,
-    so both arrays are read-only."""
+    its 2B - 2 in-batch negatives, shape (2B, 2B - 2), then, with
+    ``with_positive``, its partner as a last column (infonce candidates).
+    A row's negatives are its own branch first, then the other branch,
+    each in batch order with the row itself and its partner left out.
+    Cached, so both arrays are read-only."""
     others = np.tile(np.arange(batch), (batch, 1))[~np.eye(batch, dtype=bool)]
     others = others.reshape(batch, batch - 1)
     negatives = np.block([[others, others + batch], [others + batch, others]])
     partner = np.concatenate([np.arange(batch) + batch, np.arange(batch)])[:, None]
+    if with_positive:
+        negatives = np.concatenate((negatives, partner), axis=1)
     partner.setflags(write=False)
     negatives.setflags(write=False)
     return partner, negatives
@@ -375,10 +382,8 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
     heads, batch, d_prime = _stack_shape(cfg, z_a, z_b)
     if batch < 2:
         raise ContractViolation("in-batch negatives need a batch of at least 2")
-    partner, negatives = pair_indices(batch)
     # the baseline infonce_terms adds the positive to its denominator itself
-    with_positive = cfg.variant == "infonce" and cfg.family == "multihead"
-    candidates = np.hstack([negatives, partner]) if with_positive else negatives
+    partner, candidates = pair_indices(batch, cfg.variant == "infonce" and cfg.family == "multihead")
     z = T.concat([z_a, z_b], axis=1)
     s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
     if cfg.family == "baseline":
@@ -395,7 +400,7 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
         d_prime=d_prime, beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
         dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
     )
-    emitted = np.hstack([t_read.reshape(heads, -1), t_pos.data]).ravel()
+    emitted = np.concatenate((t_read.reshape(heads, -1), t_pos.data), axis=1).ravel()
     return _symmetric_mean(terms, batch), StepTemps(emitted, np.ascontiguousarray(t_pos.data.T))
 
 
@@ -474,9 +479,7 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
 def gaussian_density(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     """Isotropic Gaussian density at squared distance 2 - 2s (unit
     vectors): (2 pi tau)^(-d'/2) exp(-(2 - 2s) / (2 tau))."""
-    tau = T.as_tensor(tau)
-    if (tau.data <= 0.0).any():
-        raise DomainError("gaussian density needs tau > 0")
+    tau = _positive(tau, "gaussian density")
     return T.mul(T.pow_const(TWO_PI * tau, -d_prime / 2.0),
                  T.exp(-((2.0 - 2.0 * s) / (2.0 * tau))))
 

@@ -48,7 +48,9 @@ def bounded_sigmoid(r: Tensor | float, bounds: TempBounds) -> Tensor:
 
 
 def _assert_in_bounds(values: np.ndarray, bounds: TempBounds) -> None:
-    if (values <= bounds.eta).any() or (values >= bounds.eta + bounds.iota).any():
+    # fmin and fmax skip a NaN entry, as a comparison's .any() does
+    if values.size and (np.fmin.reduce(values, axis=None) <= bounds.eta
+                        or np.fmax.reduce(values, axis=None) >= bounds.eta + bounds.iota):
         raise DomainError(
             f"temperature escaped ({bounds.eta}, {bounds.eta + bounds.iota}): "
             f"range [{values.min()}, {values.max()}]"

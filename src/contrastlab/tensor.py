@@ -17,8 +17,10 @@ Design constraints, chosen for auditability at desk scale:
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,17 +31,18 @@ GradFn = Callable[[np.ndarray], tuple]
 
 
 class Tensor:
-    """Value array plus computation-graph linkage."""
+    """Value array plus computation-graph linkage. ``data`` is always a
+    C-ordered float64 ``np.ndarray``; op outputs are built by ``_node``."""
 
     __slots__ = ("data", "_parents", "_grad_fn")
 
-    def __init__(self, data, _parents: tuple = (), _grad_fn: GradFn | None = None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self._parents = _parents
-        self._grad_fn = _grad_fn
+        self._parents = ()
+        self._grad_fn = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,16 +91,24 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _joint_shape(sa: tuple, sb: tuple) -> tuple:
-    """Output shape for a binary op under the broadcasting rules above."""
-    if sa == sb:
-        return sa
-    if len(sa) > len(sb) and sa[len(sa) - len(sb):] == sb:
-        return sa
-    if len(sb) > len(sa) and sb[len(sb) - len(sa):] == sa:
-        return sb
+def _node(data, parents: tuple, grad_fn: GradFn | None) -> Tensor:
+    """An op's output: numpy already made ``data`` float64 and C-ordered,
+    but a numpy scalar (a full reduction, ``dot``, 0-d operands) is wrapped."""
+    node = Tensor.__new__(Tensor)
+    node.data = data if type(data) is np.ndarray else np.asarray(data)
+    node._parents = parents
+    node._grad_fn = grad_fn
+    return node
+
+
+def _conform(sa: tuple, sb: tuple) -> None:
+    """Raise unless two unequal operand shapes conform under the
+    broadcasting rules above."""
+    long, short = (sa, sb) if len(sa) >= len(sb) else (sb, sa)
+    if len(long) > len(short) and long[len(long) - len(short):] == short:
+        return
     if len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-1] and 1 in (sa[-2], sb[-2]):
-        return sa if sb[-2] == 1 else sb
+        return
     raise ContractViolation(
         f"operand shapes {sa} and {sb} do not conform "
         "(equal shapes, leading-batch broadcast or a row per matrix only)"
@@ -120,104 +131,122 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- elementwise and linear primitives ----------------------------------
 
+_NUMBER = (int, float)
+
+
+def _operands(a, b):
+    """The operands of add/sub/mul/div: a Python number beside a tensor as
+    a float, which the op folds into its node as a constant (one parent,
+    no gradient formed for it); otherwise two tensors of conforming shapes."""
+    if isinstance(b, _NUMBER) and isinstance(a, Tensor):
+        return a, float(b)
+    if isinstance(a, _NUMBER) and isinstance(b, Tensor):
+        return float(a), b
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    if a.data.shape != b.data.shape:
+        _conform(a.data.shape, b.data.shape)
+    return a, b
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _joint_shape(a.shape, b.shape)
-
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
-
-    return Tensor(a.data + b.data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    if type(b) is float:
+        return _node(a.data + b, (a,), lambda g: (g,))
+    if type(a) is float:
+        return _node(a + b.data, (b,), lambda g: (g,))
+    return _node(a.data + b.data, (a, b), lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _joint_shape(a.shape, b.shape)
-
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return Tensor(a.data - b.data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    if type(b) is float:
+        return _node(a.data - b, (a,), lambda g: (g,))
+    if type(a) is float:
+        return _node(a - b.data, (b,), lambda g: (-g,))
+    return _node(a.data - b.data, (a, b), lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _joint_shape(a.shape, b.shape)
-
-    def grad_fn(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
-
-    return Tensor(a.data * b.data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    if type(b) is float:
+        return _node(a.data * b, (a,), lambda g: (g * b,))
+    if type(a) is float:
+        return _node(a * b.data, (b,), lambda g: (g * a,))
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _joint_shape(a.shape, b.shape)
-    if (b.data == 0.0).any():
+    a, b = _operands(a, b)
+    # count_nonzero counts NaN as nonzero, as NaN == 0 is false
+    if (b == 0.0) if type(b) is float else (np.count_nonzero(b.data) != b.data.size):
         raise DomainError("division by zero")
+    if type(b) is float:
+        return _node(a.data / b, (a,), lambda g: (g / b,))
+    if type(a) is float:
+        return _node(a / b.data, (b,), lambda g: (-g * a / (b.data * b.data),))
 
     def grad_fn(g):
-        ga = _reduce_to(g / b.data, a.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return _reduce_to(g / b.data, a.shape), _reduce_to(-g * a.data / (b.data * b.data), b.shape)
 
-    return Tensor(a.data / b.data, (a, b), grad_fn)
+    return _node(a.data / b.data, (a, b), grad_fn)
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,))
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,))
+    return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
-    if (a.data <= 0.0).any():
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    if np.logical_or.reduce(a.data <= 0.0, axis=None):
         raise DomainError("log of a non-positive argument")
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def logsumexp(a, axis: int = -1) -> Tensor:
     """log sum exp(a) along ``axis``, evaluated max-shifted so that rows
     whose every term underflows ``exp`` stay finite; the gradient is the
     softmax along ``axis``."""
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
     top = a.data.max(axis=ax, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise DomainError("logsumexp needs finite arguments")
     shifted = np.exp(a.data - top)
-    total = shifted.sum(axis=ax, keepdims=True)
+    total = np.add.reduce(shifted, axis=ax, keepdims=True)
     weights = shifted / total
 
     def grad_fn(g):
         return (np.expand_dims(g, ax) * weights,)
 
-    return Tensor((top + np.log(total)).squeeze(axis=ax), (a,), grad_fn)
+    return _node((top + np.log(total)).squeeze(axis=ax), (a,), grad_fn)
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     mask = a.data > 0.0
-    return Tensor(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def pow_const(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     p = float(exponent)
-    if (p < 0.0 or not p.is_integer()) and (a.data <= 0.0).any():
+    if (p < 0.0 or not p.is_integer()) and np.logical_or.reduce(a.data <= 0.0, axis=None):
         raise DomainError(f"x ** {p} needs a strictly positive base")
 
     def grad_fn(g):
         return (g * p * a.data ** (p - 1.0),) if p != 0.0 else (np.zeros_like(a.data),)
 
-    return Tensor(a.data ** p, (a,), grad_fn)
+    return _node(a.data ** p, (a,), grad_fn)
 
 
 def sqrt(a) -> Tensor:
@@ -228,7 +257,8 @@ def matmul(a, b) -> Tensor:
     """Matrix product for 2D @ 2D, 1D @ 2D and 2D @ 1D operands; a 3D
     operand is a stack of matrices, multiplied matrix by matrix with an
     equal stack or with one 2D matrix shared by the stack."""
-    a, b = as_tensor(a), as_tensor(b)
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
     ka, kb = a.data.ndim, b.data.ndim
     if not (ka in (2, 3) and kb in (2, 3) or (ka, kb) in ((1, 2), (2, 1))):
         raise ContractViolation(f"matmul supports 2D or 3D stacks, 1Dx2D, 2Dx1D; got {a.shape} @ {b.shape}")
@@ -245,78 +275,79 @@ def matmul(a, b) -> Tensor:
         return (_reduce_to(g @ b.data.swapaxes(-1, -2), a.shape),
                 _reduce_to(a.data.swapaxes(-1, -2) @ g, b.shape))
 
-    return Tensor(a.data @ b.data, (a, b), grad_fn)
+    return _node(a.data @ b.data, (a, b), grad_fn)
 
 
 def dot(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
         raise ContractViolation(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
 
     def grad_fn(g):
         return g * b.data, g * a.data
 
-    return Tensor(a.data @ b.data, (a, b), grad_fn)
+    return _node(a.data @ b.data, (a, b), grad_fn)
 
 
 def transpose(a) -> Tensor:
     """Swap the last two axes: a matrix, or every matrix of a stack."""
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     if a.data.ndim < 2:
         raise ContractViolation(f"transpose needs a matrix or a stack of them, got {a.shape}")
-    return Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,),
-                  lambda g: (g.swapaxes(-1, -2),))
+    return _node(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,),
+                 lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    new = tuple(shape)
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    new, old = tuple(shape), a.data.shape
     if math.prod(new) != a.data.size:
-        raise ContractViolation(f"cannot reshape {a.shape} to {new}")
-    return Tensor(a.data.reshape(new), (a,), lambda g: (g.reshape(a.shape),))
+        raise ContractViolation(f"cannot reshape {old} to {new}")
+    return _node(a.data.reshape(new), (a,), lambda g: (g.reshape(old),))
 
 
 def sum_(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     if axis is None:
-        return Tensor(a.data.sum(), (a,), lambda g: (np.full(a.shape, float(g)),))
+        return _node(np.add.reduce(a.data, axis=None), (a,),
+                     lambda g: (np.full(a.shape, float(g)),))
     ax = axis % a.data.ndim
 
     def grad_fn(g):
         return (np.broadcast_to(np.expand_dims(g, ax), a.shape).copy(),)
 
-    return Tensor(a.data.sum(axis=ax), (a,), grad_fn)
+    return _node(np.add.reduce(a.data, axis=ax), (a,), grad_fn)
 
 
 def mean(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     # np.add.reduce(...) / n is what ndarray.mean computes, without its
     # Python-level wrapper
     if axis is None:
         n = a.data.size
-        return Tensor(np.add.reduce(a.data, axis=None) / n, (a,),
-                      lambda g: (np.full(a.shape, float(g) / n),))
+        return _node(np.add.reduce(a.data, axis=None) / n, (a,),
+                     lambda g: (np.full(a.shape, float(g) / n),))
     ax = axis % a.data.ndim
     n = a.shape[ax]
 
     def grad_fn(g):
         return (np.broadcast_to(np.expand_dims(g / n, ax), a.shape).copy(),)
 
-    return Tensor(np.add.reduce(a.data, axis=ax) / n, (a,), grad_fn)
+    return _node(np.add.reduce(a.data, axis=ax) / n, (a,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
+    parts = tuple(p if isinstance(p, Tensor) else Tensor(p) for p in parts)
     if not parts:
         raise ContractViolation("concat of an empty sequence")
     ax = axis % parts[0].data.ndim
-    sizes = [p.shape[ax] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = list(accumulate(p.data.shape[ax] for p in parts))[:-1]
 
     def grad_fn(g):
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=ax))
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=ax), tuple(parts), grad_fn)
+    return _node(np.concatenate([p.data for p in parts], axis=ax), parts, grad_fn)
 
 
 def gather(a, indices) -> Tensor:
@@ -327,22 +358,32 @@ def gather(a, indices) -> Tensor:
     trailing suffix of that shape, which every leading index shares: one
     (n, k) table selects from each (n, m) matrix of a stack.
     """
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     lead = a.shape[:-1]
     if not 0 < idx.ndim <= a.data.ndim or lead[len(lead) + 1 - idx.ndim:] != idx.shape[:-1]:
         raise ContractViolation(f"gather on {a.shape} needs indices shaped {lead + ('k',)} "
                                 f"or a trailing suffix of it, got {idx.shape}")
-    if (idx < 0).any() or (idx >= a.shape[-1]).any():
+    # as unsigned, a negative index is larger than any extent
+    if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= a.shape[-1]:
         raise ContractViolation("gather index out of range")
     # the flat position of every entry selected; bincount scatter-adds a
     # repeated position in index order, as np.add.at does, but faster
-    flat = np.arange(math.prod(lead)).reshape(lead + (1,)) * a.shape[-1] + idx
+    flat = _row_starts(lead, a.shape[-1]) + idx
 
     def grad_fn(g):
         return (np.bincount(flat.ravel(), weights=g.ravel(), minlength=a.size).reshape(a.shape),)
 
-    return Tensor(a.data.reshape(-1)[flat], (a,), grad_fn)
+    return _node(a.data.reshape(-1)[flat], (a,), grad_fn)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_starts(lead: tuple, width: int) -> np.ndarray:
+    """Flat position of the first entry of each row of a ``lead + (width,)``
+    array, shaped ``lead + (1,)``; cached, so read-only."""
+    starts = np.arange(math.prod(lead)).reshape(lead + (1,)) * width
+    starts.setflags(write=False)
+    return starts
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:
@@ -351,18 +392,18 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     Rejects zero vectors outright; silently adding an epsilon would make
     downstream similarity values quietly wrong.
     """
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
-    norms = np.sqrt((a.data * a.data).sum(axis=ax, keepdims=True))
-    if (norms == 0.0).any():
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=ax, keepdims=True))
+    if np.count_nonzero(norms) != norms.size:
         raise DomainError("cannot normalize a zero vector")
     out = a.data / norms
 
     def grad_fn(g):
-        radial = (g * out).sum(axis=ax, keepdims=True)
+        radial = np.add.reduce(g * out, axis=ax, keepdims=True)
         return ((g - out * radial) / norms,)
 
-    return Tensor(out, (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 # The stop-gradient values of a running ``finite_diff_check``'s base point
@@ -379,18 +420,18 @@ def stop_gradient(a) -> Tensor:
     computes, so inside ``finite_diff_check`` each call returns the value
     the same call had at the base point."""
     global _replay_at
-    a = as_tensor(a)
+    a = a if isinstance(a, Tensor) else Tensor(a)
     if _held is None:
-        return Tensor(a.data, (), None)
+        return _node(a.data, (), None)
     if _replay_at is None:
         _held.append(a.data.copy())
-        return Tensor(a.data, (), None)
+        return _node(a.data, (), None)
     i = _replay_at
     if i >= len(_held) or _held[i].shape != a.shape:
         raise ContractViolation(f"a probe's stop_gradient call {i} (shape {a.shape}) has no "
                                 f"match among the base point's {len(_held)} calls")
     _replay_at = i + 1
-    return Tensor(_held[i], (), None)
+    return _node(_held[i], (), None)
 
 
 # -- backward pass -------------------------------------------------------
@@ -460,7 +501,9 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     the base-point call records them in call order and each probe replays
     them, so a probe whose calls differ in number or shape raises
     ``ContractViolation``, as does a nested check. Relative error for each
-    coordinate is ``|analytic - numeric| / max(1, |analytic|)``.
+    coordinate is ``|analytic - numeric| / max(1, |analytic|)``; a
+    non-finite analytic entry or probe loss raises ``EvaluationError``
+    naming the parameter and coordinate.
     """
     global _held, _replay_at
     if not 1e-7 <= h <= 1e-3:
@@ -474,10 +517,12 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
             raise EvaluationError("loss is not finite at the base point")
         analytic = backward(loss, params)
         worst = 0.0
-        for p, an in zip(params, analytic):
+        for k, (p, an) in enumerate(zip(params, analytic)):
             flat = p.data.reshape(-1)
             aflat = an.reshape(-1)
             for i in range(flat.size):
+                if not math.isfinite(aflat[i]):
+                    raise EvaluationError(f"gradient of parameter {k} is not finite at coordinate {i}")
                 saved = flat[i]
                 flat[i] = saved + h
                 f_plus = _probe(loss_fn)
@@ -485,7 +530,8 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
                 f_minus = _probe(loss_fn)
                 flat[i] = saved
                 if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                    raise EvaluationError("loss is not finite at a probe point")
+                    raise EvaluationError(f"loss is not finite at a probe of parameter {k}, "
+                                          f"coordinate {i}")
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
                 if err > worst:

@@ -11,7 +11,7 @@ from contrastlab import tensor as T
 from contrastlab.checks import _negcos_instance, _stacks
 from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
-from contrastlab.nets import Mlp, MlpSpec, TempBounds
+from contrastlab.nets import Mlp, MlpSpec, TempBounds, bounded_sigmoid
 from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward, finite_diff_check
 
@@ -76,6 +76,22 @@ class TestTempPenalty:
     def test_domain(self):
         with pytest.raises(DomainError):
             L.temp_penalty(Tensor(0.0), 4)
+
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda tau: L.temp_penalty(tau, 4), id="temp_penalty"),
+        pytest.param(lambda tau: L.softmax_negatives(Tensor([0.5, 0.5]), tau, 8), id="softmax_negatives"),
+        pytest.param(lambda tau: L.gaussian_density(Tensor([0.5, 0.5]), tau, 8), id="gaussian_density"),
+    ])
+    def test_nan_next_to_a_non_positive_tau_still_raises(self, check):
+        with pytest.raises(DomainError):
+            check(Tensor([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("r", [60.0, -60.0], ids=["eta", "eta+iota"])
+    def test_nan_next_to_a_temperature_on_a_bound_still_raises(self, r):
+        """exp(60) puts iota / (1 + e^r) below half an ulp of eta, and
+        exp(-60) puts 1 + e^r at 1, so the sigmoid lands on a bound."""
+        with pytest.raises(DomainError, match="temperature escaped"):
+            bounded_sigmoid(Tensor([np.nan, r]), BOUNDS)
 
 def unit(*rows):
     """A (k, d') stack of the given rows scaled to unit norm."""

@@ -278,6 +278,23 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             Tensor(1.0) / Tensor(0.0)
 
+    @pytest.mark.parametrize("divide", [
+        pytest.param(lambda d: Tensor(1.0) / d, id="tensor"),
+        pytest.param(lambda d: 1.0 / d, id="number"),
+    ])
+    def test_nan_next_to_a_zero_divisor_still_raises(self, divide):
+        with pytest.raises(DomainError):
+            divide(Tensor([np.nan, 0.0]))
+
+    def test_nan_next_to_a_non_positive_log_argument_still_raises(self):
+        with pytest.raises(DomainError):
+            T.log(Tensor([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("idx", [[-1], [0, 3]], ids=["negative", "axis-length"])
+    def test_gather_index_out_of_range(self, idx):
+        with pytest.raises(ContractViolation):
+            T.gather(Tensor([1.0, 2.0, 3.0]), np.array(idx))
+
     def test_negative_fractional_power(self):
         with pytest.raises(DomainError):
             T.pow_const(Tensor(-1.0), 0.5)
@@ -372,6 +389,63 @@ class TestPrimitiveGradients:
         assert finite_diff_check(lambda: T.sum_(T.gather(a, idx)), [a]) < 1e-6
 
 
+# Every op, with its output's shape kind where it matters: the full
+# reductions, dot, and elementwise ops on 0-d operands give numpy scalars.
+_OP_OUTPUTS = {
+    "add": lambda v, m, s: m + v,
+    "add 0-d": lambda v, m, s: s + s,
+    "sub number": lambda v, m, s: 1.0 - m,
+    "mul 0-d": lambda v, m, s: s * s,
+    "div number": lambda v, m, s: s / 2.0,
+    "neg 0-d": lambda v, m, s: -s,
+    "exp 0-d": lambda v, m, s: T.exp(s),
+    "log": lambda v, m, s: T.log(v),
+    "logsumexp 1-D": lambda v, m, s: T.logsumexp(v),
+    "relu": lambda v, m, s: T.relu(m),
+    "pow_const": lambda v, m, s: T.pow_const(v, 2.0),
+    "sqrt 0-d": lambda v, m, s: T.sqrt(s),
+    "matmul": lambda v, m, s: T.matmul(m, T.transpose(m)),
+    "matmul 1-D": lambda v, m, s: T.matmul(v, T.transpose(m)),
+    "dot": lambda v, m, s: T.dot(v, v),
+    "transpose": lambda v, m, s: T.transpose(m),
+    "reshape": lambda v, m, s: T.reshape(m, (3, 2)),
+    "sum_ all": lambda v, m, s: T.sum_(m),
+    "sum_ 1-D axis": lambda v, m, s: T.sum_(v, axis=0),
+    "mean all": lambda v, m, s: T.mean(m),
+    "mean 1-D axis": lambda v, m, s: T.mean(v, axis=-1),
+    "concat": lambda v, m, s: T.concat([m, m], axis=1),
+    "gather": lambda v, m, s: T.gather(m, np.array([[2, 0], [1, 1]])),
+    "l2_normalize": lambda v, m, s: T.l2_normalize(m),
+    "stop_gradient": lambda v, m, s: stop_gradient(m),
+}
+
+
+class TestOpNodes:
+    @pytest.mark.parametrize("name", list(_OP_OUTPUTS))
+    def test_data_is_a_c_ordered_float64_array(self, name):
+        out = _OP_OUTPUTS[name](Tensor([0.5, 1.5, 2.5]), Tensor(np.arange(1.0, 7.0).reshape(2, 3)),
+                                Tensor(2.0))
+        assert type(out.data) is np.ndarray
+        assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("number", [0.7, 3])
+    @pytest.mark.parametrize("number_first", [False, True])
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_number_operand_folds_into_the_node(self, op, number_first, number):
+        """Same bytes forward and backward as the number held in a 0-d
+        tensor, with the number folded: one parent."""
+        x = Tensor(np.linspace(0.5, 2.0, 6).reshape(2, 3))
+        weights = Tensor(np.arange(6.0).reshape(2, 3))
+        outs, grads = [], []
+        for operand in (number, Tensor(number)):
+            out = op(operand, x) if number_first else op(x, operand)
+            outs.append(out)
+            grads.append(backward(T.sum_(T.mul(out, weights)), [x])[0])
+        assert outs[0]._parents == (x,) and len(outs[1]._parents) == 2
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_nearly_exact(self):
         rng = np.random.default_rng(11)
@@ -389,6 +463,14 @@ class TestFiniteDiffCheck:
         x = Tensor([1.0])
         with pytest.raises(ContractViolation):
             finite_diff_check(lambda: T.sum_(x), [x], h=1e-2)
+
+    def test_non_finite_gradient_rejected(self):
+        """b * b underflows, so the gradient for b is 0/0 = NaN while every
+        probe reads 0; a NaN error is never above the running worst."""
+        a, b = Tensor(np.zeros(3)), Tensor(np.full(3, 1e-200))
+        with pytest.raises(EvaluationError, match="parameter 1 is not finite at coordinate 0"), \
+                np.errstate(invalid="ignore"):
+            finite_diff_check(lambda: T.sum_(a / b), [a, b])
 
     def test_non_finite_loss_rejected(self):
         x = Tensor([0.0])
