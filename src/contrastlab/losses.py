@@ -6,15 +6,17 @@ temperature-weighted positive similarity, an aggregate over the hardest
 (top-k) or all (softmax) negative similarities, and a temperature penalty
 that keeps the learned variances away from degenerate values.
 
-There is one batch loss per variant, and training, the finite-difference
-checks, the maximum-likelihood oracle and the reduction check all call
-it: ``nce_loss`` (ntxent and infonce, in-batch negatives over one
-(C, 2B, 2B) stack of similarity matrices), ``multihead_negcos`` and
-``multihead_cross_corr``. Each takes every head at once, as (C, B, d')
-stacks with head c in slice c, handles both families, and returns the
-batch terms, each summed over the heads in head order, with the
-temperatures it used. Its ``temps`` is the scheduled temperature, or the
-temperature net, which embeds the loss's own inputs.
+There is one batch loss per variant: ``nce_loss`` (ntxent and infonce,
+in-batch negatives over one (C, 2B, 2B) stack of similarity matrices),
+``multihead_negcos`` and ``multihead_cross_corr``. Each takes every head
+at once, as (C, B, d') stacks with head c in slice c, handles both
+families, and returns the batch terms, each summed over the heads in
+head order, with the temperatures it used. Its ``temps`` is the
+scheduled temperature, or the temperature net, which embeds the loss's
+own inputs. ``head_loss`` is the one path from raw head outputs to these
+losses: it normalizes, standardizes or runs the predictor as the variant
+needs, and training, the finite-difference checks, the maximum-
+likelihood suite and the reduction check all call it.
 
 Gradient flow through the adaptive temperature. With beta = 1 and
 softmax aggregation a head's ntxent term is, up to a constant, the
@@ -472,6 +474,27 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
     if tau is not None:
         return terms, _scheduled_temps(tau, heads, d_prime)
     return terms, StepTemps(t_mat.data.ravel(), np.ascontiguousarray(diag_t.data.T))
+
+
+def head_loss(cfg: LossConfig, pa: Tensor, pb: Tensor, temps,
+              predictor: Mlp | None = None) -> tuple[LossTerms, StepTemps]:
+    """The configured batch loss of two views' raw (C, B, d') head
+    outputs: the one place that sets each variant's input geometry.
+
+    Barlow reads batch-standardized rows (``multihead_cross_corr``),
+    ntxent and infonce unit rows (``nce_loss``), and the negative cosine
+    the ``predictor`` branches over unit rows with those unit rows as
+    targets (``multihead_negcos``). ``temps`` is the scheduled
+    temperature or the variant's temperature net.
+    """
+    if cfg.variant == "barlow":
+        return multihead_cross_corr(cfg, (batch_standardize(pa), batch_standardize(pb)), temps)
+    za, zb = T.l2_normalize(pa), T.l2_normalize(pb)
+    if cfg.variant != "simsiam":
+        return nce_loss(cfg, (za, zb), temps)
+    if predictor is None:
+        raise ContractViolation("the negative-cosine variant needs a predictor")
+    return multihead_negcos(cfg, (predictor(za), predictor(zb), za, zb), temps)
 
 
 # -- maximum-likelihood oracle ----------------------------------------------

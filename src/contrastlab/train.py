@@ -3,12 +3,12 @@ frozen-feature evaluation protocols (nearest-neighbor and linear probe).
 
 Each step builds a two-view batch, pushes both views through the encoder
 and the stack of projection heads (``nets.forward_views``, one call per
-view for all C heads), makes one call to the configured batch loss in
-``losses`` on the (C, B, d') head outputs (for ntxent/infonce: in-batch
-negatives, all views of the other images, N = 2(B-1), with both
-anchor/positive directions averaged), and applies one SGD-with-momentum
-update. Identical config and seed give byte-identical logs. Pixels stay
-plain arrays: batches, features and evaluation pairs index ``Dataset.pixels``.
+view for all C heads), makes one call to ``losses.head_loss`` on the raw
+(C, B, d') head outputs (for ntxent/infonce: in-batch negatives, all
+views of the other images, N = 2(B-1), with both anchor/positive
+directions averaged), and applies one SGD-with-momentum update.
+Identical config and seed give byte-identical logs. Pixels stay plain
+arrays: batches, features and evaluation pairs index ``Dataset.pixels``.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import losses as L
-from . import tensor as T
 from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split
 from .errors import ContractViolation, DomainError, EvaluationError, require
 from .losses import LossConfig, LossTerms
@@ -130,22 +129,12 @@ class SgdMomentum:
 def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
                 tau_step) -> tuple[LossTerms, L.StepTemps]:
     """Loss terms and temperatures of one two-view batch: the forward
-    pass, then one loss call over every head. The cross-correlation reads
-    batch-standardized head outputs, the other variants unit ones.
-    ``tau_step`` is the scheduled temperature or the marker "adaptive"."""
+    pass, then ``losses.head_loss`` over every head. ``tau_step`` is the
+    scheduled temperature or the marker "adaptive", which selects the
+    variant's temperature net."""
     _, _, pa, pb = forward_views(bundle, xa, xb)
-    if cfg.variant == "barlow":
-        views = (L.batch_standardize(pa), L.batch_standardize(pb))
-        loss, net = L.multihead_cross_corr, bundle.temp_net_bt
-    else:
-        za, zb = T.l2_normalize(pa), T.l2_normalize(pb)
-        views, loss, net = (za, zb), L.nce_loss, bundle.temp_net
-        if cfg.variant == "simsiam":
-            if bundle.predictor is None:
-                raise ContractViolation("the negative-cosine variant needs a predictor")
-            views = (bundle.predictor(za), bundle.predictor(zb), za, zb)
-            loss = L.multihead_negcos
-    return loss(cfg, views, net if tau_step == "adaptive" else tau_step)
+    net = bundle.temp_net_bt if cfg.variant == "barlow" else bundle.temp_net
+    return L.head_loss(cfg, pa, pb, net if tau_step == "adaptive" else tau_step, bundle.predictor)
 
 
 # -- pretraining ---------------------------------------------------------
@@ -342,7 +331,10 @@ def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,
 
     Features are scaled to unit norm first (matching the cosine geometry
     of the nearest-neighbor protocol), which keeps the fixed step size
-    well-conditioned whatever scale the encoder settled at.
+    well-conditioned whatever scale the encoder settled at. The model has
+    one output per distinct training label, in sorted label order, so any
+    integer labels work (negative, sparse or large); a prediction is the
+    label of the highest-scoring output.
     """
     train_feats = _normalize_rows(train_feats)
     test_feats = _normalize_rows(test_feats)
@@ -358,12 +350,11 @@ def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,
         subset.extend(members[perm[:per_class]])
     subset_arr = np.asarray(sorted(subset))
     x = train_feats[subset_arr]
-    y = train_labels[subset_arr]
-    n_classes = int(classes.max()) + 1
-    onehot = np.zeros((len(y), n_classes))
+    y = np.searchsorted(classes, train_labels[subset_arr])
+    onehot = np.zeros((len(y), len(classes)))
     onehot[np.arange(len(y)), y] = 1.0
-    w = np.zeros((x.shape[1], n_classes))
-    b = np.zeros(n_classes)
+    w = np.zeros((x.shape[1], len(classes)))
+    b = np.zeros(len(classes))
     for _ in range(500):
         logits = x @ w + b
         logits -= logits.max(axis=1, keepdims=True)
@@ -372,20 +363,26 @@ def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,
         delta = (probs - onehot) / len(y)
         w -= 0.1 * (x.T @ delta + 1e-4 * w)
         b -= 0.1 * delta.sum(axis=0)
-    pred = np.argmax(test_feats @ w + b, axis=1)
+    pred = classes[np.argmax(test_feats @ w + b, axis=1)]
     return float(np.mean(pred == test_labels))
 
 
 # -- reduction check --------------------------------------------------------
 
+REDUCTION_STEPS = 50
+REDUCTION_TAU = 0.2
+REDUCTION_BETA = 0.0
+
+
 def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                    pipeline: AugPipeline, steps: int = 50, tau: float = 0.2,
-                    beta: float = 0.0) -> dict:
-    """Train for ``steps`` steps updating from the baseline ntxent loss
-    while, at every step, also evaluating the single-head constant-
-    temperature softmax-aggregated loss on the same batch and comparing
-    gradients (they must agree; the values differ by a derived constant).
+                    pipeline: AugPipeline) -> dict:
+    """Train for ``REDUCTION_STEPS`` steps updating from the baseline
+    ntxent loss while, at every step, also evaluating the single-head
+    constant-temperature softmax-aggregated loss on the same batch and
+    comparing gradients (they must agree; the values differ by a derived
+    constant). Both losses run through ``_batch_loss``, as in training.
     """
+    tau, beta = REDUCTION_TAU, REDUCTION_BETA
     multi = LossConfig(variant="ntxent", family="multihead", heads=1, beta=beta,
                        temp_mode="constant", tau0=tau, neg_agg="softmax")
     base = LossConfig(variant="ntxent", family="baseline", heads=1,
@@ -402,17 +399,14 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     max_value_err = 0.0
     epochs = (_two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
               for epoch in itertools.count())
-    for _, xa, xb in itertools.islice(itertools.chain.from_iterable(epochs), steps):
-        _, _, pa, pb = forward_views(bundle, xa, xb)
-        projections = (T.l2_normalize(pa), T.l2_normalize(pb))
-        loss_m, _ = L.nce_loss(multi, projections, tau)
-        grads_m = backward(loss_m.total(), opt.params)
-        loss_b, _ = L.nce_loss(base, projections, tau)
-        grads_b = backward(loss_b.total(), opt.params)
+    for _, xa, xb in itertools.islice(itertools.chain.from_iterable(epochs), REDUCTION_STEPS):
+        loss_m = _batch_loss(bundle, multi, xa, xb, tau)[0].total()
+        grads_m = backward(loss_m, opt.params)
+        loss_b = _batch_loss(bundle, base, xa, xb, tau)[0].total()
+        grads_b = backward(loss_b, opt.params)
         for gm, gb in zip(grads_m, grads_b):
             rel = np.max(np.abs(gm - gb) / np.maximum(1.0, np.abs(gm)))
             max_grad_rel = max(max_grad_rel, float(rel))
-        value_err = abs(loss_m.total().item() - (loss_b.total().item() + offset))
-        max_value_err = max(max_value_err, value_err)
+        max_value_err = max(max_value_err, abs(loss_m.item() - (loss_b.item() + offset)))
         opt.step(grads_b, train_cfg.lr)
-    return {"steps": steps, "max_grad_rel": max_grad_rel, "max_value_err": max_value_err}
+    return {"max_grad_rel": max_grad_rel, "max_value_err": max_value_err}

@@ -109,7 +109,7 @@ class TestCriterion2PenaltyStationarity:
 
 class TestCriterion3MleEquivalence:
     def test_softmax_losses_match_oracle(self):
-        results = mle_equivalence_suite(n_instances=100)
+        results = mle_equivalence_suite()
         worst = max(results, key=lambda r: r.error)
         report("criterion-3 mle equivalence", all(r.passed for r in results),
                f"100 instances/variant, value+grad, worst {worst.name} = {worst.error:.2e} (tol 1e-8)")
@@ -117,7 +117,7 @@ class TestCriterion3MleEquivalence:
 
 class TestCriterion4Reduction:
     def test_fifty_step_reduction(self):
-        results = reduction_suite(steps=50)
+        results = reduction_suite()
         worst = max(results, key=lambda r: r.error)
         report("criterion-4 reduction to baseline", all(r.passed for r in results),
                f"50 steps, worst {worst.name} = {worst.error:.2e} (tol 1e-8)")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from contrastlab import checks
 from contrastlab import losses as L
 from contrastlab import tensor as T
 from contrastlab.checks import _negcos_instance, _stacks
@@ -331,6 +332,12 @@ class TestMultiheadNegcos:
         tgt_a.data[0] += 1e-3
         assert abs(value() - base) > 1e-7
 
+    def test_head_loss_needs_a_predictor(self):
+        stream = SplitMix64(18)
+        pa, pb = rand_tensor(stream, (1, 3, 4)), rand_tensor(stream, (1, 3, 4))
+        with pytest.raises(ContractViolation, match="needs a predictor"):
+            L.head_loss(one_head_cfg(variant="simsiam"), pa, pb, 0.5)
+
     def test_two_identical_heads_double_loss(self):
         stream = SplitMix64(17)
         branch = tuple(rand_tensor(stream, (4,)) for _ in range(4))
@@ -575,7 +582,33 @@ class TestLossGradcheck:
         # instances predicted an exact zero vector, which l2_normalize rejects.
         seed = derive(run_seed, "gradcheck")
         for heads in (1, 3):
-            raws, predictor, _ = _negcos_instance(seed, heads, d_prime=8)
+            leaves, predictor, _ = _negcos_instance(seed, heads)
             cfg = LossConfig(variant="simsiam", heads=heads, temp_mode="constant", tau0=0.5)
-            branches = [(predictor(a), predictor(b), b, a) for a, b in raws]
-            assert math.isfinite(L.multihead_negcos(cfg, _stacks(branches), 0.5)[0].total().item())
+            assert math.isfinite(L.head_loss(cfg, *leaves, 0.5, predictor)[0].total().item())
+
+    def test_negcos_check_feeds_the_predictor_unit_rows(self, monkeypatch):
+        """The gradcheck negative-cosine cases run the predictor as
+        training does: on (C, B, d') stacks of unit rows."""
+        seen = []
+        original = checks._negcos_instance
+
+        def recording_instance(*args):
+            leaves, predictor, temp_net = original(*args)
+
+            class Recording(Mlp):
+                def __call__(self, x):
+                    seen.append(x.data.copy())
+                    return super().__call__(x)
+
+            return leaves, Recording(predictor.spec, predictor.params), temp_net
+
+        def evaluate_once(loss_fn, params):
+            loss_fn()
+            return 0.0
+
+        monkeypatch.setattr(checks, "_negcos_instance", recording_instance)
+        monkeypatch.setattr(checks, "finite_diff_check", evaluate_once)
+        checks.gradcheck_suite()
+        assert {x.shape for x in seen} == {(1, 1, 8), (3, 1, 8)}
+        for x in seen:
+            np.testing.assert_allclose(np.linalg.norm(x, axis=-1), 1.0, rtol=1e-12)

@@ -233,6 +233,16 @@ class TestLinearProbe:
         acc = linear_probe(feats, labels, test_feats, test_labels, per_class=50, seed=1)
         assert abs(acc - 0.25) < 0.05
 
+    @pytest.mark.parametrize("names", [(-1, 0, 1), (0, 7, 1000)])
+    def test_labels_need_not_be_column_numbers(self, names):
+        """Separable features probe perfectly whatever integers name the
+        classes, as the nearest-neighbor vote does."""
+        index = np.repeat(np.arange(3), 30)
+        feats = np.eye(3)[index]
+        labels = np.asarray(names)[index]
+        assert knn_eval(feats, labels, feats, labels, k=5) == 1.0
+        assert linear_probe(feats, labels, feats, labels, per_class=20, seed=0) == 1.0
+
     def test_insufficient_class_rejected(self):
         feats = np.eye(2)[np.array([0, 0, 1])]
         labels = np.array([0, 0, 1])
