@@ -139,18 +139,13 @@ class ModelBundle:
         return self.heads.params[0].shape[0]
 
     def parameters(self) -> list[Tensor]:
-        out = self.encoder.params + self.heads.params + self.temp_net.params
-        if self.predictor is not None:
-            out.extend(self.predictor.params)
-        if self.temp_net_bt is not None:
-            out.extend(self.temp_net_bt.params)
-        return out
+        """Every parameter, component by component in checkpoint order."""
+        return [p for _, mlp in _component_entries(self) for p in mlp.params]
 
     def temperature_parameters(self) -> list[Tensor]:
-        out = list(self.temp_net.params)
-        if self.temp_net_bt is not None:
-            out.extend(self.temp_net_bt.params)
-        return out
+        """The parameters of ``temp_net`` and, when present, ``temp_net_bt``."""
+        return [p for name, mlp in _component_entries(self) if name.startswith("temp_net")
+                for p in mlp.params]
 
     @classmethod
     def build(cls, d_in: int, d: int, d_prime: int, n_heads: int, seed: int,
@@ -306,6 +301,4 @@ def _decode_bundle(blob: bytes) -> ModelBundle:
             params.append(Tensor(arrays[f"{name}/{layer}/b"]))
         return Mlp(spec, params)
 
-    predictor = rebuild("predictor") if "predictor" in manifest["specs"] else None
-    temp_bt = rebuild("temp_net_bt") if "temp_net_bt" in manifest["specs"] else None
-    return ModelBundle(rebuild("encoder"), rebuild("heads"), rebuild("temp_net"), predictor, temp_bt)
+    return ModelBundle(**{name: rebuild(name) for name in manifest["specs"]})

@@ -1,14 +1,15 @@
 """Pretraining loop, optimizer, temperature schedule, and the two
 frozen-feature evaluation protocols (nearest-neighbor and linear probe).
 
-Each step builds a two-view batch, pushes both views through the encoder
-and the stack of projection heads (``nets.forward_views``, one call per
-view for all C heads), makes one call to ``losses.head_loss`` on the raw
-(C, B, d') head outputs (for ntxent/infonce: in-batch negatives, all
-views of the other images, N = 2(B-1), with both anchor/positive
-directions averaged), and applies one SGD-with-momentum update.
-Identical config and seed give byte-identical logs. Pixels stay plain
-arrays: batches, features and evaluation pairs index ``Dataset.pixels``.
+``pretrain`` and the reduction check run one ``train_step`` per two-view
+batch: the encoder and the stack of projection heads (one
+``nets.forward_views`` call per view for all C heads), one
+``losses.head_loss`` call on the raw (C, B, d') head outputs (for
+ntxent/infonce: in-batch negatives, all views of the other images,
+N = 2(B-1), both anchor/positive directions averaged), and one
+SGD-with-momentum update. Identical config and seed give byte-identical
+logs. Pixels stay plain arrays: batches, features and evaluation pairs
+index ``Dataset.pixels``.
 """
 from __future__ import annotations
 
@@ -104,14 +105,14 @@ class SgdMomentum:
     """
 
     def __init__(self, params: list[Tensor], momentum: float, weight_decay: float,
-                 lr_scales: list[float] | None = None):
-        if lr_scales is not None and len(lr_scales) != len(params):
+                 lr_scales: list[float]):
+        if len(lr_scales) != len(params):
             raise ContractViolation(
                 f"{len(lr_scales)} learning-rate scales for {len(params)} parameters")
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.lr_scales = lr_scales if lr_scales is not None else [1.0] * len(params)
+        self.lr_scales = lr_scales
         self.velocity = [np.zeros_like(p.data) for p in params]
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
@@ -137,6 +138,22 @@ def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
     return L.head_loss(cfg, pa, pb, net if tau_step == "adaptive" else tau_step, bundle.predictor)
 
 
+def train_step(bundle: ModelBundle, opt: SgdMomentum, cfg: LossConfig, xa: Tensor, xb: Tensor,
+               lr: float, tau_step) -> tuple[float, LossTerms, L.StepTemps, list[np.ndarray]]:
+    """One step on a two-view batch: ``_batch_loss``, the finite-loss check,
+    ``backward`` over ``opt.params`` and the update. Returns the loss value,
+    its terms, the temperatures and the gradients the update applied."""
+    terms, temps = _batch_loss(bundle, cfg, xa, xb, tau_step)
+    loss = terms.total()
+    value = loss.item()
+    if not math.isfinite(value):
+        raise EvaluationError(f"non-finite loss: pos={terms.pos.item()}, "
+                              f"neg={terms.neg.item()}, omega={terms.omega.item()}")
+    grads = backward(loss, opt.params)
+    opt.step(grads, lr)
+    return value, terms, temps, grads
+
+
 # -- pretraining ---------------------------------------------------------
 
 @dataclass
@@ -148,34 +165,37 @@ class RunResult:
     test_indices: np.ndarray
 
 
-def _optimizer(bundle: ModelBundle, train_cfg: TrainConfig) -> SgdMomentum:
-    """SGD with momentum over every parameter of the bundle, the
-    temperature nets at ``temp_lr_scale`` times the base rate."""
-    params = bundle.parameters()
-    temp_ids = {id(p) for p in bundle.temperature_parameters()}
-    return SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
-                       [train_cfg.temp_lr_scale if id(p) in temp_ids else 1.0 for p in params])
-
-
-def build_bundle(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
-                 train_cfg: TrainConfig) -> ModelBundle:
+def _start(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
+           train_cfg: TrainConfig) -> tuple[ModelBundle, SgdMomentum, np.ndarray, np.ndarray]:
+    """A run's fresh bundle (with a predictor for simsiam and a batch-width
+    temperature net for adaptive barlow), its SGD with momentum over every
+    parameter (the temperature nets at ``temp_lr_scale`` times the base
+    rate), and the train and test indices of the split."""
+    train_idx, test_idx = stratified_split(dataset.labels, train_cfg.test_fraction)
+    if len(train_idx) < train_cfg.batch_size:
+        raise ContractViolation(
+            f"training split ({len(train_idx)}) smaller than batch size {train_cfg.batch_size}")
     d_in = dataset.pixels[0].size
     needs_bt = loss_cfg.variant == "barlow" and loss_cfg.temp_mode == "adaptive"
-    return ModelBundle.build(
+    bundle = ModelBundle.build(
         d_in, model_cfg.d, model_cfg.d_prime, loss_cfg.heads,
         seed=derive(train_cfg.run_seed, "init"),
         with_predictor=loss_cfg.variant == "simsiam",
         bt_width=train_cfg.batch_size if needs_bt else None,
     )
+    params = bundle.parameters()
+    temp_ids = {id(p) for p in bundle.temperature_parameters()}
+    opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
+                      [train_cfg.temp_lr_scale if id(p) in temp_ids else 1.0 for p in params])
+    return bundle, opt, train_idx, test_idx
 
 
 def _two_view_batches(dataset: Dataset, train_idx: np.ndarray, pipeline: AugPipeline,
                       train_cfg: TrainConfig, epoch: int):
-    """The epoch's shuffled two-view batches as (step, xa, xb); at least
-    one batch even when the split is smaller than the batch size."""
+    """The epoch's shuffled full two-view batches as (step, xa, xb)."""
     size = train_cfg.batch_size
     perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
-    for step in range(max(1, len(train_idx) // size)):
+    for step in range(len(train_idx) // size):
         batch = train_idx[perm[step * size:(step + 1) * size]]
         views = np.empty((2, len(batch)) + dataset.pixels.shape[1:])
         for row, j in enumerate(batch):
@@ -200,12 +220,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     """Run the full pretraining schedule and return the trained bundle
     plus formatted log rows (also written to disk when ``out_dir`` is
     given, along with a checkpoint)."""
-    train_idx, test_idx = stratified_split(dataset.labels, train_cfg.test_fraction)
-    if len(train_idx) < train_cfg.batch_size:
-        raise ContractViolation(
-            f"training split ({len(train_idx)}) smaller than batch size {train_cfg.batch_size}")
-    bundle = build_bundle(dataset, model_cfg, loss_cfg, train_cfg)
-    opt = _optimizer(bundle, train_cfg)
+    bundle, opt, train_idx, test_idx = _start(dataset, model_cfg, loss_cfg, train_cfg)
     train_rows: list[str] = []
     eval_rows: list[str] = []
     for epoch in range(train_cfg.epochs):
@@ -213,24 +228,20 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
         tau_step = temperature_for_step(loss_cfg, epoch, train_cfg.epochs)
         for step, xa, xb in _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch):
             try:
-                terms, temps = _batch_loss(bundle, loss_cfg, xa, xb, tau_step)
-            except (DomainError, ContractViolation) as exc:
+                # the gradients are dropped here, before the next forward pass
+                value, terms, temps = train_step(bundle, opt, loss_cfg, xa, xb, lr, tau_step)[:3]
+            except (DomainError, ContractViolation, EvaluationError) as exc:
                 # the same error, its message naming the step
                 exc.args = (f"epoch {epoch} step {step}: {exc}",) + exc.args[1:]
                 raise
-            loss = terms.total()
-            value = loss.item()
-            if not math.isfinite(value):
-                raise EvaluationError(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"pos={terms.pos.item()}, neg={terms.neg.item()}, omega={terms.omega.item()}")
-            opt.step(backward(loss, opt.params), lr)
             stats = temperature_stats(temps.positive)
+            # the mean of n equal temperatures can round outside them
+            lo, hi = temps.all_values.min(), temps.all_values.max()
             train_rows.append(",".join([
                 str(epoch), str(step), _fmt(value),
                 _fmt(terms.pos.item()), _fmt(terms.neg.item()), _fmt(terms.omega.item()),
-                _fmt(temps.all_values.min()), _fmt(temps.all_values.mean()),
-                _fmt(temps.all_values.max()), _fmt(stats.cross_head_variance),
+                _fmt(lo), _fmt(np.clip(temps.all_values.mean(), lo, hi)), _fmt(hi),
+                _fmt(stats.cross_head_variance),
             ]))
         last = epoch == train_cfg.epochs - 1
         due = train_cfg.eval_every > 0 and (epoch + 1) % train_cfg.eval_every == 0
@@ -371,7 +382,6 @@ def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,
 
 REDUCTION_STEPS = 50
 REDUCTION_TAU = 0.2
-REDUCTION_BETA = 0.0
 
 
 def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -380,21 +390,18 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     ntxent loss while, at every step, also evaluating the single-head
     constant-temperature softmax-aggregated loss on the same batch and
     comparing gradients (they must agree; the values differ by a derived
-    constant). Both losses run through ``_batch_loss``, as in training.
+    constant). The baseline step is ``train_step``, as in training; the
+    multihead loss runs through the same ``_batch_loss``.
     """
-    tau, beta = REDUCTION_TAU, REDUCTION_BETA
-    multi = LossConfig(variant="ntxent", family="multihead", heads=1, beta=beta,
+    tau = REDUCTION_TAU
+    multi = LossConfig(variant="ntxent", family="multihead", heads=1, beta=0.0,
                        temp_mode="constant", tau0=tau, neg_agg="softmax")
     base = LossConfig(variant="ntxent", family="baseline", heads=1,
                       temp_mode="constant", tau0=tau)
-    bundle = build_bundle(dataset, model_cfg, multi, train_cfg)
-    opt = _optimizer(bundle, train_cfg)
-    train_idx, _ = stratified_split(dataset.labels, train_cfg.test_fraction)
-    d_prime = model_cfg.d_prime
+    bundle, opt, train_idx, _ = _start(dataset, model_cfg, multi, train_cfg)
     # Per head and anchor the two losses differ by this input-independent
-    # constant (softmax density normalization plus the constant penalty).
-    offset = -(d_prime / 2.0) * math.log(2.0 * math.pi * tau) - 1.0 / tau \
-        + beta * ((d_prime / 2.0) * math.log(tau) + 1.0 / tau)
+    # constant, the softmax density normalization (beta = 0: no penalty).
+    offset = -(model_cfg.d_prime / 2.0) * math.log(2.0 * math.pi * tau) - 1.0 / tau
     max_grad_rel = 0.0
     max_value_err = 0.0
     epochs = (_two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch)
@@ -402,11 +409,9 @@ def reduction_check(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainCo
     for _, xa, xb in itertools.islice(itertools.chain.from_iterable(epochs), REDUCTION_STEPS):
         loss_m = _batch_loss(bundle, multi, xa, xb, tau)[0].total()
         grads_m = backward(loss_m, opt.params)
-        loss_b = _batch_loss(bundle, base, xa, xb, tau)[0].total()
-        grads_b = backward(loss_b, opt.params)
+        value_b, _, _, grads_b = train_step(bundle, opt, base, xa, xb, train_cfg.lr, tau)
         for gm, gb in zip(grads_m, grads_b):
             rel = np.max(np.abs(gm - gb) / np.maximum(1.0, np.abs(gm)))
             max_grad_rel = max(max_grad_rel, float(rel))
-        max_value_err = max(max_value_err, abs(loss_m.item() - (loss_b.item() + offset)))
-        opt.step(grads_b, train_cfg.lr)
+        max_value_err = max(max_value_err, abs(loss_m.item() - (value_b + offset)))
     return {"max_grad_rel": max_grad_rel, "max_value_err": max_value_err}

@@ -6,15 +6,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from contrastlab import train
 from contrastlab.cli import main
 from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
 from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, write_dataset,
                                  write_pnm)
 from contrastlab.errors import ContractViolation
-from contrastlab.losses import LossConfig
+from contrastlab.losses import LossConfig, LossTerms
 from contrastlab.nets import ModelBundle, TempBounds, save_bundle
+from contrastlab.tensor import Tensor
 from contrastlab.train import EvalConfig, ModelConfig, TrainConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -359,6 +362,28 @@ class TestCommands:
         assert main(["pretrain", "-c", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: contract: epoch 0 step 0: cannot normalize a zero vector"]
+
+    def test_non_finite_loss_names_its_step(self, tmp_path, capsys, monkeypatch):
+        """A loss that is not finite stops the run before its update with
+        one evaluation line (exit 1) naming the epoch and step."""
+        batch_loss = train._batch_loss
+
+        def infinite(*args):
+            terms, temps = batch_loss(*args)
+            return LossTerms(Tensor(np.inf), terms.neg, terms.omega), temps
+
+        monkeypatch.setattr(train, "_batch_loss", infinite)
+        doc = {"model": {"d": 16, "d_prime": 8, "heads": 1},
+               "loss": {"family": "baseline", "temp_mode": "constant"},
+               "train": {"epochs": 1, "batch_size": 8, "probe_per_class": 2},
+               "io": {"output_dir": str(tmp_path / "out"),
+                      "synthetic": {"classes": 2, "per_class": 10, "size": 8, "channels": 1}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: evaluation: epoch 0 step 0: non-finite loss: pos=inf, neg="), err
 
     def test_without_config_echoes_the_defaults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -7,14 +7,16 @@ import pytest
 
 from contrastlab import losses as L
 from contrastlab import tensor as T
+from contrastlab import train
 from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
-                               _batch_loss, build_bundle, build_eval_pairs, knn_eval,
-                               linear_probe, pretrain, temperature_for_step)
+                               _batch_loss, _start, build_eval_pairs, knn_eval,
+                               linear_probe, pretrain, reduction_check, temperature_for_step,
+                               train_step)
 from reference_heads import reference_forward_views, reference_heads, stacked_grads
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
@@ -67,7 +69,7 @@ class TestSgd:
         cfg = LossConfig(variant="ntxent", family="baseline", heads=1,
                          temp_mode="constant", tau0=0.5)
         train_cfg = TrainConfig(epochs=1, batch_size=8, run_seed=3, probe_per_class=10)
-        bundle = build_bundle(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
+        bundle = _start(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)[0]
         params = bundle.parameters()
         rng = np.random.default_rng(0)
         xa = Tensor(rng.uniform(size=(8, 64)))
@@ -77,7 +79,7 @@ class TestSgd:
         grads = backward(terms.total(), params)
         grad_sq = sum(float((g ** 2).sum()) for g in grads)
         lr = 1e-4
-        opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0)
+        opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0, lr_scales=[1.0] * len(params))
         opt.step(grads, lr)
         after, _ = _batch_loss(bundle, cfg, xa, xb, 0.5)
         drop = before - after.total().item()
@@ -97,10 +99,47 @@ class TestSgd:
         params = [Tensor(np.array([1.0])), Tensor(np.array([1.0]))]
         with pytest.raises(ContractViolation):
             SgdMomentum(params, momentum=0.0, weight_decay=0.0, lr_scales=[0.5])
-        opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0)
+        opt = SgdMomentum(params, momentum=0.0, weight_decay=0.0, lr_scales=[1.0, 1.0])
         with pytest.raises(ContractViolation):
             opt.step([np.array([1.0])], 0.1)
         assert [p.data[0] for p in params] == [1.0, 1.0]
+
+    def test_train_step_applies_the_gradients_it_returns(self):
+        """Without momentum and weight decay one step moves every
+        parameter by exactly -lr * scale * grad, the temperature net at
+        its own scale."""
+        dataset = small_dataset()
+        cfg = LossConfig(variant="ntxent", family="multihead", heads=2, temp_mode="adaptive")
+        train_cfg = TrainConfig(epochs=1, batch_size=8, momentum=0.0, weight_decay=0.0,
+                                temp_lr_scale=0.01, run_seed=3, probe_per_class=10)
+        bundle, opt, _, _ = _start(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
+        assert sorted(set(opt.lr_scales)) == [0.01, 1.0]
+        rng = np.random.default_rng(0)
+        xa = Tensor(rng.uniform(size=(8, 64)))
+        xb = Tensor(rng.uniform(size=(8, 64)))
+        before = [p.data.copy() for p in opt.params]
+        lr = 0.05
+        value, terms, _, grads = train_step(bundle, opt, cfg, xa, xb, lr, "adaptive")
+        assert value == terms.total().item()
+        for p, old, grad, scale in zip(opt.params, before, grads, opt.lr_scales):
+            np.testing.assert_array_equal(p.data, old - lr * scale * grad)
+
+
+@pytest.mark.parametrize("run", [
+    lambda dataset, model, cfg, train_cfg: pretrain(dataset, model, cfg, train_cfg,
+                                                    AugPipeline.prefix(1)),
+    lambda dataset, model, cfg, train_cfg: reduction_check(dataset, model, train_cfg,
+                                                           AugPipeline.prefix(1)),
+], ids=["pretrain", "reduction_check"])
+def test_split_smaller_than_batch_rejected_before_any_step(run, monkeypatch):
+    dataset = small_dataset()
+    calls = []
+    monkeypatch.setattr(train, "_batch_loss", lambda *args: calls.append(args))
+    cfg = LossConfig(variant="ntxent", family="baseline", heads=1, temp_mode="constant")
+    train_cfg = TrainConfig(epochs=1, batch_size=65, run_seed=3, probe_per_class=10)
+    with pytest.raises(ContractViolation, match=r"training split \(64\) smaller than batch size 65"):
+        run(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
+    assert calls == []
 
 
 class TestBatchLossEquivalence:
@@ -116,7 +155,7 @@ class TestBatchLossEquivalence:
         cfg = LossConfig(variant="ntxent", family="multihead", heads=2, beta=1.0,
                          temp_mode="adaptive", neg_agg="softmax", bounds=bounds)
         train_cfg = TrainConfig(epochs=1, batch_size=4, run_seed=9)
-        bundle = build_bundle(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
+        bundle = _start(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)[0]
         for bias in bundle.heads.params[1::2]:
             bias.data[:] = 0.3
         params = bundle.parameters()
@@ -150,7 +189,7 @@ class TestSymmetry:
             cfg = LossConfig(variant=variant, family="multihead", heads=2, beta=0.3,
                              temp_mode="adaptive", neg_agg="softmax")
             train_cfg = TrainConfig(epochs=1, batch_size=6, run_seed=11)
-            bundle = build_bundle(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)
+            bundle = _start(dataset, ModelConfig(d=16, d_prime=8), cfg, train_cfg)[0]
             rng = np.random.default_rng(2)
             xa = Tensor(rng.uniform(size=(6, 64)))
             xb = Tensor(rng.uniform(size=(6, 64)))
@@ -283,15 +322,19 @@ class TestPretrain:
         assert ra.train_rows != rb.train_rows
 
     def test_scheduled_temperatures_logged_exactly(self):
+        """tau_min, tau_mean and tau_max all read the scheduled value,
+        although the float mean of its copies can round away from it
+        (0.30999999999999994 at C = 1)."""
         dataset = small_dataset()
-        cfg = LossConfig(variant="ntxent", family="multihead", heads=1, beta=0.0,
-                         temp_mode="constant", tau0=0.31, neg_agg="softmax")
-        result = pretrain(dataset, ModelConfig(d=16, d_prime=8), cfg,
-                          TrainConfig(epochs=1, batch_size=8, run_seed=3, probe_per_class=10),
-                          AugPipeline.prefix(1), EvalConfig(knn_k=3, pair_count=10))
-        for row in result.train_rows:
-            parts = row.split(",")
-            assert parts[6] == "0.31" and parts[8] == "0.31" and parts[9] == "0.0"
+        for heads in (1, 3):
+            cfg = LossConfig(variant="ntxent", family="multihead", heads=heads, beta=0.0,
+                             temp_mode="constant", tau0=0.31, neg_agg="softmax")
+            result = pretrain(dataset, ModelConfig(d=16, d_prime=8), cfg,
+                              TrainConfig(epochs=1, batch_size=8, run_seed=3, probe_per_class=10),
+                              AugPipeline.prefix(1), EvalConfig(knn_k=3, pair_count=10))
+            for row in result.train_rows:
+                parts = row.split(",")
+                assert parts[6:10] == ["0.31", "0.31", "0.31", "0.0"], (heads, row)
 
     @pytest.mark.parametrize("variant,family", [
         ("simsiam", "baseline"), ("simsiam", "multihead"),
