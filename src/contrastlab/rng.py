@@ -7,6 +7,8 @@ reproducible bit-for-bit and independent of execution order.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -25,6 +27,7 @@ def _mix(z: int) -> int:
     return z
 
 
+@functools.lru_cache(maxsize=256)
 def _fnv1a(text: str) -> int:
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
@@ -46,6 +49,18 @@ def derive(seed: int, *parts: int | str) -> int:
     return state
 
 
+def first_floats(seed: int, k: int) -> list[float]:
+    """The first ``k`` ``next_float`` draws of ``SplitMix64(seed)``, as
+    plain floats with no stream object."""
+    return [(_mix(seed + i * _GOLDEN) >> 11) * 2.0 ** -53 for i in range(1, k + 1)]
+
+
+def uniform_index(u: float, n: int) -> int:
+    """The integer in [0, n) that a uniform [0, 1) draw ``u`` selects,
+    for n >= 1."""
+    return min(int(u * n), n - 1)
+
+
 class SplitMix64:
     """Counter-based splitmix64 stream: cheap to fork, trivially vectorized."""
 
@@ -64,7 +79,7 @@ class SplitMix64:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError(f"next_index needs n >= 1, got {n}")
-        return min(int(self.next_float() * n), n - 1)
+        return uniform_index(self.next_float(), n)
 
     def floats(self, n: int) -> np.ndarray:
         """Vectorized batch of ``n`` uniform [0, 1) draws.

@@ -234,14 +234,13 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
                 # the same error, its message naming the step
                 exc.args = (f"epoch {epoch} step {step}: {exc}",) + exc.args[1:]
                 raise
-            stats = temperature_stats(temps.positive)
             # the mean of n equal temperatures can round outside them
             lo, hi = temps.all_values.min(), temps.all_values.max()
             train_rows.append(",".join([
                 str(epoch), str(step), _fmt(value),
                 _fmt(terms.pos.item()), _fmt(terms.neg.item()), _fmt(terms.omega.item()),
                 _fmt(lo), _fmt(np.clip(temps.all_values.mean(), lo, hi)), _fmt(hi),
-                _fmt(stats.cross_head_variance),
+                _fmt(temperature_stats(temps.positive)),
             ]))
         last = epoch == train_cfg.epochs - 1
         due = train_cfg.eval_every > 0 and (epoch + 1) % train_cfg.eval_every == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from contrastlab.augment import (LUMA_WEIGHTS, OP_ORDER, AugPipeline, Dataset, PnmError,
-                                 SyntheticSpec, augment_view, augment_views,
+                                 SyntheticSpec, _crop_table, augment_view, augment_views,
                                  generate_dataset, load_dataset, make_two_views, parse_pnm,
                                  stratified_split, write_dataset, write_pnm)
 from contrastlab.errors import ContractViolation
@@ -223,11 +223,60 @@ class TestStackedViews:
             for seed in range(30):
                 assert_matches_reference(images, pipeline, [seed, seed + 1000])
 
+    @pytest.mark.parametrize("prefix", [1, 5])
+    def test_memory_layout_of_input_is_irrelevant(self, prefix):
+        images = np.random.default_rng(5).random((3, 13, 9, 3))
+        pipeline = AugPipeline.prefix(prefix)
+        expected = augment_views(images, pipeline, [1, 2, 3]).tobytes()
+        for layout in (np.asfortranarray(images),
+                       np.ascontiguousarray(images[:, ::-1])[:, ::-1],     # negative row stride
+                       np.repeat(images, 2, axis=2)[:, :, ::2]):           # every other column
+            assert augment_views(layout, pipeline, [1, 2, 3]).tobytes() == expected
+
     def test_single_view_is_stack_of_one(self):
         image = checker_image(size=12)
         pipeline = AugPipeline.prefix(5)
         stacked = augment_views(np.stack([image, gradient_image(size=12)]), pipeline, [4, 5])
         assert augment_view(image, pipeline, 4).tobytes() == stacked[0].tobytes()
+
+
+class TestCropSides:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("size", [(8, 8), (13, 9), (8, 32), (16, 16)])
+    def test_every_side_matches_reference(self, size, channels):
+        # A degenerate scale range (x, x) fixes the crop side; seeds move
+        # the offset.
+        h, w = size
+        m = min(h, w)
+        images = np.random.default_rng([h, w, channels]).random((3, h, w, channels))
+        for side in range(1, m + 1):
+            scale = (side / m) ** 2
+            assert max(1, int(round(math.sqrt(scale) * m))) == side
+            pipeline = AugPipeline(ops=("crop",), crop_scale=(scale, scale))
+            assert_matches_reference(images, pipeline, [side, 100 + side, 200 + side])
+
+    def test_large_image_tables_grow_with_the_edges(self):
+        # A cached crop table holds O(h + w * c) values (offsets and
+        # weights of each axis), not one offset per output value.
+        h, w, c = 128, 128, 3
+        images = np.random.default_rng(3).random((2, h, w, c))
+        assert_matches_reference(images, AugPipeline(ops=("crop",)), [1, 2])
+        for side in (1, 64, 127, 128):
+            assert sum(a.nbytes for a in _crop_table(side, h, w, c)) <= 4 * (h + w * c) * 8
+
+    @pytest.mark.parametrize("prefix", [1, 5])
+    def test_bench_geometry_views_match_reference(self, prefix):
+        # The benchmark's images: 16x16, 3 channels.
+        pipeline = AugPipeline.prefix(prefix)
+        dataset = generate_dataset(SyntheticSpec(classes=4, per_class=3, size=16, channels=3))
+        for index, image in enumerate(dataset.pixels):
+            for epoch in range(4):
+                views = make_two_views(image, pipeline, epoch, index, run_seed=1)
+                for branch in (0, 1):
+                    seed = derive(1, "view", epoch, index, branch)
+                    expected = reference_view(image, pipeline, seed).tobytes()
+                    assert views[branch].tobytes() == expected
+                    assert augment_view(image, pipeline, seed).tobytes() == expected
 
 
 class TestPipelineConstruction:

@@ -91,15 +91,10 @@ class TestOverlap:
 class TestTemperatureStats:
     def test_hand_cross_head_variance(self):
         taus = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
-        stats = temperature_stats(taus)
-        assert stats.cross_head_variance == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert temperature_stats(taus) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_equal_temperatures_zero_variance(self):
-        stats = temperature_stats(np.full((7, 3), 0.2))
-        assert stats.cross_head_variance == 0.0
-        np.testing.assert_array_equal(stats.per_head_min, [0.2] * 3)
-        np.testing.assert_array_equal(stats.per_head_max, [0.2] * 3)
-        np.testing.assert_allclose(stats.per_head_mean, [0.2] * 3, rtol=1e-15)
+        assert temperature_stats(np.full((7, 3), 0.2)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):

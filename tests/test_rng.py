@@ -1,8 +1,24 @@
-"""Seeded randomness: determinism, stream independence, and agreement
-between the scalar and vectorized draw paths."""
+"""Seeded randomness: determinism, stream independence, agreement
+between the scalar, vectorized and loop draw paths, and pinned values:
+every seed in the project comes from ``derive`` and these streams, so a
+change to either would change every log."""
 import numpy as np
+import pytest
 
-from contrastlab.rng import SplitMix64, derive
+from contrastlab.rng import SplitMix64, derive, first_floats
+
+# derive(*args) as computed when the generator was first written.
+DERIVE_GOLDEN = [
+    ((0,), 0),
+    ((7, "view", 3, 1), 2222570513781372175),
+    ((2**63, "view", 0, 5, 1), 3008312053851202440),
+    ((2**64 - 1, "shuffle", 2), 14312860966259521639),
+    ((12345, 0), 9202820341700851064),
+    ((12345, 4), 15109985175486934220),
+    ((1, "é-utf8", -1), 10643797413177236022),
+    ((2**63 + 12345, "pos", 7, 0), 12319777022774272635),
+    ((-5, "init"), 11065651575412036038),
+]
 
 
 def test_same_seed_same_sequence():
@@ -50,3 +66,26 @@ def test_next_index_range():
     stream = SplitMix64(17)
     draws = [stream.next_index(7) for _ in range(1000)]
     assert min(draws) == 0 and max(draws) == 6
+
+
+@pytest.mark.parametrize("args, expected", DERIVE_GOLDEN)
+def test_derive_golden(args, expected):
+    assert derive(*args) == expected
+
+
+def test_stream_golden():
+    stream = SplitMix64(2**63 + 1)
+    assert [stream.next_u64() for _ in range(4)] == [
+        15864479691206154794, 983092496609280306, 9729911256616757947, 8485151788262518746]
+    stream = SplitMix64(42)
+    assert [stream.next_float() for _ in range(4)] == [
+        0.7415648787718233, 0.1599103928769201, 0.27860113025513866, 0.34419071652363753]
+    stream = SplitMix64(42)
+    assert [stream.next_index(n) for n in (1, 2, 7, 100, 2**40)] == [0, 0, 1, 34, 41814612516]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_first_floats_match_stream(k):
+    for seed in [derive(5, "first", i) for i in range(998)] + [0, 2**64 - 1]:
+        stream = SplitMix64(seed)
+        assert first_floats(seed, k) == [stream.next_float() for _ in range(k)]
