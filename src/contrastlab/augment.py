@@ -28,6 +28,13 @@ counts as much as its per-value work:
 Calls stay per sample because the benchmark's traced checks count
 ``make_two_views`` and ``augment_view`` calls; batching a whole step's
 views into one call waits for that benchmark to count views instead.
+
+Every command that reads a dataset directory loads it whole, so its
+fixed cost per file counts too: one prefix test of the normalized path
+and one ``stat`` per index row, then one read, one regex match of the
+PNM header and one division into the preallocated (N, H, W, C) array
+per file. Paths stay strings; a ``Path`` is built only to name a file
+in an error.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ import csv
 import functools
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,32 +68,56 @@ class PnmError(ValueError):
 
 # -- PNM parse / write ------------------------------------------------------
 
-def _read_token(blob: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    n = len(blob)
-    while pos < n:
-        c = blob[pos:pos + 1]
-        if c == b"#":
-            while pos < n and blob[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
+# Each header token follows any run of whitespace and ``#`` comments (a
+# comment runs to the end of its line) and is a run of bytes that are
+# neither. A comment may not stop short of its newline, so a header cut
+# short fails to match in linear time, however many ``#`` it holds.
+_PNM_FIELD = rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)"
+_PNM_HEADER = re.compile(b"(?:%s(?:%s(?:%s(?:%s)?)?)?)?" % ((_PNM_FIELD,) * 4))
+
+
+def _header_int(token: bytes | None, field: str) -> int:
+    if token is None:
         raise PnmError(field, "header ended before the field")
-    start = pos
-    while pos < n and not blob[pos:pos + 1].isspace() and blob[pos:pos + 1] != b"#":
-        pos += 1
-    return blob[start:pos], pos
-
-
-def _read_int(blob: bytes, pos: int, field: str) -> tuple[int, int]:
-    token, pos = _read_token(blob, pos, field)
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
         raise PnmError(field, f"not an integer: {token!r}") from None
-    return value, pos
+
+
+def _pnm_header(blob: bytes) -> tuple[tuple[int, int, int], int]:
+    """The (height, width, channels) of a PNM blob and the offset of its
+    payload. One regex match reads the four header tokens; they are then
+    checked in field order, and the payload size last."""
+    match = _PNM_HEADER.match(blob)
+    magic, width, height, maxval = match.groups()
+    if magic is None:
+        raise PnmError("magic", "header ended before the field")
+    channels = {b"P5": 1, b"P6": 3}.get(magic)
+    if channels is None:
+        raise PnmError("magic", f"unsupported magic {magic!r}")
+    width = _header_int(width, "width")
+    if not 1 <= width <= MAX_DIMENSION:
+        raise PnmError("width", f"{width} outside 1..{MAX_DIMENSION}")
+    height = _header_int(height, "height")
+    if not 1 <= height <= MAX_DIMENSION:
+        raise PnmError("height", f"{height} outside 1..{MAX_DIMENSION}")
+    maxval = _header_int(maxval, "maxval")
+    if maxval != 255:
+        raise PnmError("maxval", f"expected 255, got {maxval}")
+    pos = match.end()
+    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
+        raise PnmError("payload", "missing whitespace byte before payload")
+    expected = width * height * channels
+    if len(blob) - pos - 1 != expected:
+        raise PnmError("payload", f"expected {expected} bytes, got {len(blob) - pos - 1}")
+    return (height, width, channels), pos + 1
+
+
+def _decode(blob: bytes, start: int, out: np.ndarray) -> np.ndarray:
+    """The payload from ``start`` as reals in [0, 1], written into ``out``."""
+    return np.divide(np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(out.shape), 255.0,
+                     out=out)
 
 
 def parse_pnm(blob: bytes) -> np.ndarray:
@@ -94,29 +126,11 @@ def parse_pnm(blob: bytes) -> np.ndarray:
 
     Whitespace and ``#`` comments are accepted anywhere in the header;
     exactly one whitespace byte separates the maxval from the payload.
+    The header costs one regex match; a malformed one raises
+    ``PnmError`` naming the first field, in header order, that fails.
     """
-    magic, pos = _read_token(blob, 0, "magic")
-    channels = {b"P5": 1, b"P6": 3}.get(magic)
-    if channels is None:
-        raise PnmError("magic", f"unsupported magic {magic!r}")
-    width, pos = _read_int(blob, pos, "width")
-    if not 1 <= width <= MAX_DIMENSION:
-        raise PnmError("width", f"{width} outside 1..{MAX_DIMENSION}")
-    height, pos = _read_int(blob, pos, "height")
-    if not 1 <= height <= MAX_DIMENSION:
-        raise PnmError("height", f"{height} outside 1..{MAX_DIMENSION}")
-    maxval, pos = _read_int(blob, pos, "maxval")
-    if maxval != 255:
-        raise PnmError("maxval", f"expected 255, got {maxval}")
-    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
-        raise PnmError("payload", "missing whitespace byte before payload")
-    pos += 1
-    expected = width * height * channels
-    payload = blob[pos:]
-    if len(payload) != expected:
-        raise PnmError("payload", f"expected {expected} bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return values.reshape(height, width, channels)
+    shape, start = _pnm_header(blob)
+    return _decode(blob, start, np.empty(shape))
 
 
 def write_pnm(pixels: np.ndarray) -> bytes:
@@ -348,14 +362,20 @@ class Dataset:
 def load_dataset(directory) -> Dataset:
     """Read a directory of .pgm/.ppm files indexed by labels.csv (header
     ``filename,label``; names stay inside the directory) into one array.
-    A file that does not decode or differs in shape from the first one
+
+    Two passes: the whole index first, so a bad row is reported before
+    any image is read, then each file is decoded straight into one
+    preallocated (N, H, W, C) array. Per row the index pass costs one
+    normalized-path prefix test and one ``stat``; file paths are plain
+    strings, and a ``Path`` is built only to name a file in an error. A
+    file that does not decode or differs in shape from the first one
     raises ``OSError`` naming it."""
     directory = Path(directory)
     index = directory / "labels.csv"
     if not index.exists():
         raise FileNotFoundError(f"missing {index}")
-    root = os.path.abspath(directory)
-    labels, names = [], []
+    inside = os.path.join(os.path.abspath(directory), "")
+    labels, names, paths = [], [], []
     with open(index, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -369,26 +389,29 @@ def load_dataset(directory) -> Dataset:
                 label = int(label_text)
             except ValueError:
                 raise ContractViolation(f"{index} row {row_no}: label {label_text!r} is not an integer") from None
-            path = directory / name
-            if os.path.commonpath([root, os.path.abspath(os.path.join(root, name))]) != root:
+            # the normalized path plus a separator starts with the directory's
+            if not os.path.join(os.path.abspath(os.path.join(inside, name)), "").startswith(inside):
                 raise ContractViolation(f"{index} row {row_no}: {name} lies outside {directory}")
-            if not path.exists():
+            path = os.path.join(directory, name)
+            if not os.path.exists(path):
                 raise ContractViolation(f"{index} row {row_no}: missing file {name}")
             labels.append(label)
             names.append(name)
+            paths.append(path)
     pixels = np.empty(0)          # an index that lists no image fails the Dataset check
-    for k, name in enumerate(names):
-        path = directory / name
+    for k, path in enumerate(paths):
+        with open(path, "rb") as fh:
+            blob = fh.read()
         try:
-            image = parse_pnm(path.read_bytes())
+            shape, start = _pnm_header(blob)
         except PnmError as exc:
-            raise OSError(f"{path}: {exc}") from None
+            raise OSError(f"{directory / names[k]}: {exc}") from None
         if k == 0:
-            pixels = np.empty((len(names),) + image.shape)
-        if image.shape != pixels.shape[1:]:
-            raise OSError(f"{path}: shape {image.shape} differs from {names[0]}'s "
+            pixels = np.empty((len(paths),) + shape)
+        if shape != pixels.shape[1:]:
+            raise OSError(f"{directory / names[k]}: shape {shape} differs from {names[0]}'s "
                           f"{pixels.shape[1:]}")
-        pixels[k] = image
+        _decode(blob, start, pixels[k])
     return Dataset(pixels, np.asarray(labels, dtype=np.int64), names)
 
 

@@ -18,8 +18,9 @@ from .config import ConfigError, Experiment, load_config
 from .errors import ContractViolation, DomainError, EvaluationError
 from .metrics import separability_report, write_separability_csv
 from .nets import load_bundle
-from .train import (EVAL_LOG_HEADER, build_eval_pairs, encode_features, knn_eval,
-                    linear_probe, pretrain)
+from .train import (EVAL_LOG_HEADER, build_eval_pairs, knn_eval, linear_probe, pretrain,
+                    split_features)
+from .train import encode_features  # noqa: F401  (bench/spans.py traces cli.encode_features)
 from .rng import derive
 
 EXIT_OK = 0
@@ -112,17 +113,9 @@ def _append_eval_rows(exp: Experiment, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _split_features(exp: Experiment):
-    """The checkpoint's features and the labels of the train and the test
-    split: the first four arguments of both evaluation protocols."""
-    bundle, dataset, train_idx, test_idx = _load_run(exp)
-    return (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
-            encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
-
-
 def cmd_knn(args) -> int:
     exp = _load_experiment(args)
-    acc = knn_eval(*_split_features(exp), exp.eval.knn_k)
+    acc = knn_eval(*split_features(*_load_run(exp)), exp.eval.knn_k)
     _append_eval_rows(exp, [f"-1,{acc!r},,"])
     print(f"knn_acc={acc}")
     return EXIT_OK
@@ -130,7 +123,7 @@ def cmd_knn(args) -> int:
 
 def cmd_probe(args) -> int:
     exp = _load_experiment(args)
-    split = _split_features(exp)
+    split = split_features(*_load_run(exp))
     rows = []
     for size in exp.eval.probe_sizes:
         acc = linear_probe(*split, size, derive(exp.train.run_seed, "probe"))

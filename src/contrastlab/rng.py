@@ -111,9 +111,17 @@ class SplitMix64:
         return out[:n]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n): for i from n - 1 down to
+        1, swap i with ``next_index(i + 1)``. The n - 1 draws come from
+        one ``floats`` call, in the same order and with the same
+        ``min(int(u * (i + 1)), i)``, so the permutation and the stream's
+        next draw are those of the scalar loop; only the swaps run in
+        Python."""
         perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.next_index(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
+        sizes = np.arange(n, 1, -1)
+        picks = np.minimum((self.floats(len(sizes)) * sizes).astype(np.intp), sizes - 1)
+        items = perm.tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
+            items[i], items[j] = items[j], items[i]
+        perm[:] = items
         return perm

@@ -264,11 +264,18 @@ def write_rows(path: Path, header: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
+def split_features(bundle: ModelBundle, dataset: Dataset, train_idx,
+                   test_idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The encoder's features and the labels of the train and the test
+    split: the first four arguments of both evaluation protocols."""
+    return (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
+            encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
+
+
 def evaluate(bundle: ModelBundle, dataset: Dataset, train_idx, test_idx,
              train_cfg: TrainConfig, eval_cfg: EvalConfig,
              pipeline: AugPipeline) -> tuple[float, float, float]:
-    split = (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
-             encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
+    split = split_features(bundle, dataset, train_idx, test_idx)
     knn_acc = knn_eval(*split, eval_cfg.knn_k)
     probe_acc = linear_probe(*split, train_cfg.probe_per_class, derive(train_cfg.run_seed, "probe"))
     pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], pipeline,
@@ -309,18 +316,33 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
+def _nearest(dist: np.ndarray, k: int) -> list[np.ndarray]:
+    """The indices of each row's k smallest entries, in the order of a
+    stable sort of the whole row (ties go to the lower index, NaN sorts
+    last), without sorting whole rows: ``np.partition`` finds each row's
+    k-th smallest entry, and a stable sort runs over only the entries not
+    above it. NaN compares false, so a row whose k-th entry is NaN keeps
+    every entry and is sorted whole."""
+    candidates = ~(dist > np.partition(dist, k - 1, axis=1)[:, k - 1:k])
+    return [near[np.argsort(row[near], kind="stable")[:k]]
+            for row, near in zip(dist, map(np.flatnonzero, candidates))]
+
+
 def knn_eval(train_feats: np.ndarray, train_labels: np.ndarray,
              test_feats: np.ndarray, test_labels: np.ndarray, k: int) -> float:
     """Majority vote among the k nearest neighbors under cosine distance;
-    vote ties break by smaller summed distance, then lower class index."""
+    vote ties break by smaller summed distance, then lower class index.
+    The neighbors are the first k of a stable sort of each row (distance
+    ties go to the lower train index), found by one ``np.partition`` of
+    the distance matrix and a stable sort of each row's candidates
+    (``_nearest``)."""
     if len(train_feats) == 0:
         raise ContractViolation("empty train set")
     if k > len(train_feats):
         raise ContractViolation(f"k={k} exceeds train set size {len(train_feats)}")
     dist = 1.0 - _normalize_rows(test_feats) @ _normalize_rows(train_feats).T
     correct = 0
-    for row, true_label in zip(dist, test_labels):
-        order = np.argsort(row, kind="stable")[:k]
+    for row, order, true_label in zip(dist, _nearest(dist, k), test_labels):
         votes: dict[int, int] = {}
         sums: dict[int, float] = {}
         for idx in order:

@@ -2,6 +2,7 @@
 reference), two-view seeding, dataset layout, and the synthetic
 generator."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from contrastlab.augment import (LUMA_WEIGHTS, OP_ORDER, AugPipeline, Dataset, P
                                  SyntheticSpec, _crop_table, augment_view, augment_views,
                                  generate_dataset, load_dataset, make_two_views, parse_pnm,
                                  stratified_split, write_dataset, write_pnm)
+from contrastlab.cli import main
 from contrastlab.errors import ContractViolation
 from contrastlab.rng import SplitMix64, derive
 
@@ -50,6 +52,10 @@ class TestPnm:
         with pytest.raises(PnmError) as err:
             parse_pnm(blob)
         assert err.value.field == field
+
+    def test_every_byte_value_decodes_to_value_over_255(self):
+        img = parse_pnm(b"P5 16 16 255\n" + bytes(range(256)))
+        assert img.tobytes() == (np.arange(256.0) / 255.0).reshape(16, 16, 1).tobytes()
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(PnmError) as err:
@@ -412,6 +418,11 @@ class TestDatasetLayout:
             with pytest.raises(ContractViolation, match="row 2: .* lies outside"):
                 load_dataset(inside)
 
+    def test_loader_accepts_a_directory_spelled_with_two_leading_slashes(self, tmp_path):
+        dataset = generate_dataset(SyntheticSpec(classes=1, per_class=2, size=8, channels=1))
+        write_dataset(dataset, tmp_path)
+        np.testing.assert_array_equal(load_dataset("/" + str(tmp_path)).pixels, dataset.pixels)
+
     def test_loader_rejects_empty_index(self, tmp_path):
         (tmp_path / "labels.csv").write_text("filename,label\n")
         with pytest.raises(ContractViolation, match="n >= 1"):
@@ -427,6 +438,79 @@ class TestDatasetLayout:
         train_idx, test_idx = stratified_split(labels, 0.2)
         np.testing.assert_array_equal(train_idx, [0, 1, 2, 3, 5, 6, 7, 8])
         np.testing.assert_array_equal(test_idx, [4, 9])
+
+
+GRAY_8X8 = write_pnm(np.full((8, 8, 1), 0.5))
+
+# A header cut before each field, also inside a comment. The last one has
+# many '#': a comment pattern that could stop at any of them would take
+# exponential time to reject it.
+CUT_HEADERS = [
+    (b"", "magic"), (b"# only a comment", "magic"),
+    (b"P5", "width"), (b"P5 # cut", "width"),
+    (b"P5 8", "height"), (b"P5 8\t#cut", "height"),
+    (b"P5 8 8", "maxval"), (b"P5 8 8 #" + b" #" * 40, "maxval"),
+]
+
+
+def write_index(directory, rows):
+    (directory / "labels.csv").write_text("filename,label\n" + "".join(f"{r}\n" for r in rows))
+
+
+def pretrain_error_lines(tmp_path, data_dir, capsys):
+    """Exit code and stderr lines of ``pretrain`` on ``data_dir``."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"io": {"dataset": str(data_dir),
+                                         "output_dir": str(tmp_path / "out")}}))
+    code = main(["pretrain", "-c", str(config)])
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestLoaderErrors:
+    """The loader's error lines: the index is checked row by row before
+    any image is read, and a bad image is named by its normalized path."""
+
+    def test_missing_file_reported_before_a_later_bad_label(self, tmp_path):
+        (tmp_path / "a.pgm").write_bytes(b"P5 8")          # never decoded
+        (tmp_path / "b.pgm").write_bytes(GRAY_8X8)
+        write_index(tmp_path, ["a.pgm,0", "zz.pgm,1", "b.pgm,x"])
+        with pytest.raises(ContractViolation) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'labels.csv'} row 3: missing file zz.pgm"
+
+    @pytest.mark.parametrize("header,field", CUT_HEADERS)
+    def test_cut_header_names_its_field(self, tmp_path, header, field):
+        with pytest.raises(PnmError) as err:
+            parse_pnm(header)
+        assert err.value.field == field
+        (tmp_path / "a.pgm").write_bytes(GRAY_8X8)
+        (tmp_path / "b.pgm").write_bytes(header)
+        write_index(tmp_path, ["a.pgm,0", "b.pgm,1"])
+        with pytest.raises(OSError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'b.pgm'}: {field}: header ended before the field"
+
+    @pytest.mark.parametrize("name,parts", [
+        ("a.ppm", ("a.ppm",)), ("./a.ppm", ("a.ppm",)),
+        ("sub//a.ppm", ("sub", "a.ppm")), ("sub/./a.ppm", ("sub", "a.ppm")),
+    ])
+    def test_bad_image_line_names_the_normalized_path(self, tmp_path, capsys, name, parts):
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        data.joinpath(*parts).write_bytes(b"P6 8 8")
+        write_index(data, [f"{name},0"])
+        code, err = pretrain_error_lines(tmp_path, data, capsys)
+        assert (code, err) == (3, [f"error: io: {data.joinpath(*parts)}: "
+                                   "maxval: header ended before the field"])
+
+    def test_directory_row_is_one_io_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        (data / "a.pgm").write_bytes(GRAY_8X8)
+        write_index(data, ["a.pgm,0", "sub,1"])
+        code, err = pretrain_error_lines(tmp_path, data, capsys)
+        assert code == 3 and len(err) == 1, err
+        assert err[0].startswith("error: io: ") and err[0].endswith(f"{data / 'sub'}'")
 
 
 class TestSyntheticGenerator:

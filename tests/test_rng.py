@@ -89,3 +89,23 @@ def test_first_floats_match_stream(k):
     for seed in [derive(5, "first", i) for i in range(998)] + [0, 2**64 - 1]:
         stream = SplitMix64(seed)
         assert first_floats(seed, k) == [stream.next_float() for _ in range(k)]
+
+
+def scalar_permutation(stream: SplitMix64, n: int) -> np.ndarray:
+    """Fisher-Yates with one scalar draw per swap: the reference order."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = stream.next_index(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400, 1600])
+def test_permutation_matches_scalar_fisher_yates(n):
+    for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1, derive(3, "shuffle", 1)):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        perm, expected = fast.permutation(n), scalar_permutation(slow, n)
+        assert perm.dtype == expected.dtype
+        np.testing.assert_array_equal(perm, expected)
+        # the stream is left where the scalar loop leaves it
+        assert fast.next_u64() == slow.next_u64()

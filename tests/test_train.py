@@ -14,7 +14,7 @@ from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
-                               _batch_loss, _start, build_eval_pairs, knn_eval,
+                               _batch_loss, _nearest, _start, build_eval_pairs, knn_eval,
                                linear_probe, pretrain, reduction_check, temperature_for_step,
                                train_step)
 from reference_heads import reference_forward_views, reference_heads, stacked_grads
@@ -254,6 +254,71 @@ class TestKnn:
         with pytest.raises(ContractViolation):
             knn_eval(np.ones((2, 2)), np.zeros(2, dtype=int),
                      np.ones((1, 2)), np.zeros(1, dtype=int), k=5)
+
+
+def full_sort_knn(train_feats, train_labels, test_feats, test_labels, k):
+    """``knn_eval`` with each row's neighbours from a stable sort of the
+    whole row; the vote is ``knn_eval``'s."""
+    tn = train_feats / np.linalg.norm(train_feats, axis=1, keepdims=True)
+    sn = test_feats / np.linalg.norm(test_feats, axis=1, keepdims=True)
+    correct = 0
+    for row, true_label in zip(1.0 - sn @ tn.T, test_labels):
+        votes, sums = {}, {}
+        for idx in np.argsort(row, kind="stable")[:k]:
+            cls = int(train_labels[idx])
+            votes[cls] = votes.get(cls, 0) + 1
+            sums[cls] = sums.get(cls, 0.0) + float(row[idx])
+        correct += int(min(votes, key=lambda c: (-votes[c], sums[c], c)) == int(true_label))
+    return correct / len(test_labels)
+
+
+class TestKnnNeighbours:
+    """``_nearest`` against the first k of a full stable ``argsort``."""
+
+    @staticmethod
+    def assert_full_sort_prefix(dist, k):
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(np.array(_nearest(dist, k)), expected)
+
+    def test_duplicated_train_features_tie_at_the_kth_place(self):
+        rng = np.random.default_rng(11)
+        train = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)[rng.permutation(24)]
+        test = rng.normal(size=(9, 3))
+        dist = 1.0 - test @ train.T
+        ordered = np.sort(dist, axis=1)
+        straddled = 0
+        for k in range(1, len(train) + 1):
+            self.assert_full_sort_prefix(dist, k)
+            if k < len(train):
+                straddled += int(np.any(ordered[:, k - 1] == ordered[:, k]))
+        assert straddled > 0, "no tie fell across the k-th place"
+
+    def test_k_equals_the_train_set(self):
+        rng = np.random.default_rng(12)
+        dist = rng.integers(0, 3, size=(5, 8)).astype(float)
+        self.assert_full_sort_prefix(dist, 8)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_nan_distances_sort_last(self, k):
+        dist = np.array([
+            [0.5, np.nan, 0.1, 0.1, np.nan, 0.3],        # NaN beyond the k-th place
+            [np.nan, 0.2, np.nan, np.nan, 0.2, np.nan],  # k-th distance NaN for k > 2
+            [np.nan] * 6,
+            [0.0, -0.0, 0.0, np.nan, 1.0, 0.0],
+        ])
+        self.assert_full_sort_prefix(dist, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_infinite_features_score_as_a_full_sort(self, k):
+        rng = np.random.default_rng(13)
+        train = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
+        train[[1, 6]] = [np.inf, 0.0]
+        test = rng.normal(size=(8, 2))
+        test[2] = [np.inf, np.inf]
+        labels, test_labels = rng.integers(0, 3, size=12), rng.integers(0, 3, size=8)
+        with np.errstate(invalid="ignore"):
+            assert knn_eval(train, labels, test, test_labels, k) == \
+                full_sort_knn(train, labels, test, test_labels, k)
 
 
 class TestLinearProbe:
