@@ -307,18 +307,18 @@ def _scheduled_temps(tau: float, heads: int, samples: int) -> StepTemps:
     return StepTemps(np.full(heads, tau), np.full((samples, heads), tau))
 
 
-def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net_bt: Mlp,
+def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net: Mlp,
                          bounds: TempBounds) -> Tensor:
     """(d', d') per-channel-pair temperatures of the cross-correlation
     loss, one matrix per head of a stack: batch-dimension channel vectors
     pushed through the batch-width temperature net."""
     n = z_a.shape[-2]
-    if temp_net_bt.spec.widths[0] != n:
+    if temp_net.spec.widths[0] != n:
         raise ContractViolation(
-            f"batch-width temperature net expects batches of {temp_net_bt.spec.widths[0]}, got {n}"
+            f"batch-width temperature net expects batches of {temp_net.spec.widths[0]}, got {n}"
         )
-    phi_a = temperature_embedding(temp_net_bt, T.l2_normalize(T.transpose(z_a)))
-    phi_b = temperature_embedding(temp_net_bt, T.l2_normalize(T.transpose(z_b)))
+    phi_a = temperature_embedding(temp_net, T.l2_normalize(T.transpose(z_a)))
+    phi_b = temperature_embedding(temp_net, T.l2_normalize(T.transpose(z_b)))
     return bounded_sigmoid(T.matmul(phi_a, T.transpose(phi_b)), bounds)
 
 
@@ -425,7 +425,7 @@ def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepT
     if cfg.family == "baseline":
         value = T.mean(negcos_loss(live_a, live_b, target_a, target_b), axis=-1)
         terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
-        return terms, StepTemps(np.full(2 * batch * heads, tau), np.full((2 * batch, heads), tau))
+        return terms, _scheduled_temps(tau, heads, 2 * batch)
     s_a = cosine_sim(live_a, T.stop_gradient(target_b))
     s_b = cosine_sim(live_b, T.stop_gradient(target_a))
     if tau is None:

@@ -1,12 +1,12 @@
-"""Encoder, projection heads, and the shared temperature network.
+"""Encoder, projection heads, and the temperature network of adaptive runs.
 
 The C heads are one ``Mlp`` whose parameters carry a leading head axis
 (weights (C, fan_in, fan_out), biases (C, 1, fan_out)): one call maps a
 (B, d) batch to a (C, B, d') stack, slice c bit-identical to head c alone.
 
-The temperature network maps a projected vector through one affine layer
-and squashes pairwise inner products with a bounded sigmoid, so every
-emitted temperature lies strictly inside (eta, eta + iota).
+The temperature network, width d' (B for the cross-correlation), maps a
+vector through one affine layer and squashes pairwise inner products with
+a bounded sigmoid, so every temperature lies strictly inside (eta, eta + iota).
 
 Gradient flow: the temperature network reads gradient-stopped features
 (``temperature_embedding``). A loss trains phi's parameters through the
@@ -119,15 +119,14 @@ class Mlp:
 
 @dataclass
 class ModelBundle:
-    """Encoder f, C projection heads with independent parameters (one
-    stacked ``Mlp``), shared temperature net phi, plus optional predictor
-    (negative-cosine variant) and batch-width temperature net (barlow)."""
+    """Encoder f and C projection heads with independent parameters (one
+    stacked ``Mlp``), plus the temperature net phi of an adaptive run and
+    the predictor of the negative-cosine variant."""
 
     encoder: Mlp
     heads: Mlp
-    temp_net: Mlp
+    temp_net: Mlp | None = None
     predictor: Mlp | None = None
-    temp_net_bt: Mlp | None = None
 
     def __post_init__(self):
         shapes = [p.shape for p in self.heads.params]
@@ -142,29 +141,23 @@ class ModelBundle:
         """Every parameter, component by component in checkpoint order."""
         return [p for _, mlp in _component_entries(self) for p in mlp.params]
 
-    def temperature_parameters(self) -> list[Tensor]:
-        """The parameters of ``temp_net`` and, when present, ``temp_net_bt``."""
-        return [p for name, mlp in _component_entries(self) if name.startswith("temp_net")
-                for p in mlp.params]
-
     @classmethod
     def build(cls, d_in: int, d: int, d_prime: int, n_heads: int, seed: int,
-              with_predictor: bool = False, bt_width: int | None = None) -> "ModelBundle":
+              with_predictor: bool = False, temp_width: int | None = None) -> "ModelBundle":
         """Smallest faithful instantiation: 2-layer encoder, 2-layer heads
-        with hidden width d, single affine temperature layer."""
+        with hidden width d, and an affine temperature layer given ``temp_width``."""
         encoder = Mlp.init(MlpSpec((d_in, d, d)), derive(seed, "encoder"))
         head_spec = MlpSpec((d, d, d_prime))
         per_head = [Mlp.init(head_spec, derive(seed, "head", c)).params for c in range(n_heads)]
         stacked = [np.stack([p[i].data for p in per_head]) for i in range(2 * head_spec.n_layers)]
         heads = Mlp(head_spec, [Tensor(w if i % 2 == 0 else w[:, None]) for i, w in enumerate(stacked)])
-        temp_net = Mlp.init(MlpSpec((d_prime, d_prime)), derive(seed, "temp"))
+        temp_net = None
+        if temp_width is not None:
+            temp_net = Mlp.init(MlpSpec((temp_width, temp_width)), derive(seed, "temp"))
         predictor = None
         if with_predictor:
             predictor = Mlp.init(MlpSpec((d_prime, d_prime, d_prime)), derive(seed, "predictor"))
-        temp_net_bt = None
-        if bt_width is not None:
-            temp_net_bt = Mlp.init(MlpSpec((bt_width, bt_width)), derive(seed, "temp_bt"))
-        return cls(encoder, heads, temp_net, predictor, temp_net_bt)
+        return cls(encoder, heads, temp_net, predictor)
 
 
 def forward_views(bundle: ModelBundle, x: Tensor, x_pos: Tensor):
@@ -225,11 +218,10 @@ def adaptive_temperature(u: Tensor, v: Tensor, temp_net: Mlp, bounds: TempBounds
 def _component_entries(bundle: ModelBundle):
     yield "encoder", bundle.encoder
     yield "heads", bundle.heads
-    yield "temp_net", bundle.temp_net
+    if bundle.temp_net is not None:
+        yield "temp_net", bundle.temp_net
     if bundle.predictor is not None:
         yield "predictor", bundle.predictor
-    if bundle.temp_net_bt is not None:
-        yield "temp_net_bt", bundle.temp_net_bt
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -301,4 +293,9 @@ def _decode_bundle(blob: bytes) -> ModelBundle:
             params.append(Tensor(arrays[f"{name}/{layer}/b"]))
         return Mlp(spec, params)
 
-    return ModelBundle(**{name: rebuild(name) for name in manifest["specs"]})
+    components = {name: rebuild(name) for name in manifest["specs"]}
+    # An adaptive barlow file of the earlier layout stores the batch-width
+    # net its loss read as "temp_net_bt" beside an unread d' "temp_net".
+    if "temp_net_bt" in components:
+        components["temp_net"] = components.pop("temp_net_bt")
+    return ModelBundle(**components)

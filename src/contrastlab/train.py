@@ -85,14 +85,12 @@ class EvalConfig:
         require(self.pair_seed >= 0, "pair_seed", "must be >= 0")
 
 
-def temperature_for_step(cfg: LossConfig, epoch: int, total_epochs: int):
-    """Scheduled temperature for this epoch, or the marker "adaptive"."""
-    if cfg.temp_mode == "constant":
-        return cfg.tau0
+def temperature_for_step(cfg: LossConfig, epoch: int, total_epochs: int) -> float:
+    """Scheduled temperature for this epoch: the cosine schedule, or tau0."""
     if cfg.temp_mode == "cosine":
         return cfg.tau_min + 0.5 * (cfg.tau_max - cfg.tau_min) * (
             1.0 + math.cos(2.0 * math.pi * epoch / cfg.tau_period))
-    return "adaptive"
+    return cfg.tau0
 
 
 class SgdMomentum:
@@ -128,22 +126,20 @@ class SgdMomentum:
 
 
 def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
-                tau_step) -> tuple[LossTerms, L.StepTemps]:
+                source) -> tuple[LossTerms, L.StepTemps]:
     """Loss terms and temperatures of one two-view batch: the forward
-    pass, then ``losses.head_loss`` over every head. ``tau_step`` is the
-    scheduled temperature or the marker "adaptive", which selects the
-    variant's temperature net."""
+    pass, then ``losses.head_loss`` over every head. The temperature
+    ``source`` is the scheduled temperature or ``bundle.temp_net``."""
     _, _, pa, pb = forward_views(bundle, xa, xb)
-    net = bundle.temp_net_bt if cfg.variant == "barlow" else bundle.temp_net
-    return L.head_loss(cfg, pa, pb, net if tau_step == "adaptive" else tau_step, bundle.predictor)
+    return L.head_loss(cfg, pa, pb, source, bundle.predictor)
 
 
 def train_step(bundle: ModelBundle, opt: SgdMomentum, cfg: LossConfig, xa: Tensor, xb: Tensor,
-               lr: float, tau_step) -> tuple[float, LossTerms, L.StepTemps, list[np.ndarray]]:
+               lr: float, source) -> tuple[float, LossTerms, L.StepTemps, list[np.ndarray]]:
     """One step on a two-view batch: ``_batch_loss``, the finite-loss check,
     ``backward`` over ``opt.params`` and the update. Returns the loss value,
     its terms, the temperatures and the gradients the update applied."""
-    terms, temps = _batch_loss(bundle, cfg, xa, xb, tau_step)
+    terms, temps = _batch_loss(bundle, cfg, xa, xb, source)
     loss = terms.total()
     value = loss.item()
     if not math.isfinite(value):
@@ -167,26 +163,27 @@ class RunResult:
 
 def _start(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
            train_cfg: TrainConfig) -> tuple[ModelBundle, SgdMomentum, np.ndarray, np.ndarray]:
-    """A run's fresh bundle (with a predictor for simsiam and a batch-width
-    temperature net for adaptive barlow), its SGD with momentum over every
-    parameter (the temperature nets at ``temp_lr_scale`` times the base
-    rate), and the train and test indices of the split."""
+    """A run's fresh bundle (with a predictor for simsiam, and for an
+    adaptive run a temperature net of width d', or of the batch size for
+    barlow), its SGD with momentum over every parameter (the temperature
+    net at ``temp_lr_scale`` times the base rate), and the train and test
+    indices of the split."""
     train_idx, test_idx = stratified_split(dataset.labels, train_cfg.test_fraction)
     if len(train_idx) < train_cfg.batch_size:
         raise ContractViolation(
             f"training split ({len(train_idx)}) smaller than batch size {train_cfg.batch_size}")
     d_in = dataset.pixels[0].size
-    needs_bt = loss_cfg.variant == "barlow" and loss_cfg.temp_mode == "adaptive"
+    width = train_cfg.batch_size if loss_cfg.variant == "barlow" else model_cfg.d_prime
     bundle = ModelBundle.build(
         d_in, model_cfg.d, model_cfg.d_prime, loss_cfg.heads,
         seed=derive(train_cfg.run_seed, "init"),
         with_predictor=loss_cfg.variant == "simsiam",
-        bt_width=train_cfg.batch_size if needs_bt else None,
+        temp_width=width if loss_cfg.temp_mode == "adaptive" else None,
     )
     params = bundle.parameters()
-    temp_ids = {id(p) for p in bundle.temperature_parameters()}
+    temp = bundle.temp_net.params if bundle.temp_net is not None else []
     opt = SgdMomentum(params, train_cfg.momentum, train_cfg.weight_decay,
-                      [train_cfg.temp_lr_scale if id(p) in temp_ids else 1.0 for p in params])
+                      [train_cfg.temp_lr_scale if any(p is t for t in temp) else 1.0 for p in params])
     return bundle, opt, train_idx, test_idx
 
 
@@ -219,17 +216,20 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
              out_dir: Path | None = None) -> RunResult:
     """Run the full pretraining schedule and return the trained bundle
     plus formatted log rows (also written to disk when ``out_dir`` is
-    given, along with a checkpoint)."""
+    given, along with a checkpoint). The evaluation after the last epoch
+    is checked to be possible before the first step."""
     bundle, opt, train_idx, test_idx = _start(dataset, model_cfg, loss_cfg, train_cfg)
+    _require_evaluable(dataset.labels[train_idx], len(test_idx), train_cfg, eval_cfg)
     train_rows: list[str] = []
     eval_rows: list[str] = []
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / train_cfg.epochs))
-        tau_step = temperature_for_step(loss_cfg, epoch, train_cfg.epochs)
+        source = (bundle.temp_net if bundle.temp_net is not None
+                  else temperature_for_step(loss_cfg, epoch, train_cfg.epochs))
         for step, xa, xb in _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch):
             try:
                 # the gradients are dropped here, before the next forward pass
-                value, terms, temps = train_step(bundle, opt, loss_cfg, xa, xb, lr, tau_step)[:3]
+                value, terms, temps = train_step(bundle, opt, loss_cfg, xa, xb, lr, source)[:3]
             except (DomainError, ContractViolation, EvaluationError) as exc:
                 # the same error, its message naming the step
                 exc.args = (f"epoch {epoch} step {step}: {exc}",) + exc.args[1:]
@@ -255,6 +255,22 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
         write_rows(out_dir / "eval_log.csv", EVAL_LOG_HEADER, eval_rows)
         save_bundle(bundle, out_dir / "checkpoint.bin")
     return RunResult(bundle, train_rows, eval_rows, train_idx, test_idx)
+
+
+def _require_evaluable(train_labels: np.ndarray, n_test: int, train_cfg: TrainConfig,
+                       eval_cfg: EvalConfig) -> None:
+    """The split's sizes that ``evaluate`` needs: ``probe_per_class``
+    training images of every class, ``knn_k`` training images and two
+    held-out images. Each unmet need names its config path."""
+    classes, counts = np.unique(train_labels, return_counts=True)
+    short = np.argmin(counts)
+    require(counts[short] >= train_cfg.probe_per_class, "train.probe_per_class",
+            f"class {classes[short]} has {counts[short]} training images, "
+            f"need {train_cfg.probe_per_class}")
+    require(eval_cfg.knn_k <= len(train_labels), "eval.knn_k",
+            f"k={eval_cfg.knn_k} exceeds the {len(train_labels)} training images")
+    require(n_test >= 2, "train.test_fraction",
+            f"holds out {n_test} image(s), evaluation needs at least two")
 
 
 def write_rows(path: Path, header: str, rows: list[str]) -> None:
@@ -310,7 +326,10 @@ def build_eval_pairs(images: np.ndarray, pipeline: AugPipeline, seed: int,
 # -- frozen-feature evaluation protocols ----------------------------------
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    # a finite row whose norm overflows scales to zeros, as it would had
+    # one of its entries been infinite
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ContractViolation("zero feature vector in nearest-neighbor evaluation")
     return x / norms

@@ -60,16 +60,15 @@ def reference_batch_standardize(z: Tensor) -> Tensor:
     return centered / T.sqrt(var)
 
 
-def reference_batch_loss(bundle, heads: list[Mlp], cfg, xa: Tensor, xb: Tensor, tau_step):
-    """``train._batch_loss`` over per-head networks: the bundle's encoder,
-    predictor and temperature nets with the given heads."""
+def reference_batch_loss(bundle, heads: list[Mlp], cfg, xa: Tensor, xb: Tensor, temps):
+    """``train._batch_loss`` over per-head networks: the bundle's encoder
+    and predictor with the given heads, at the scheduled temperature or
+    the bundle's temperature net ``temps``."""
     _, _, raw = reference_forward_views(bundle.encoder, heads, xa, xb)
-    adaptive = tau_step == "adaptive"
     if cfg.variant == "barlow":
         views = [(reference_batch_standardize(a), reference_batch_standardize(b)) for a, b in raw]
-        return reference_cross_corr(cfg, views, bundle.temp_net_bt if adaptive else tau_step)
+        return reference_cross_corr(cfg, views, temps)
     views = [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in raw]
-    temps = bundle.temp_net if adaptive else tau_step
     if cfg.variant == "simsiam":
         branches = [(bundle.predictor(a), bundle.predictor(b), a, b) for a, b in views]
         return reference_negcos(cfg, branches, temps)

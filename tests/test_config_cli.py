@@ -16,8 +16,8 @@ from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, w
                                  write_pnm)
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig, LossTerms
-from contrastlab.nets import ModelBundle, TempBounds, save_bundle
-from contrastlab.tensor import Tensor
+from contrastlab.nets import Mlp, MlpSpec, ModelBundle, TempBounds, load_bundle, save_bundle
+from contrastlab.tensor import Tensor, amtd_encode
 from contrastlab.train import EvalConfig, ModelConfig, TrainConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -169,6 +169,51 @@ class TestFieldRules:
         AugPipeline(gray_prob=0.0, flip_prob=0.0)
 
 
+# Config sections of the runs whose checkpoints the eval commands score,
+# one per set of components a run writes besides the encoder and heads.
+SCORED_RUNS = {
+    "ntxent-adaptive": {},
+    "baseline-ntxent": {"model": {"heads": 1},
+                        "loss": {"family": "baseline", "temp_mode": "constant"}},
+    "barlow-adaptive": {"loss": {"variant": "barlow"}},
+    "simsiam-adaptive": {"loss": {"variant": "simsiam"}},
+}
+
+
+def _trained_run(small_config, root: Path, sections: dict) -> tuple[Path, ModelBundle]:
+    """``small_config`` with ``sections`` laid over it, pretrained into
+    ``root / "out"`` with probe_sizes [probe_per_class]: the config's path
+    and the bundle its checkpoint holds."""
+    _, cfg_path = small_config
+    doc = json.loads(cfg_path.read_text())
+    for section, values in sections.items():
+        doc[section] = {**doc.get(section, {}), **values}
+    doc["eval"]["probe_sizes"] = [doc["train"]["probe_per_class"]]
+    doc["io"]["output_dir"] = str(root / "out")
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pretrain", "-c", str(path)]) == 0
+    return path, load_bundle(root / "out" / "checkpoint.bin")
+
+
+def _earlier_layout(components: dict[str, Mlp]) -> bytes:
+    """A version-2 checkpoint in the layout written before runs kept only
+    the nets their loss reads: every given component, in order, as
+    float64 AMTD records."""
+    tensors, payload = [], bytearray()
+    for name, mlp in components.items():
+        for i, param in enumerate(mlp.params):
+            blob = amtd_encode(param.data, dtype_code=2)
+            tensors.append({"name": f"{name}/{i // 2}/{'wb'[i % 2]}", "shape": list(param.shape),
+                            "offset": len(payload), "length": len(blob)})
+            payload += blob
+    manifest = {"format": "contrastlab-checkpoint", "version": 2, "tensors": tensors,
+                "specs": {name: list(mlp.spec.widths) for name, mlp in components.items()}}
+    body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return len(body).to_bytes(8, "little") + body + bytes(payload)
+
+
 @pytest.fixture(scope="module")
 def small_config(tmp_path_factory):
     """A tiny end-to-end config plus its synthetic dataset on disk."""
@@ -218,24 +263,107 @@ class TestCommands:
 
     def test_eval_commands_score_the_trained_model(self, small_config, tmp_path, capsys):
         """knn, probe and analyze on the checkpoint print exactly the
-        values pretrain computed in process (its eval_log.csv row)."""
-        _, cfg_path = small_config
-        doc = json.loads(cfg_path.read_text())
-        per_class = doc["train"]["probe_per_class"]
-        doc["eval"]["probe_sizes"] = [per_class]
-        doc["io"]["output_dir"] = str(tmp_path / "out")
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
-        assert main(["pretrain", "-c", str(path)]) == 0
-        row = (tmp_path / "out" / "eval_log.csv").read_text().splitlines()[1]
+        values pretrain computed in process (its eval_log.csv row), for
+        every set of components a run writes: the temperature net of
+        width d', none (a scheduled run), the batch-width net (barlow) and
+        a predictor with the net (simsiam)."""
+        for name, loss in SCORED_RUNS.items():
+            path, _ = _trained_run(small_config, tmp_path / name, loss)
+            self._assert_scores(path, capsys)
+
+    @staticmethod
+    def _assert_scores(path, capsys):
+        """knn, probe and analyze print the values of the run's eval_log.csv
+        row; probe runs at ``train.probe_per_class``."""
+        doc = json.loads(path.read_text())
+        row = (Path(doc["io"]["output_dir"]) / "eval_log.csv").read_text().splitlines()[1]
         _, knn_acc, probe_acc, overlap = row.split(",")
         capsys.readouterr()
         for command in ("knn", "probe", "analyze"):
-            assert main([command, "-c", str(path)]) == 0
+            assert main([command, "-c", str(path)]) == 0, command
         printed = capsys.readouterr().out.splitlines()
+        per_class = doc["train"]["probe_per_class"]
         assert f"knn_acc={knn_acc}" in printed
         assert f"probe_acc[{per_class} per class]={probe_acc}" in printed
         assert f"overlap[projected]={overlap}" in printed
+
+    def test_earlier_checkpoint_layout_scores_the_same(self, small_config, tmp_path, capsys):
+        """Files in the layout written before runs kept only the nets their
+        loss reads still load and score as before: a scheduled run's file
+        with an unread d' temperature net, and an adaptive barlow file
+        whose batch-width net is stored as "temp_net_bt" beside an unread
+        d' "temp_net". The batch-width net loads as the temperature net."""
+        for name, loss in (("scheduled", SCORED_RUNS["baseline-ntxent"]),
+                           ("barlow", SCORED_RUNS["barlow-adaptive"])):
+            path, bundle = _trained_run(small_config, tmp_path / name, loss)
+            d_prime = bundle.heads.spec.widths[-1]
+            unread = Mlp.init(MlpSpec((d_prime, d_prime)), seed=5)
+            components = {"encoder": bundle.encoder, "heads": bundle.heads, "temp_net": unread}
+            if bundle.temp_net is not None:
+                components["temp_net_bt"] = bundle.temp_net
+            checkpoint = tmp_path / name / "out" / "checkpoint.bin"
+            checkpoint.write_bytes(_earlier_layout(components))
+            loaded = load_bundle(checkpoint)
+            want = (unread if bundle.temp_net is None else bundle.temp_net).params
+            assert [p.data.tobytes() for p in loaded.temp_net.params] == [p.data.tobytes() for p in want]
+            self._assert_scores(path, capsys)
+
+    @pytest.mark.parametrize("need,train_keys,eval_keys,synthetic_keys", [
+        ("train.probe_per_class", {}, {}, {}),
+        ("eval.knn_k", {"probe_per_class": 10}, {"knn_k": 500}, {}),
+        ("train.test_fraction", {"probe_per_class": 10, "test_fraction": 0.05}, {"knn_k": 5},
+         {"classes": 1, "per_class": 18}),
+    ])
+    def test_evaluation_needs_checked_before_the_first_step(self, tmp_path, capsys, monkeypatch,
+                                                            need, train_keys, eval_keys,
+                                                            synthetic_keys):
+        """A split too small for the evaluation after the last epoch (too
+        few images of a class for the probe, fewer training images than
+        knn_k, fewer than two held-out images) stops pretrain before any
+        step, with one line naming the config path."""
+        calls = []
+        monkeypatch.setattr(train, "train_step", lambda *args: calls.append(args))
+        synthetic = {"classes": 4, "per_class": 40, "size": 8, "channels": 1, "seed": 1}
+        doc = {"model": {"d": 16, "d_prime": 8, "heads": 2},
+               "train": {"epochs": 2, "batch_size": 16, **train_keys},
+               "eval": eval_keys,
+               "io": {"output_dir": str(tmp_path / "out"),
+                      "synthetic": {**synthetic, **synthetic_keys}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: contract: {need}: "), err
+        assert calls == []
+
+    @pytest.mark.parametrize("temp_width", [None, 8], ids=["scheduled", "barlow-adaptive"])
+    def test_fuzzed_checkpoints_exit_with_one_line(self, small_config, tmp_path, capsys, temp_width):
+        """A seeded corpus of damaged checkpoints, without a temperature net
+        and with a batch-width one: truncations, changed manifest and
+        payload bytes, and bad manifest lengths. knn exits 0, 2 or 3, and
+        every failure prints exactly one error line."""
+        _, cfg_path = small_config
+        doc = json.loads(cfg_path.read_text())
+        doc["io"]["output_dir"] = str(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        checkpoint = tmp_path / "checkpoint.bin"
+        save_bundle(ModelBundle.build(64, 16, 8, 2, seed=3, temp_width=temp_width), checkpoint)
+        blob = checkpoint.read_bytes()
+        n = int.from_bytes(blob[:8], "little")
+        rng = np.random.default_rng(8)
+        corpus = [blob[:cut] for cut in rng.integers(0, len(blob), 100)]
+        for lo, hi in ((8, 8 + n), (8 + n, len(blob))):
+            for at, flip in zip(rng.integers(lo, hi, 100), rng.integers(1, 256, 100)):
+                corpus.append(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:])
+        lengths = [0, n - 1, n + 1, len(blob), 2 ** 63, 2 ** 64 - 1, *rng.integers(0, 2 ** 62, 10)]
+        corpus += [int(length).to_bytes(8, "little") + blob[8:] for length in lengths]
+        for case, damaged in enumerate(corpus):
+            checkpoint.write_bytes(damaged)
+            code = main(["knn", "-c", str(path)])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2, 3), case
+            assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), (case, err)
 
     @pytest.mark.parametrize("damage", ["truncated-payload", "smaller-image"])
     def test_bad_dataset_file_is_io_error(self, small_config, tmp_path, capsys, damage):
@@ -376,6 +504,7 @@ class TestCommands:
         doc = {"model": {"d": 16, "d_prime": 8, "heads": 1},
                "loss": {"family": "baseline", "temp_mode": "constant"},
                "train": {"epochs": 1, "batch_size": 8, "probe_per_class": 2},
+               "eval": {"knn_k": 5},
                "io": {"output_dir": str(tmp_path / "out"),
                       "synthetic": {"classes": 2, "per_class": 10, "size": 8, "channels": 1}}}
         path = tmp_path / "c.json"

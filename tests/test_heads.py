@@ -30,9 +30,11 @@ def _draw(stream: SplitMix64, shape) -> np.ndarray:
 def _bundle(cfg: LossConfig, seed: int) -> ModelBundle:
     """A small bundle whose biases are drawn too, so that the stacked head
     biases take part in every comparison."""
+    temp_width = None
+    if cfg.temp_mode == "adaptive":
+        temp_width = BATCH if cfg.variant == "barlow" else D_PRIME
     bundle = ModelBundle.build(D_IN, D, D_PRIME, cfg.heads, seed=seed,
-                               with_predictor=cfg.variant == "simsiam",
-                               bt_width=BATCH if cfg.variant == "barlow" else None)
+                               with_predictor=cfg.variant == "simsiam", temp_width=temp_width)
     stream = SplitMix64(derive(seed, "biases"))
     for p in bundle.parameters():
         if p.data.ndim == 1 or p.shape[-2] == 1:
@@ -55,18 +57,18 @@ def _compare(cfg: LossConfig, seed: int, approximate=()):
     heads = reference_heads(bundle.heads)
     stream = SplitMix64(derive(seed, "inputs"))
     xa, xb = (Tensor(_draw(stream, (BATCH, D_IN))) for _ in range(2))
-    tau_step = "adaptive" if cfg.temp_mode == "adaptive" else cfg.tau0
+    temps = bundle.temp_net if cfg.temp_mode == "adaptive" else cfg.tau0
     shared = {"encoder": bundle.encoder, "temp_net": bundle.temp_net,
-              "predictor": bundle.predictor, "temp_net_bt": bundle.temp_net_bt}
+              "predictor": bundle.predictor}
     shared = {name: net for name, net in shared.items() if net is not None}
     shared_params = [p for net in shared.values() for p in net.params]
 
-    got, got_temps, got_g = _run(lambda: _batch_loss(bundle, cfg, xa, xb, tau_step),
+    got, got_temps, got_g = _run(lambda: _batch_loss(bundle, cfg, xa, xb, temps),
                                  bundle.parameters())
     got_grads = {name: [got_g[id(p)] for p in net.params] for name, net in shared.items()}
     got_grads["heads"] = [got_g[id(p)] for p in bundle.heads.params]
     head_params = [p for h in heads for p in h.params]
-    want, want_temps, want_g = _run(lambda: reference_batch_loss(bundle, heads, cfg, xa, xb, tau_step),
+    want, want_temps, want_g = _run(lambda: reference_batch_loss(bundle, heads, cfg, xa, xb, temps),
                                     shared_params + head_params)
     want_grads = {name: [want_g[id(p)] for p in net.params] for name, net in shared.items()}
     want_grads["heads"] = stacked_grads(heads, [want_g[id(p)] for p in head_params])
@@ -107,7 +109,7 @@ def test_negcos_and_cross_corr_match_per_head_reference(variant, heads, mode):
     if heads > 1 and variant == "simsiam":
         approximate = ("predictor", "temp_net")
     elif heads > 1 and mode == "adaptive":
-        approximate = ("temp_net_bt",)
+        approximate = ("temp_net",)
     _compare(cfg, derive(32, variant, heads, mode), approximate)
 
 

@@ -193,12 +193,12 @@ class TestTempNetSharing:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         bundle = ModelBundle.build(d_in=6, d=8, d_prime=4, n_heads=2, seed=21,
-                                   with_predictor=True, bt_width=16)
+                                   with_predictor=True, temp_width=16)
         path = tmp_path / "ckpt.bin"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
         assert loaded.n_heads == 2
-        assert loaded.predictor is not None and loaded.temp_net_bt is not None
+        assert loaded.predictor is not None and loaded.temp_net.spec.widths == (16, 16)
         for orig, back in zip(bundle.parameters(), loaded.parameters()):
             assert back.data.tobytes() == orig.data.tobytes()
 

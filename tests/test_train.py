@@ -37,10 +37,6 @@ class TestTemperatureSchedule:
         for epoch in (0, 7, 59):
             assert temperature_for_step(cfg, epoch, 60) == 0.2
 
-    def test_adaptive_marker(self):
-        cfg = LossConfig(temp_mode="adaptive")
-        assert temperature_for_step(cfg, 3, 60) == "adaptive"
-
 
 class TestNegativeIndices:
     def test_rows_exclude_self_and_partner_own_branch_first(self):
@@ -119,7 +115,7 @@ class TestSgd:
         xb = Tensor(rng.uniform(size=(8, 64)))
         before = [p.data.copy() for p in opt.params]
         lr = 0.05
-        value, terms, _, grads = train_step(bundle, opt, cfg, xa, xb, lr, "adaptive")
+        value, terms, _, grads = train_step(bundle, opt, cfg, xa, xb, lr, bundle.temp_net)
         assert value == terms.total().item()
         for p, old, grad, scale in zip(opt.params, before, grads, opt.lr_scales):
             np.testing.assert_array_equal(p.data, old - lr * scale * grad)
@@ -162,7 +158,7 @@ class TestBatchLossEquivalence:
         rng = np.random.default_rng(1)
         xa = Tensor(rng.uniform(size=(4, 64)))
         xb = Tensor(rng.uniform(size=(4, 64)))
-        batch_terms, _ = _batch_loss(bundle, cfg, xa, xb, "adaptive")
+        batch_terms, _ = _batch_loss(bundle, cfg, xa, xb, bundle.temp_net)
         batch_grads = backward(batch_terms.total(), params)
 
         heads = reference_heads(bundle.heads)
@@ -193,12 +189,21 @@ class TestSymmetry:
             rng = np.random.default_rng(2)
             xa = Tensor(rng.uniform(size=(6, 64)))
             xb = Tensor(rng.uniform(size=(6, 64)))
-            forward, _ = _batch_loss(bundle, cfg, xa, xb, "adaptive")
-            swapped, _ = _batch_loss(bundle, cfg, xb, xa, "adaptive")
+            forward, _ = _batch_loss(bundle, cfg, xa, xb, bundle.temp_net)
+            swapped, _ = _batch_loss(bundle, cfg, xb, xa, bundle.temp_net)
             assert forward.total().item() == swapped.total().item()
 
 
 class TestKnn:
+    def test_overflowing_feature_norm_scores_without_warning(self):
+        """A finite feature row whose norm overflows float64 (as a damaged
+        checkpoint's weights can make it) scales to zeros without a
+        warning: at distance 1 from every row, its vote goes to the lowest
+        train index."""
+        train = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
+        test = np.array([[1.0, 0.0], [1e200, 1e200]])
+        assert knn_eval(train, np.array([0, 1, 2]), test, np.array([0, 2]), k=1) == 0.5
+
     def test_duplicated_point_k1(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([3, 5])
