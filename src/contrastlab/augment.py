@@ -20,21 +20,24 @@ counts as much as its per-value work:
   (side, h, w, c): the flat offsets of each output value's source rows
   and columns from the crop's top-left value, and the weight rows, all
   O(h + w * c) in size;
-- each (view, op) pair costs one ``derive`` and one ``first_floats``
-  over plain ints, with no stream object;
-- clamps call the ``ndarray.clip`` method, which ``np.clip`` forwards
-  to after its dispatch.
+- each view's draws for all its ops come from one ``derived_floats``
+  pass over plain ints: the view seed is mixed once, then each op's
+  stream, with no stream object;
+- the stack is clamped, with the ``ndarray.clip`` method, after crop,
+  blur and gray, whose bilinear, Gaussian and luma weights can round one
+  ulp past 1, and after a flip only when it is the first op: jitter
+  clamps its own result, and a later flip only permutes clamped values.
 
 Calls stay per sample because the benchmark's traced checks count
 ``make_two_views`` and ``augment_view`` calls; batching a whole step's
 views into one call waits for that benchmark to count views instead.
 
 Every command that reads a dataset directory loads it whole, so its
-fixed cost per file counts too: one prefix test of the normalized path
-and one ``stat`` per index row, then one read, one regex match of the
-PNM header and one division into the preallocated (N, H, W, C) array
-per file. Paths stay strings; a ``Path`` is built only to name a file
-in an error.
+fixed cost per file counts too: one ``stat`` per index row, plus one
+prefix test of the normalized path for a name that could leave the
+directory, then one read, one regex match of the PNM header and one
+payload copy per file, and one division for the whole set. Paths stay
+strings; a ``Path`` is built only to name a file in an error.
 """
 from __future__ import annotations
 
@@ -50,12 +53,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, require, require_choice
-from .rng import SplitMix64, derive, first_floats, uniform_index
+from .rng import SplitMix64, derive, derived_floats, uniform_index
 
 MAX_DIMENSION = 65535
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 OP_ORDER = ("crop", "blur", "gray", "jitter", "flip")
+OP_DRAWS = (3, 1, 1, 3, 1)              # floats each op draws per view
 
 
 class PnmError(ValueError):
@@ -114,12 +118,6 @@ def _pnm_header(blob: bytes) -> tuple[tuple[int, int, int], int]:
     return (height, width, channels), pos + 1
 
 
-def _decode(blob: bytes, start: int, out: np.ndarray) -> np.ndarray:
-    """The payload from ``start`` as reals in [0, 1], written into ``out``."""
-    return np.divide(np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(out.shape), 255.0,
-                     out=out)
-
-
 def parse_pnm(blob: bytes) -> np.ndarray:
     """Parse binary P5 (grayscale) or P6 (color) with maxval 255 into an
     ``(height, width, channels)`` array of reals in [0, 1].
@@ -130,7 +128,7 @@ def parse_pnm(blob: bytes) -> np.ndarray:
     ``PnmError`` naming the first field, in header order, that fails.
     """
     shape, start = _pnm_header(blob)
-    return _decode(blob, start, np.empty(shape))
+    return np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(shape) / 255.0
 
 
 def write_pnm(pixels: np.ndarray) -> bytes:
@@ -209,7 +207,7 @@ def _reflect_index(n: int) -> np.ndarray:
     return index
 
 
-def _crop(views: np.ndarray, pipeline: AugPipeline, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _crop(views: np.ndarray, pipeline: AugPipeline, draws) -> tuple[np.ndarray, np.ndarray]:
     """A random square crop of each view, resized back to (h, w), and
     which views the resize changed."""
     n, h, w, c = views.shape
@@ -217,8 +215,7 @@ def _crop(views: np.ndarray, pipeline: AugPipeline, seeds) -> tuple[np.ndarray, 
     flat = views.reshape(-1)
     out = np.empty(views.shape)
     resized = np.empty(n, dtype=bool)
-    for k, seed in enumerate(seeds):
-        u_scale, u_y, u_x = first_floats(seed, 3)
+    for k, (u_scale, u_y, u_x) in enumerate(draws):
         side = max(1, int(round(math.sqrt(lo + u_scale * (hi - lo)) * min(h, w))))
         oy, ox = uniform_index(u_y, h - side + 1), uniform_index(u_x, w - side + 1)
         row_offsets, col_offsets, wx, wy = _crop_table(side, h, w, c)
@@ -231,13 +228,12 @@ def _crop(views: np.ndarray, pipeline: AugPipeline, seeds) -> tuple[np.ndarray, 
     return out, resized
 
 
-def _blur(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
+def _blur(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
     """A separable 3-tap Gaussian of random sigma per view, reflect-padded."""
     h, w = views.shape[1:3]
     lo, hi = pipeline.blur_sigma
     kernels = []
-    for seed in seeds:
-        (u,) = first_floats(seed, 1)
+    for (u,) in draws:
         sigma = lo + u * (hi - lo)
         side = math.exp(-0.5 / (sigma * sigma))
         total = (side + 1.0) + side         # numpy's sum of [side, 1, side], in its order
@@ -253,18 +249,18 @@ def _luma(views: np.ndarray) -> np.ndarray:
     return views @ LUMA_WEIGHTS if views.shape[3] == 3 else views[..., 0]
 
 
-def _gray(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
-    chosen = np.array([first_floats(seed, 1)[0] < pipeline.gray_prob for seed in seeds])
+def _gray(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
+    chosen = np.array([u < pipeline.gray_prob for (u,) in draws])
     if views.shape[3] == 3 and chosen.any():
         views[chosen] = _luma(views[chosen])[..., None]
     return views
 
 
-def _jitter(views: np.ndarray, pipeline: AugPipeline, seeds,
+def _jitter(views: np.ndarray, pipeline: AugPipeline, draws,
             resized: np.ndarray) -> np.ndarray:
     """Brightness, contrast about the view's mean luma, then saturation."""
     s = pipeline.jitter_strength
-    factors = np.array([[1.0 - s + u * 2.0 * s for u in first_floats(seed, 3)] for seed in seeds])
+    factors = np.array([[1.0 - s + u * 2.0 * s for u in view_draws] for view_draws in draws])
     brightness, contrast, saturation = factors.T[:, :, None, None, None]
     out = (views * brightness).clip(0.0, 1.0)
     # A float sum depends on its order, and a view's bytes must not depend
@@ -285,9 +281,9 @@ def _jitter(views: np.ndarray, pipeline: AugPipeline, seeds,
     return out
 
 
-def _flip(views: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
-    for k, seed in enumerate(seeds):
-        if first_floats(seed, 1)[0] < pipeline.flip_prob:
+def _flip(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
+    for k, (u,) in enumerate(draws):
+        if u < pipeline.flip_prob:
             views[k] = views[k, :, ::-1]
     return views
 
@@ -298,21 +294,25 @@ def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarra
     keep their resolution, stay clamped to [0, 1] and own their memory."""
     views = np.array(images, dtype=np.float64)
     resized = np.zeros(len(views), dtype=bool)
-    for op_index, name in enumerate(OP_ORDER):
-        if name not in pipeline.ops:
-            continue
-        op_seeds = [derive(seed, op_index) for seed in seeds]
+    plan = [(i, OP_DRAWS[i]) for i, name in enumerate(OP_ORDER) if name in pipeline.ops]
+    # per op, the draws of each view: ``first_floats(derive(seed, i), k)``
+    draws = zip(*[derived_floats(seed, plan) for seed in seeds])
+    for (op_index, _), op_draws in zip(plan, draws):
+        name = OP_ORDER[op_index]
         if name == "crop":
-            views, resized = _crop(views, pipeline, op_seeds)
+            views, resized = _crop(views, pipeline, op_draws)
         elif name == "blur":
-            views = _blur(views, pipeline, op_seeds)
+            views = _blur(views, pipeline, op_draws)
         elif name == "gray":
-            views = _gray(views, pipeline, op_seeds)
+            views = _gray(views, pipeline, op_draws)
         elif name == "jitter":
-            views = _jitter(views, pipeline, op_seeds, resized)
+            views = _jitter(views, pipeline, op_draws, resized)
         else:
-            views = _flip(views, pipeline, op_seeds)
-        views.clip(0.0, 1.0, out=views)
+            views = _flip(views, pipeline, op_draws)
+        # crop, blur and gray weights can round one ulp past 1; jitter
+        # clamps its own result, and a flip after an op permutes clamped values
+        if name in ("crop", "blur", "gray") or name == "flip" == pipeline.ops[0]:
+            views.clip(0.0, 1.0, out=views)
     return views
 
 
@@ -364,17 +364,20 @@ def load_dataset(directory) -> Dataset:
     ``filename,label``; names stay inside the directory) into one array.
 
     Two passes: the whole index first, so a bad row is reported before
-    any image is read, then each file is decoded straight into one
-    preallocated (N, H, W, C) array. Per row the index pass costs one
-    normalized-path prefix test and one ``stat``; file paths are plain
-    strings, and a ``Path`` is built only to name a file in an error. A
-    file that does not decode or differs in shape from the first one
-    raises ``OSError`` naming it."""
+    any image is read, then each file's header is checked and its
+    payload copied into one byte buffer, decoded by a single division
+    by 255 (every header has maxval 255) at the end. Per row the index
+    pass costs one ``stat``, and a normalized-path prefix test unless the
+    name has no separator and is not "", "." or ".."; file paths are
+    plain strings, and a ``Path`` is built only to name a file in an
+    error. A file that does not decode or differs in shape from the
+    first one raises ``OSError`` naming it."""
     directory = Path(directory)
     index = directory / "labels.csv"
     if not index.exists():
         raise FileNotFoundError(f"missing {index}")
     inside = os.path.join(os.path.abspath(directory), "")
+    prefix = os.path.join(directory, "")
     labels, names, paths = [], [], []
     with open(index, newline="") as fh:
         reader = csv.reader(fh)
@@ -389,16 +392,19 @@ def load_dataset(directory) -> Dataset:
                 label = int(label_text)
             except ValueError:
                 raise ContractViolation(f"{index} row {row_no}: label {label_text!r} is not an integer") from None
-            # the normalized path plus a separator starts with the directory's
-            if not os.path.join(os.path.abspath(os.path.join(inside, name)), "").startswith(inside):
+            if os.path.basename(name) == name and name not in ("", ".", ".."):
+                path = prefix + name        # a plain name cannot leave the directory
+            # else the normalized path plus a separator must start with the directory's
+            elif os.path.join(os.path.abspath(os.path.join(inside, name)), "").startswith(inside):
+                path = os.path.join(directory, name)
+            else:
                 raise ContractViolation(f"{index} row {row_no}: {name} lies outside {directory}")
-            path = os.path.join(directory, name)
             if not os.path.exists(path):
                 raise ContractViolation(f"{index} row {row_no}: missing file {name}")
             labels.append(label)
             names.append(name)
             paths.append(path)
-    pixels = np.empty(0)          # an index that lists no image fails the Dataset check
+    first, size, payloads = (), 0, bytearray()   # no image: (0,) pixels fail the Dataset check
     for k, path in enumerate(paths):
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -407,11 +413,13 @@ def load_dataset(directory) -> Dataset:
         except PnmError as exc:
             raise OSError(f"{directory / names[k]}: {exc}") from None
         if k == 0:
-            pixels = np.empty((len(paths),) + shape)
-        if shape != pixels.shape[1:]:
+            first, size = shape, len(blob) - start
+            payloads = bytearray(len(paths) * size)
+        if shape != first:
             raise OSError(f"{directory / names[k]}: shape {shape} differs from {names[0]}'s "
-                          f"{pixels.shape[1:]}")
-        _decode(blob, start, pixels[k])
+                          f"{first}")
+        payloads[k * size:(k + 1) * size] = memoryview(blob)[start:]
+    pixels = np.frombuffer(payloads, dtype=np.uint8).reshape((len(paths),) + first) / 255.0
     return Dataset(pixels, np.asarray(labels, dtype=np.int64), names)
 
 

@@ -55,6 +55,13 @@ def first_floats(seed: int, k: int) -> list[float]:
     return [(_mix(seed + i * _GOLDEN) >> 11) * 2.0 ** -53 for i in range(1, k + 1)]
 
 
+def derived_floats(seed: int, plan) -> list[list[float]]:
+    """``[first_floats(derive(seed, i), k) for i, k in plan]``, with
+    ``seed`` mixed once."""
+    root = _mix(seed)
+    return [first_floats(_mix((root ^ i) + _GOLDEN), k) for i, k in plan]
+
+
 def uniform_index(u: float, n: int) -> int:
     """The integer in [0, n) that a uniform [0, 1) draw ``u`` selects,
     for n >= 1."""

@@ -17,6 +17,7 @@ Design constraints, chosen for auditability at desk scale:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import struct
@@ -132,6 +133,18 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise and linear primitives ----------------------------------
 
 _NUMBER = (int, float)
+_MAX = float(np.finfo(np.float64).max)
+_LOG_MAX = math.log(_MAX)             # np.exp(_LOG_MAX) is finite
+_UNGUARDED = contextlib.nullcontext()
+
+
+def _overflow_guard(x: np.ndarray, limit: float):
+    """A context that silences numpy's overflow warning when the squares
+    of ``x`` sum past ``limit`` or to NaN, and a no-op context otherwise,
+    where the caller's ``limit`` rules overflow out: entering
+    ``np.errstate`` costs more than a small op. ``np.vdot`` forms the sum
+    without a warning of its own."""
+    return _UNGUARDED if np.vdot(x, x) <= limit else np.errstate(over="ignore")
 
 
 def _operands(a, b):
@@ -200,7 +213,7 @@ def neg(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
-    with np.errstate(over="ignore"):
+    with _overflow_guard(a.data, _LOG_MAX * _LOG_MAX):     # below, no entry exceeds _LOG_MAX
         out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
 
@@ -389,12 +402,17 @@ def _row_starts(lead: tuple, width: int) -> np.ndarray:
 def l2_normalize(a, axis: int = -1) -> Tensor:
     """Scale vectors along ``axis`` to unit Euclidean norm.
 
-    Rejects zero vectors outright; silently adding an epsilon would make
-    downstream similarity values quietly wrong.
+    Rejects zero vectors, and vectors whose squared norm overflows,
+    outright; silently adding an epsilon would make downstream similarity
+    values quietly wrong.
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
-    norms = np.sqrt(np.add.reduce(a.data * a.data, axis=ax, keepdims=True))
+    guard = _overflow_guard(a.data, _MAX / 2)          # below, no row's squared norm overflows
+    with guard:
+        norms = np.sqrt(np.add.reduce(a.data * a.data, axis=ax, keepdims=True))
+    if guard is not _UNGUARDED and np.isinf(norms).any():
+        raise DomainError("cannot normalize a vector whose squared norm overflows")
     if np.count_nonzero(norms) != norms.size:
         raise DomainError("cannot normalize a zero vector")
     out = a.data / norms

@@ -85,7 +85,7 @@ class EvalConfig:
         require(self.pair_seed >= 0, "pair_seed", "must be >= 0")
 
 
-def temperature_for_step(cfg: LossConfig, epoch: int, total_epochs: int) -> float:
+def temperature_for_step(cfg: LossConfig, epoch: int) -> float:
     """Scheduled temperature for this epoch: the cosine schedule, or tau0."""
     if cfg.temp_mode == "cosine":
         return cfg.tau_min + 0.5 * (cfg.tau_max - cfg.tau_min) * (
@@ -225,7 +225,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / train_cfg.epochs))
         source = (bundle.temp_net if bundle.temp_net is not None
-                  else temperature_for_step(loss_cfg, epoch, train_cfg.epochs))
+                  else temperature_for_step(loss_cfg, epoch))
         for step, xa, xb in _two_view_batches(dataset, train_idx, pipeline, train_cfg, epoch):
             try:
                 # the gradients are dropped here, before the next forward pass

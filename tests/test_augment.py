@@ -199,6 +199,13 @@ EDGE_PARAMETERS = {"default": {}, "crop-wide": {"crop_scale": (0.1, 1.0)},
                    "always": {"gray_prob": 1.0, "flip_prob": 1.0}}
 
 
+# Every prefix keeps its id; single ops and two non-prefix pairs put flip
+# or jitter first or after an op that leaves values unclamped.
+OP_SUBSETS = ([pytest.param(OP_ORDER[:n], id=str(n)) for n in range(1, len(OP_ORDER) + 1)]
+              + [pytest.param(ops, id="-".join(ops)) for ops in
+                 [(op,) for op in OP_ORDER[1:]] + [("gray", "flip"), ("jitter", "flip")]])
+
+
 def assert_matches_reference(images, pipeline, seeds):
     views = augment_views(images, pipeline, seeds)
     assert views.shape == images.shape
@@ -209,15 +216,20 @@ def assert_matches_reference(images, pipeline, seeds):
 class TestStackedViews:
     @pytest.mark.parametrize("edge", sorted(EDGE_PARAMETERS))
     @pytest.mark.parametrize("channels", [1, 3])
-    @pytest.mark.parametrize("prefix", [1, 2, 3, 4, 5])
-    def test_byte_equal_to_reference(self, prefix, channels, edge):
-        pipeline = AugPipeline.prefix(prefix, **EDGE_PARAMETERS[edge])
-        rng = np.random.default_rng([prefix, channels, sorted(EDGE_PARAMETERS).index(edge)])
+    @pytest.mark.parametrize("ops", OP_SUBSETS)
+    def test_byte_equal_to_reference(self, ops, channels, edge):
+        """Inputs inside [0, 1] and past both ends: the reference clamps
+        after every op, so the stacked pipeline must clamp wherever that
+        can change a value, as after a flip that comes first."""
+        pipeline = AugPipeline(ops=ops, **EDGE_PARAMETERS[edge])
+        rng = np.random.default_rng([OP_ORDER.index(ops[0]), len(ops), channels,
+                                     sorted(EDGE_PARAMETERS).index(edge)])
         for h, w in CORPUS_SIZES:
-            images = rng.random((5, h, w, channels))
-            for n in (1, 2, 5):
-                seeds = [int(s) for s in rng.integers(0, 2**63, n)]
-                assert_matches_reference(images[:n], pipeline, seeds)
+            for images in (rng.random((5, h, w, channels)),
+                           rng.uniform(-0.5, 1.5, (5, h, w, channels))):
+                for n in (1, 2, 5):
+                    seeds = [int(s) for s in rng.integers(0, 2**63, n)]
+                    assert_matches_reference(images[:n], pipeline, seeds)
 
     def test_one_channel_crop_then_jitter_sums_by_column(self):
         # A resizing crop leaves a 1-channel view column-major, and the
@@ -417,6 +429,46 @@ class TestDatasetLayout:
             (inside / "labels.csv").write_text(f"filename,label\n{name},0\n")
             with pytest.raises(ContractViolation, match="row 2: .* lies outside"):
                 load_dataset(inside)
+
+    def test_pixels_are_each_files_parse_bit_for_bit(self, tmp_path):
+        # headers of different lengths put each payload at its own offset
+        rng = np.random.default_rng(12)
+        blobs = [b"P6\n#" + b"x" * k + b"\n9 8 255\n" + rng.integers(0, 256, 216, np.uint8).tobytes()
+                 for k in range(6)]
+        for k, blob in enumerate(blobs):
+            (tmp_path / f"{k}.ppm").write_bytes(blob)
+        write_index(tmp_path, [f"{k}.ppm,{k % 2}" for k in range(len(blobs))])
+        loaded = load_dataset(tmp_path)
+        assert loaded.pixels.shape == (6, 8, 9, 3)
+        for pixels, blob in zip(loaded.pixels, blobs):
+            assert pixels.tobytes() == parse_pnm(blob).tobytes()
+
+    def test_names_that_need_the_containment_test(self, tmp_path):
+        """A name with no separator cannot leave the directory; names with
+        one, and "", "." and "..", are resolved and tested."""
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        (data / "a").mkdir()
+        image = np.random.default_rng(2).integers(0, 256, (8, 8, 1)) / 255.0
+        for path in (data / "x.pgm", data / "sub" / "x.pgm"):
+            path.write_bytes(write_pnm(image))
+        for name in ("x.pgm", "sub/x.pgm", "./x.pgm", "a/../x.pgm"):
+            write_index(data, [f"{name},0"])
+            loaded = load_dataset(data)
+            assert loaded.filenames == [name] and loaded.pixels[0].tobytes() == image.tobytes()
+        index = data / "labels.csv"
+        for name, line in (("b/../x.pgm", f"{index} row 2: missing file b/../x.pgm"),
+                           ("..", f"{index} row 2: .. lies outside {data}"),
+                           ("sub/../../x.pgm", f"{index} row 2: sub/../../x.pgm lies outside {data}")):
+            write_index(data, [f"{name},0"])
+            with pytest.raises(ContractViolation) as err:
+                load_dataset(data)
+            assert str(err.value) == line
+        for name, path in (("", f"{data}/"), (".", f"{data}/."), ("sub", f"{data}/sub")):
+            write_index(data, [f"{name},0"])
+            with pytest.raises(IsADirectoryError) as err:
+                load_dataset(data)
+            assert err.value.filename == path
 
     def test_loader_accepts_a_directory_spelled_with_two_leading_slashes(self, tmp_path):
         dataset = generate_dataset(SyntheticSpec(classes=1, per_class=2, size=8, channels=1))

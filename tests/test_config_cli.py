@@ -340,8 +340,9 @@ class TestCommands:
     def test_fuzzed_checkpoints_exit_with_one_line(self, small_config, tmp_path, capsys, temp_width):
         """A seeded corpus of damaged checkpoints, without a temperature net
         and with a batch-width one: truncations, changed manifest and
-        payload bytes, and bad manifest lengths. knn exits 0, 2 or 3, and
-        every failure prints exactly one error line."""
+        payload bytes, and bad manifest lengths. knn, probe and analyze
+        each exit 0, 2 or 3, and every failure prints exactly one error
+        line."""
         _, cfg_path = small_config
         doc = json.loads(cfg_path.read_text())
         doc["io"]["output_dir"] = str(tmp_path)
@@ -360,10 +361,12 @@ class TestCommands:
         corpus += [int(length).to_bytes(8, "little") + blob[8:] for length in lengths]
         for case, damaged in enumerate(corpus):
             checkpoint.write_bytes(damaged)
-            code = main(["knn", "-c", str(path)])
-            err = capsys.readouterr().err.splitlines()
-            assert code in (0, 2, 3), case
-            assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), (case, err)
+            for command in ("knn", "probe", "analyze"):
+                code = main([command, "-c", str(path)])
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 2, 3), (command, case)
+                assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
+                    (command, case, err)
 
     @pytest.mark.parametrize("damage", ["truncated-payload", "smaller-image"])
     def test_bad_dataset_file_is_io_error(self, small_config, tmp_path, capsys, damage):

@@ -5,7 +5,7 @@ change to either would change every log."""
 import numpy as np
 import pytest
 
-from contrastlab.rng import SplitMix64, derive, first_floats
+from contrastlab.rng import SplitMix64, derive, derived_floats, first_floats
 
 # derive(*args) as computed when the generator was first written.
 DERIVE_GOLDEN = [
@@ -89,6 +89,19 @@ def test_first_floats_match_stream(k):
     for seed in [derive(5, "first", i) for i in range(998)] + [0, 2**64 - 1]:
         stream = SplitMix64(seed)
         assert first_floats(seed, k) == [stream.next_float() for _ in range(k)]
+
+
+def test_derived_floats_match_derive_then_first_floats():
+    """One pass over a plan of (tag, draw count) pairs gives each tag's
+    ``first_floats(derive(seed, tag), k)``, for any seed, tag and count."""
+    rng = np.random.default_rng(19)
+    seeds = [int(s) for s in rng.integers(0, 2**64, 300, dtype=np.uint64)]
+    seeds += [0, -1, -5, 2**64 - 1, 2**64 + 3]
+    for seed in seeds:
+        n = int(rng.integers(0, 7))
+        plan = [(int(i), int(k)) for i, k in zip(rng.integers(0, 2**63, n), rng.integers(0, 5, n))]
+        plan += [(i, 3) for i in (0, 4, 2**64 - 1)]
+        assert derived_floats(seed, plan) == [first_floats(derive(seed, i), k) for i, k in plan]
 
 
 def scalar_permutation(stream: SplitMix64, n: int) -> np.ndarray:

@@ -29,13 +29,13 @@ def small_dataset():
 class TestTemperatureSchedule:
     def test_cosine_endpoints(self):
         cfg = LossConfig(temp_mode="cosine", tau_min=0.1, tau_max=0.9, tau_period=40)
-        assert temperature_for_step(cfg, 0, 60) == pytest.approx(0.9)
-        assert temperature_for_step(cfg, 20, 60) == pytest.approx(0.1)
+        assert temperature_for_step(cfg, 0) == pytest.approx(0.9)
+        assert temperature_for_step(cfg, 20) == pytest.approx(0.1)
 
     def test_constant_any_epoch(self):
         cfg = LossConfig(temp_mode="constant", tau0=0.2, family="baseline", heads=1)
         for epoch in (0, 7, 59):
-            assert temperature_for_step(cfg, epoch, 60) == 0.2
+            assert temperature_for_step(cfg, epoch) == 0.2
 
 
 class TestNegativeIndices:
