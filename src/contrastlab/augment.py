@@ -20,13 +20,12 @@ counts as much as its per-value work:
   (side, h, w, c): the flat offsets of each output value's source rows
   and columns from the crop's top-left value, and the weight rows, all
   O(h + w * c) in size;
-- each view's draws for all its ops come from one ``derived_floats``
-  pass over plain ints: the view seed is mixed once, then each op's
-  stream, with no stream object;
-- the stack is clamped, with the ``ndarray.clip`` method, after crop,
-  blur and gray, whose bilinear, Gaussian and luma weights can round one
-  ulp past 1, and after a flip only when it is the first op: jitter
-  clamps its own result, and a later flip only permutes clamped values.
+- a view's draws for all its ops come from one ``derived_floats`` pass
+  over plain ints, which mixes the view seed once;
+- the stack is clamped (``ndarray.clip``) after crop, blur and gray,
+  whose weights can round one ulp past 1, and after a flip only when it
+  is the sole op: jitter clamps its own result, and any other flip only
+  moves values an earlier op clamped.
 
 Calls stay per sample because the benchmark's traced checks count
 ``make_two_views`` and ``augment_view`` calls; batching a whole step's
@@ -59,7 +58,8 @@ MAX_DIMENSION = 65535
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 OP_ORDER = ("crop", "blur", "gray", "jitter", "flip")
-OP_DRAWS = (3, 1, 1, 3, 1)              # floats each op draws per view
+# each op's stream tag (its place in OP_ORDER) and the floats it draws per view
+_DRAW_PLAN = {name: (i, k) for i, (name, k) in enumerate(zip(OP_ORDER, (3, 1, 1, 3, 1)))}
 
 
 class PnmError(ValueError):
@@ -294,11 +294,10 @@ def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarra
     keep their resolution, stay clamped to [0, 1] and own their memory."""
     views = np.array(images, dtype=np.float64)
     resized = np.zeros(len(views), dtype=bool)
-    plan = [(i, OP_DRAWS[i]) for i, name in enumerate(OP_ORDER) if name in pipeline.ops]
+    plan = [_DRAW_PLAN[name] for name in pipeline.ops]
     # per op, the draws of each view: ``first_floats(derive(seed, i), k)``
     draws = zip(*[derived_floats(seed, plan) for seed in seeds])
-    for (op_index, _), op_draws in zip(plan, draws):
-        name = OP_ORDER[op_index]
+    for name, op_draws in zip(pipeline.ops, draws):
         if name == "crop":
             views, resized = _crop(views, pipeline, op_draws)
         elif name == "blur":
@@ -309,9 +308,8 @@ def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarra
             views = _jitter(views, pipeline, op_draws, resized)
         else:
             views = _flip(views, pipeline, op_draws)
-        # crop, blur and gray weights can round one ulp past 1; jitter
-        # clamps its own result, and a flip after an op permutes clamped values
-        if name in ("crop", "blur", "gray") or name == "flip" == pipeline.ops[0]:
+        # the other ops leave values in [0, 1] (see the cost model)
+        if name in ("crop", "blur", "gray") or pipeline.ops == ("flip",):
             views.clip(0.0, 1.0, out=views)
     return views
 
@@ -364,14 +362,13 @@ def load_dataset(directory) -> Dataset:
     ``filename,label``; names stay inside the directory) into one array.
 
     Two passes: the whole index first, so a bad row is reported before
-    any image is read, then each file's header is checked and its
-    payload copied into one byte buffer, decoded by a single division
-    by 255 (every header has maxval 255) at the end. Per row the index
-    pass costs one ``stat``, and a normalized-path prefix test unless the
-    name has no separator and is not "", "." or ".."; file paths are
-    plain strings, and a ``Path`` is built only to name a file in an
-    error. A file that does not decode or differs in shape from the
-    first one raises ``OSError`` naming it."""
+    any image is read, then each file's payload is copied into one byte
+    buffer, which one division by 255 decodes (every header has maxval
+    255). Per row the index pass costs one ``stat``, plus a
+    normalized-path prefix test for a name that could leave the
+    directory; file paths are plain strings, and a ``Path`` is built only
+    to name a file in an error. A file that does not decode or differs
+    in shape from the first one raises ``OSError`` naming it."""
     directory = Path(directory)
     index = directory / "labels.csv"
     if not index.exists():

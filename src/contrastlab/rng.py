@@ -52,7 +52,11 @@ def derive(seed: int, *parts: int | str) -> int:
 def first_floats(seed: int, k: int) -> list[float]:
     """The first ``k`` ``next_float`` draws of ``SplitMix64(seed)``, as
     plain floats with no stream object."""
-    return [(_mix(seed + i * _GOLDEN) >> 11) * 2.0 ** -53 for i in range(1, k + 1)]
+    floats = []
+    for _ in range(k):
+        seed += _GOLDEN
+        floats.append((_mix(seed) >> 11) * 2.0 ** -53)
+    return floats
 
 
 def derived_floats(seed: int, plan) -> list[list[float]]:

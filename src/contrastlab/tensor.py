@@ -139,11 +139,9 @@ _UNGUARDED = contextlib.nullcontext()
 
 
 def _overflow_guard(x: np.ndarray, limit: float):
-    """A context that silences numpy's overflow warning when the squares
-    of ``x`` sum past ``limit`` or to NaN, and a no-op context otherwise,
-    where the caller's ``limit`` rules overflow out: entering
-    ``np.errstate`` costs more than a small op. ``np.vdot`` forms the sum
-    without a warning of its own."""
+    """``np.errstate(over="ignore")`` if the squares of ``x`` sum past
+    ``limit`` or to NaN, else a no-op context, cheaper to enter than a
+    small op; ``np.vdot`` forms the sum without a warning."""
     return _UNGUARDED if np.vdot(x, x) <= limit else np.errstate(over="ignore")
 
 
@@ -213,7 +211,7 @@ def neg(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
-    with _overflow_guard(a.data, _LOG_MAX * _LOG_MAX):     # below, no entry exceeds _LOG_MAX
+    with _overflow_guard(a.data, _LOG_MAX * _LOG_MAX):     # below, no entry tops _LOG_MAX
         out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
 
@@ -402,9 +400,9 @@ def _row_starts(lead: tuple, width: int) -> np.ndarray:
 def l2_normalize(a, axis: int = -1) -> Tensor:
     """Scale vectors along ``axis`` to unit Euclidean norm.
 
-    Rejects zero vectors, and vectors whose squared norm overflows,
-    outright; silently adding an epsilon would make downstream similarity
-    values quietly wrong.
+    Rejects zero vectors and vectors whose squared norm overflows;
+    silently adding an epsilon would make downstream similarity values
+    quietly wrong.
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
