@@ -199,8 +199,8 @@ EDGE_PARAMETERS = {"default": {}, "crop-wide": {"crop_scale": (0.1, 1.0)},
                    "always": {"gray_prob": 1.0, "flip_prob": 1.0}}
 
 
-# Every prefix keeps its id; single ops and two non-prefix pairs put flip
-# or jitter first or after an op that leaves values unclamped.
+# Every prefix keeps its id; the single ops and two non-prefix pairs put
+# flip or jitter first, or flip right after gray or jitter.
 OP_SUBSETS = ([pytest.param(OP_ORDER[:n], id=str(n)) for n in range(1, len(OP_ORDER) + 1)]
               + [pytest.param(ops, id="-".join(ops)) for ops in
                  [(op,) for op in OP_ORDER[1:]] + [("gray", "flip"), ("jitter", "flip")]])
