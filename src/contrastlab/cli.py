@@ -19,7 +19,7 @@ from .errors import ContractViolation, DomainError, EvaluationError
 from .metrics import separability_report, write_separability_csv
 from .nets import load_bundle
 from .train import (EVAL_LOG_HEADER, build_eval_pairs, knn_eval, linear_probe, pretrain,
-                    split_features)
+                    split_features, write_rows)
 from .train import encode_features  # noqa: F401  (bench/spans.py traces cli.encode_features)
 from .rng import derive
 
@@ -103,20 +103,10 @@ def _load_run(exp: Experiment):
     return bundle, dataset, train_idx, test_idx
 
 
-def _append_eval_rows(exp: Experiment, rows: list[str]) -> None:
-    path = exp.output_dir / "eval_log.csv"
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
-        if fresh:
-            fh.write(EVAL_LOG_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
 def cmd_knn(args) -> int:
     exp = _load_experiment(args)
     acc = knn_eval(*split_features(*_load_run(exp)), exp.eval.knn_k)
-    _append_eval_rows(exp, [f"-1,{acc!r},,"])
+    write_rows(exp.output_dir / "eval_log.csv", EVAL_LOG_HEADER, [f"-1,{acc!r},,"], append=True)
     print(f"knn_acc={acc}")
     return EXIT_OK
 
@@ -129,7 +119,7 @@ def cmd_probe(args) -> int:
         acc = linear_probe(*split, size, derive(exp.train.run_seed, "probe"))
         rows.append(f"-1,,{acc!r},")
         print(f"probe_acc[{size} per class]={acc}")
-    _append_eval_rows(exp, rows)
+    write_rows(exp.output_dir / "eval_log.csv", EVAL_LOG_HEADER, rows, append=True)
     return EXIT_OK
 
 

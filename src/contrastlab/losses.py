@@ -164,13 +164,6 @@ def infonce_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
     return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
 
 
-def negcos_loss(z_a: Tensor, z_b: Tensor, target_a: Tensor, target_b: Tensor) -> Tensor:
-    """Symmetric negative cosine with stop-gradient on the targets."""
-    sg_a = T.stop_gradient(target_a)
-    sg_b = T.stop_gradient(target_b)
-    return -0.5 * cosine_sim(z_a, sg_b) - 0.5 * cosine_sim(z_b, sg_a)
-
-
 def batch_standardize(z: Tensor) -> Tensor:
     """Per-channel zero mean and unit population std over the batch axis
     of an (N, d') matrix, or of each matrix of a (C, N, d') stack."""
@@ -197,31 +190,9 @@ def cross_correlation(z_a: Tensor, z_b: Tensor) -> Tensor:
     return T.matmul(T.transpose(z_a), z_b) / float(n)
 
 
-def _check_cross_corr_inputs(z_a: Tensor, z_b: Tensor) -> None:
-    if z_a.shape != z_b.shape or z_a.data.ndim not in (2, 3):
-        raise ContractViolation(f"expected matching (N, d') matrices or stacks of them, "
-                                f"got {z_a.shape}, {z_b.shape}")
-    if z_a.shape[-2] < 2:
-        raise ContractViolation("batch size must be >= 2")
-    check_standardized(z_a.data)
-    check_standardized(z_b.data)
-
-
 def _matrix_sum(x: Tensor) -> Tensor:
     """Sum over the last two axes: a matrix's entries, in row-major order."""
     return T.sum_(T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],)), axis=-1)
-
-
-def cross_corr_loss(z_a: Tensor, z_b: Tensor, lambd: float) -> Tensor:
-    """Drive the cross-correlation toward identity: squared deviation of
-    the diagonal from one plus lambda-weighted squared off-diagonals. A
-    pair of (C, N, d') stacks gives one value per head."""
-    _check_cross_corr_inputs(z_a, z_b)
-    c = cross_correlation(z_a, z_b)
-    eye = np.eye(z_a.shape[-1])
-    on_term = T.sum_(T.pow_const(1.0 - T.sum_(T.mul(c, Tensor(eye)), axis=-1), 2.0), axis=-1)
-    off_term = lambd * _matrix_sum(T.mul(T.mul(c, c), Tensor(1.0 - eye)))
-    return on_term + off_term
 
 
 # -- negative aggregation and the multi-head losses -------------------------
@@ -240,34 +211,28 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     return T.logsumexp(log_dens, axis=-1)
 
 
-def nce_head_terms(s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor, tau_cand: Tensor,
-                   *, d_prime: int, beta: float, neg_agg: str, kappa: int,
-                   dim_factor_in_set_penalty: bool = True) -> tuple[LossTerms, np.ndarray]:
+def nce_head_terms(cfg: LossConfig, s_pos: Tensor, tau_pos: Tensor, s_cand: Tensor,
+                   tau_cand: Tensor, d_prime: int) -> tuple[LossTerms, np.ndarray]:
     """Ntxent/infonce-style row terms from precomputed similarities and
-    temperatures, plus the candidate temperatures the negative term read
-    (the top-k selection, or every candidate). ``s_cand`` holds each
-    row's negative candidates along its last axis (plus the positive as
-    the last entry for the infonce variant) and ``s_pos`` the row's
-    positive; leading axes (heads, rows) are elementwise."""
+    temperatures, aggregated and penalized as ``cfg`` says, plus the
+    candidate temperatures the negative term read (the top-k selection,
+    or every candidate). ``s_cand`` holds each row's negative candidates
+    along its last axis (plus the positive as the last entry for the
+    infonce variant) and ``s_pos`` the row's positive; leading axes
+    (heads, rows) are elementwise."""
     pos = -(s_pos / tau_pos)
-    if neg_agg == "topk":
-        idx = topk_indices(s_cand.data, kappa)
-        s_sel = T.gather(s_cand, idx)
-        t_sel = T.gather(tau_cand, idx)
-        neg = T.sum_(s_sel / t_sel, axis=-1) / float(kappa)
-        if dim_factor_in_set_penalty:
-            set_pen = T.sum_(temp_penalty(t_sel, d_prime), axis=-1)
-        else:
-            set_pen = T.sum_(T.log(t_sel) + 1.0 / t_sel, axis=-1)
-        omega = beta * (temp_penalty(tau_pos, d_prime) - set_pen)
-        read = t_sel.data
-    elif neg_agg == "softmax":
+    if cfg.neg_agg == "softmax":
         neg = softmax_negatives(s_cand, tau_cand, d_prime)
-        omega = beta * temp_penalty(tau_pos, d_prime)
-        read = tau_cand.data
+        return LossTerms(pos, neg, cfg.beta * temp_penalty(tau_pos, d_prime)), tau_cand.data
+    idx = topk_indices(s_cand.data, cfg.kappa)
+    s_sel = T.gather(s_cand, idx)
+    t_sel = T.gather(tau_cand, idx)
+    neg = T.sum_(s_sel / t_sel, axis=-1) / float(cfg.kappa)
+    if cfg.dim_factor_in_set_penalty:
+        set_pen = T.sum_(temp_penalty(t_sel, d_prime), axis=-1)
     else:
-        raise ContractViolation(f"unknown neg_agg {neg_agg!r}")
-    return LossTerms(pos, neg, omega), read
+        set_pen = T.sum_(T.log(t_sel) + 1.0 / t_sel, axis=-1)
+    return LossTerms(pos, neg, cfg.beta * (temp_penalty(tau_pos, d_prime) - set_pen)), t_sel.data
 
 
 # -- temperature sources ----------------------------------------------------
@@ -397,11 +362,7 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
         t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
     else:
         t_pos, t_cand = Tensor(np.full(s_pos.shape, tau)), Tensor(np.full(s_cand.shape, tau))
-    terms, t_read = nce_head_terms(
-        s_pos, t_pos, s_cand, t_cand,
-        d_prime=d_prime, beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
-        dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
-    )
+    terms, t_read = nce_head_terms(cfg, s_pos, t_pos, s_cand, t_cand, d_prime)
     emitted = np.concatenate((t_read.reshape(heads, -1), t_pos.data), axis=1).ravel()
     return _symmetric_mean(terms, batch), StepTemps(emitted, np.ascontiguousarray(t_pos.data.T))
 
@@ -416,18 +377,18 @@ def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepT
     is the scheduled temperature or the temperature net, which reads each
     positive pair, (live_a, target_b) and (live_b, target_a), at unit
     norm. Both temperature penalties enter with positive sign since both
-    pairs are positive pairs. The baseline family is the plain
-    ``negcos_loss``; its temperature is only logged.
+    pairs are positive pairs. The baseline family is the plain batch mean
+    of -0.5 s_a - 0.5 s_b over the same cosines; its temperature is only
+    logged.
     """
     tau = _scheduled_tau(cfg, temps)
     live_a, live_b, target_a, target_b = branches
     heads, batch, d_prime = _stack_shape(cfg, *branches)
-    if cfg.family == "baseline":
-        value = T.mean(negcos_loss(live_a, live_b, target_a, target_b), axis=-1)
-        terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
-        return terms, _scheduled_temps(tau, heads, 2 * batch)
     s_a = cosine_sim(live_a, T.stop_gradient(target_b))
     s_b = cosine_sim(live_b, T.stop_gradient(target_a))
+    if cfg.family == "baseline":
+        terms = LossTerms(T.sum_(T.mean(-0.5 * s_a - 0.5 * s_b, axis=-1)), Tensor(0.0), Tensor(0.0))
+        return terms, _scheduled_temps(tau, heads, 2 * batch)
     if tau is None:
         tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
                                      temps, cfg.bounds)
@@ -448,26 +409,35 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
     ``pairs`` is (z_a, z_b), two (C, N, d') stacks of batch-standardized
     projections. ``temps`` is the scheduled temperature or the batch-width
     temperature net, which reads the pairs (``channel_temperatures``).
-    The baseline family is the plain ``cross_corr_loss``; its temperature
-    is only logged.
+    Per head, the diagonal of the cross-correlation C is driven toward
+    one and its off-diagonal toward zero, each entry over its
+    temperature. The baseline family scores the same entries without
+    temperatures, sum_l (1 - C_ll)^2 + lambda sum_(l != m) C_lm^2; its
+    temperature is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
     z_a, z_b = pairs
-    heads, _, d_prime = _stack_shape(cfg, z_a, z_b)
+    heads, batch, d_prime = _stack_shape(cfg, z_a, z_b)
+    if batch < 2:
+        raise ContractViolation("batch size must be >= 2")
+    check_standardized(z_a.data)
+    check_standardized(z_b.data)
+    c_mat = cross_correlation(z_a, z_b)
+    eye = Tensor(np.eye(d_prime))
+    off = Tensor(1.0 - np.eye(d_prime))
+    c_diag = T.sum_(T.mul(c_mat, eye), axis=-1)
+    c_off = T.mul(T.mul(c_mat, c_mat), off)
     if cfg.family == "baseline":
-        terms = LossTerms(T.sum_(cross_corr_loss(z_a, z_b, cfg.lambd)), Tensor(0.0), Tensor(0.0))
+        value = T.sum_(T.pow_const(1.0 - c_diag, 2.0), axis=-1) + cfg.lambd * _matrix_sum(c_off)
+        terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
         return terms, _scheduled_temps(tau, heads, d_prime)
-    _check_cross_corr_inputs(z_a, z_b)
     if tau is None:
         t_mat = channel_temperatures(z_a, z_b, temps, cfg.bounds)
     else:
         t_mat = Tensor(np.full((heads, d_prime, d_prime), tau))
-    c_mat = cross_correlation(z_a, z_b)
-    eye = Tensor(np.eye(d_prime))
-    off = Tensor(1.0 - np.eye(d_prime))
     diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
-    pos = T.sum_(T.pow_const(1.0 - T.sum_(T.mul(c_mat, eye), axis=-1) / diag_t, 2.0), axis=-1)
-    neg = cfg.lambd * _matrix_sum(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
+    pos = T.sum_(T.pow_const(1.0 - c_diag / diag_t, 2.0), axis=-1)
+    neg = cfg.lambd * _matrix_sum(T.mul(c_off, 1.0 / t_mat))
     omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime), axis=-1)
                         - _matrix_sum(T.mul(temp_penalty(t_mat, d_prime), off)))
     terms = LossTerms(T.sum_(pos), T.sum_(neg), T.sum_(omega))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractViolation
+from .losses import cosine_sim
 from .nets import ModelBundle, forward_views
 from .tensor import Tensor
 
@@ -58,6 +58,8 @@ def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
     ``projected``: mean over heads of the cosine similarity of the
     per-head projections (similarities averaged in head order, not
     features). ``backbone``: cosine similarity of the encoder outputs.
+    Both score with ``losses.cosine_sim``, the cosine of the negative-
+    cosine loss.
     """
     if source not in ("projected", "backbone"):
         raise ContractViolation(f"unknown similarity source {source!r}")
@@ -68,9 +70,8 @@ def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
     xv = Tensor(v.reshape(len(v), -1))
     hu, hv, pu, pv = forward_views(bundle, xu, xv)
     if source == "backbone":
-        sims = T.sum_(T.mul(T.l2_normalize(hu), T.l2_normalize(hv)), axis=-1)
-        return sims.data.copy()
-    return T.sum_(T.mul(T.l2_normalize(pu), T.l2_normalize(pv)), axis=-1).data.mean(axis=0)
+        return cosine_sim(hu, hv).data.copy()
+    return cosine_sim(pu, pv).data.mean(axis=0)
 
 
 def similarity_histogram(bundle: ModelBundle, pairs, source: str) -> SimilarityHistogram:

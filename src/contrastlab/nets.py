@@ -192,11 +192,10 @@ def temperature_embedding(temp_net: Mlp, z: Tensor) -> Tensor:
 def adaptive_temperature(u: Tensor, v: Tensor, temp_net: Mlp, bounds: TempBounds) -> Tensor:
     """Pair-adaptive temperature: bounded sigmoid of <phi(u), phi(v)>.
 
-    ``u`` and ``v`` are one vector each or aligned rows, (B, d') or
-    (C, B, d'); the result has their shape without the last axis and is
-    differentiable with respect to
-    phi's parameters. The inputs enter through ``temperature_embedding``
-    and so receive no gradient.
+    ``u`` and ``v`` are aligned rows, (B, d') or (C, B, d'); the result
+    has their shape without the last axis and is differentiable with
+    respect to phi's parameters. The inputs enter through
+    ``temperature_embedding`` and so receive no gradient.
     """
     if u.shape[-1] != temp_net.spec.widths[0] or v.shape[-1] != temp_net.spec.widths[0]:
         raise ContractViolation(

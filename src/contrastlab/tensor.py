@@ -265,24 +265,20 @@ def sqrt(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 2D @ 2D, 1D @ 2D and 2D @ 1D operands; a 3D
-    operand is a stack of matrices, multiplied matrix by matrix with an
-    equal stack or with one 2D matrix shared by the stack."""
+    """Matrix product for 2D @ 2D operands; a 3D operand is a stack of
+    matrices, multiplied matrix by matrix with an equal stack or with one
+    2D matrix shared by the stack."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     ka, kb = a.data.ndim, b.data.ndim
-    if not (ka in (2, 3) and kb in (2, 3) or (ka, kb) in ((1, 2), (2, 1))):
-        raise ContractViolation(f"matmul supports 2D or 3D stacks, 1Dx2D, 2Dx1D; got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2 if kb > 1 else 0]:
+    if ka not in (2, 3) or kb not in (2, 3):
+        raise ContractViolation(f"matmul supports 2D matrices or 3D stacks; got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ContractViolation(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     if ka == kb == 3 and a.shape[0] != b.shape[0]:
         raise ContractViolation(f"matmul stack extents differ: {a.shape} @ {b.shape}")
 
     def grad_fn(g):
-        if ka == 1:
-            return b.data @ g, np.outer(a.data, g)
-        if kb == 1:
-            return np.outer(g, b.data), a.data.T @ g
         return (_reduce_to(g @ b.data.swapaxes(-1, -2), a.shape),
                 _reduce_to(a.data.swapaxes(-1, -2) @ g, b.shape))
 

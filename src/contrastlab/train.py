@@ -273,9 +273,13 @@ def _require_evaluable(train_labels: np.ndarray, n_test: int, train_cfg: TrainCo
             f"holds out {n_test} image(s), evaluation needs at least two")
 
 
-def write_rows(path: Path, header: str, rows: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+def write_rows(path: Path, header: str, rows: list[str], append: bool = False) -> None:
+    """One line per row under ``header``; with ``append``, the rows are
+    added to an existing file and the header goes only to a new one."""
+    fresh = not (append and path.exists())
+    with open(path, "w" if fresh else "a", newline="") as fh:
+        if fresh:
+            fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
 

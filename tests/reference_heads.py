@@ -106,11 +106,7 @@ def reference_nce_loss(cfg, projections, temps):
                 t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
             else:
                 t_pos, t_cand = Tensor(np.full(2 * batch, tau)), Tensor(np.full(candidates.shape, tau))
-            terms, t_read = L.nce_head_terms(
-                s_pos, t_pos, s_cand, t_cand,
-                d_prime=z_a.shape[-1], beta=cfg.beta, neg_agg=cfg.neg_agg, kappa=cfg.kappa,
-                dim_factor_in_set_penalty=cfg.dim_factor_in_set_penalty,
-            )
+            terms, t_read = L.nce_head_terms(cfg, s_pos, t_pos, s_cand, t_cand, z_a.shape[-1])
             tau_all.append(t_read.ravel())
             tau_all.append(t_pos.data)
             tau_pos.append(t_pos.data)
@@ -122,16 +118,16 @@ def reference_negcos(cfg, branches, temps):
     """``losses.multihead_negcos`` over a per-head list of
     (live_a, live_b, target_a, target_b)."""
     tau = L._scheduled_tau(cfg, temps)
-    total, tau_pos = None, []
+    total, tau_pos, tau_all = None, [], []
     for live_a, live_b, target_a, target_b in branches:
+        s_a = L.cosine_sim(live_a, T.stop_gradient(target_b))
+        s_b = L.cosine_sim(live_b, T.stop_gradient(target_a))
         if cfg.family == "baseline":
-            value = L.negcos_loss(live_a, live_b, target_a, target_b)
-            terms = LossTerms(T.mean(value), Tensor(0.0), Tensor(0.0))
-            tau_pos.append(np.full(2 * value.size, tau))
+            terms = LossTerms(T.mean(-0.5 * s_a - 0.5 * s_b), Tensor(0.0), Tensor(0.0))
+            tau_pos.append(np.full(2 * s_a.size, tau))
+            tau_all.append(np.array([tau]))
         else:
             d_prime = live_a.shape[-1]
-            s_a = L.cosine_sim(live_a, T.stop_gradient(target_b))
-            s_b = L.cosine_sim(live_b, T.stop_gradient(target_a))
             if tau is None:
                 tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
                                              temps, cfg.bounds)
@@ -143,8 +139,9 @@ def reference_negcos(cfg, branches, temps):
             omega = cfg.beta * (L.temp_penalty(tau_a, d_prime) + L.temp_penalty(tau_b, d_prime))
             terms = LossTerms(T.mean(pos), Tensor(0.0), T.mean(omega))
             tau_pos.append(np.concatenate([tau_a.data.ravel(), tau_b.data.ravel()]))
+            tau_all.append(tau_pos[-1])
         total = _add(terms, total)
-    return total, _emitted(tau_pos, tau_pos)
+    return total, _emitted(tau_pos, tau_all)
 
 
 def reference_cross_corr(cfg, pairs, temps):
@@ -154,7 +151,8 @@ def reference_cross_corr(cfg, pairs, temps):
     total, tau_pos, tau_all = None, [], []
     for z_a, z_b in pairs:
         d_prime = z_a.shape[-1]
-        L._check_cross_corr_inputs(z_a, z_b)
+        L.check_standardized(z_a.data)
+        L.check_standardized(z_b.data)
         c_mat = L.cross_correlation(z_a, z_b)
         eye = Tensor(np.eye(d_prime))
         off = Tensor(1.0 - np.eye(d_prime))

@@ -9,7 +9,7 @@ from contrastlab.metrics import pair_similarities
 from contrastlab.nets import ModelBundle, TempBounds
 from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward
-from contrastlab.train import _batch_loss
+from contrastlab.train import _batch_loss, temperature_for_step
 from reference_heads import (reference_batch_loss, reference_heads, reference_pair_similarities,
                              stacked_grads)
 
@@ -21,6 +21,8 @@ NCE_GRID = [(variant, heads, mode, agg, kappa)
             for agg, kappa in (("topk", 1), ("topk", 3), ("softmax", 1))]
 OTHER_GRID = [(variant, heads, mode) for variant in ("simsiam", "barlow") for heads in (1, 3)
               for mode in ("constant", "adaptive")]
+BASELINE_GRID = [(variant, mode) for variant in ("ntxent", "infonce", "simsiam", "barlow")
+                 for mode in ("constant", "cosine")]
 
 
 def _draw(stream: SplitMix64, shape) -> np.ndarray:
@@ -57,7 +59,8 @@ def _compare(cfg: LossConfig, seed: int, approximate=()):
     heads = reference_heads(bundle.heads)
     stream = SplitMix64(derive(seed, "inputs"))
     xa, xb = (Tensor(_draw(stream, (BATCH, D_IN))) for _ in range(2))
-    temps = bundle.temp_net if cfg.temp_mode == "adaptive" else cfg.tau0
+    temps = (bundle.temp_net if cfg.temp_mode == "adaptive"
+             else temperature_for_step(cfg, epoch=7))
     shared = {"encoder": bundle.encoder, "temp_net": bundle.temp_net,
               "predictor": bundle.predictor}
     shared = {name: net for name, net in shared.items() if net is not None}
@@ -111,6 +114,16 @@ def test_negcos_and_cross_corr_match_per_head_reference(variant, heads, mode):
     elif heads > 1 and mode == "adaptive":
         approximate = ("temp_net",)
     _compare(cfg, derive(32, variant, heads, mode), approximate)
+
+
+@pytest.mark.parametrize("variant,mode", BASELINE_GRID)
+def test_baseline_matches_per_head_reference(variant, mode):
+    """The single-head baseline family of every variant, at ``tau0`` and
+    at the cosine schedule's epoch-7 temperature (0.878, at the default
+    tau_min, tau_max and period)."""
+    cfg = LossConfig(variant=variant, family="baseline", heads=1, lambd=0.5, temp_mode=mode,
+                     tau0=0.5, bounds=TempBounds(1e-5, 2.0))
+    _compare(cfg, derive(34, variant, mode))
 
 
 @pytest.mark.parametrize("heads", [1, 3])

@@ -126,8 +126,9 @@ def mass_one_negatives():
     return [(z, Tensor(z.data.copy()))]
 
 
-def baseline_cfg(variant, tau=1.0):
-    return LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=tau)
+def baseline_cfg(variant, tau=1.0, **kw):
+    return LossConfig(variant=variant, family="baseline", heads=1, temp_mode="constant", tau0=tau,
+                      **kw)
 
 
 class TestBaselineLosses:
@@ -141,21 +142,21 @@ class TestBaselineLosses:
         np.testing.assert_allclose(loss.item(), math.log(1.0 + math.exp(-1.0)), atol=1e-12)
 
     def test_negcos_perfect_alignment(self):
-        u = Tensor([0.0, 1.0])
-        loss = L.negcos_loss(u, Tensor(u.data.copy()), Tensor(u.data.copy()),
-                             Tensor(u.data.copy()))
+        branches = [tuple(Tensor([0.0, 1.0]) for _ in range(4))]
+        loss = L.multihead_negcos(baseline_cfg("simsiam"), _stacks(branches), 1.0)[0].total()
         np.testing.assert_allclose(loss.item(), -1.0, atol=1e-12)
 
     def test_cross_corr_identity_is_zero(self):
         # exactly uncorrelated standardized channels: C = I
         z = Tensor(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
-        loss = L.cross_corr_loss(z, Tensor(z.data.copy()), lambd=0.7)
+        loss = L.multihead_cross_corr(baseline_cfg("barlow", lambd=0.7),
+                                      _stacks([(z, Tensor(z.data.copy()))]), 1.0)[0].total()
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-12)
 
     def test_cross_corr_requires_standardized(self):
         z = Tensor(np.random.default_rng(0).normal(size=(4, 2)))
         with pytest.raises(ContractViolation):
-            L.cross_corr_loss(z, z, lambd=1.0)
+            L.multihead_cross_corr(baseline_cfg("barlow", lambd=1.0), _stacks([(z, z)]), 1.0)
 
     def test_ntxent_requires_negatives(self):
         # a batch of one has no in-batch negative

@@ -112,7 +112,7 @@ class TestAdaptiveTemperature:
         # zeroed temperature net makes <phi(u), phi(v)> = 0 exactly
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=0)
         temp_net.params[0].data[:] = 0.0
-        tau = adaptive_temperature(Tensor([1.0, 0, 0, 0]), Tensor([0, 1.0, 0, 0]),
+        tau = adaptive_temperature(Tensor([[1.0, 0, 0, 0]]), Tensor([[0, 1.0, 0, 0]]),
                                    temp_net, BOUNDS)
         np.testing.assert_allclose(tau.item(), 1.00001, atol=1e-12)
 
@@ -143,21 +143,21 @@ class TestAdaptiveTemperature:
     def test_width_mismatch_rejected(self):
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=5)
         with pytest.raises(ContractViolation):
-            adaptive_temperature(Tensor(np.ones(3)), Tensor(np.ones(3)), temp_net, BOUNDS)
+            adaptive_temperature(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), temp_net, BOUNDS)
 
     def test_differentiable_wrt_net_not_inputs(self):
         """phi's parameters pass a finite-difference check; the inputs get
         exactly zero gradient although the value depends on them."""
         rng = np.random.default_rng(4)
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=6)
-        u = Tensor(rng.normal(size=4))
-        v = Tensor(rng.normal(size=4))
+        u = Tensor(rng.normal(size=(1, 4)))
+        v = Tensor(rng.normal(size=(1, 4)))
         assert finite_diff_check(
             lambda: adaptive_temperature(u, v, temp_net, BOUNDS), temp_net.params) < 1e-6
         before = adaptive_temperature(u, v, temp_net, BOUNDS)
         gu, gv = backward(before, [u, v])
         assert np.all(gu == 0.0) and np.all(gv == 0.0)
-        u.data[0] += 0.1
+        u.data[0, 0] += 0.1
         assert adaptive_temperature(u, v, temp_net, BOUNDS).item() != before.item()
 
     def test_bounds_validation(self):
@@ -173,8 +173,8 @@ class TestTempNetSharing:
         of single-head gradients and is nonzero for generic inputs."""
         rng = np.random.default_rng(7)
         temp_net = Mlp.init(MlpSpec((4, 4)), seed=8)
-        us = [Tensor(rng.normal(size=4)) for _ in range(3)]
-        vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
+        us = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
+        vs = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
 
         def tau_sum(indices):
             total = None
@@ -219,6 +219,6 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
-        x = Tensor(np.linspace(-1, 1, 6))
+        x = Tensor(np.linspace(-1, 1, 6).reshape(1, 6))
         np.testing.assert_allclose(loaded.encoder(x).data, bundle.encoder(x).data,
                                    rtol=1e-6, atol=1e-6)

@@ -337,15 +337,11 @@ class TestPrimitiveGradients:
         x = Tensor(data)
         assert finite_diff_check(lambda: T.sum_(T.relu(x)), [x]) < 1e-6
 
-    def test_matmul_all_arities(self):
+    def test_matmul_matrices(self):
         rng = np.random.default_rng(6)
         m = Tensor(rng.uniform(-2, 2, size=(3, 4)))
         n = Tensor(rng.uniform(-2, 2, size=(4, 2)))
-        v = Tensor(rng.uniform(-2, 2, size=(4,)))
-        u = Tensor(rng.uniform(-2, 2, size=(3,)))
         assert finite_diff_check(lambda: T.sum_(T.matmul(m, n)), [m, n]) < 1e-6
-        assert finite_diff_check(lambda: T.sum_(T.matmul(m, v)), [m, v]) < 1e-6
-        assert finite_diff_check(lambda: T.sum_(T.matmul(u, m)), [u, m]) < 1e-6
 
     def test_reductions_and_reshape(self):
         rng = np.random.default_rng(8)
@@ -405,7 +401,6 @@ _OP_OUTPUTS = {
     "pow_const": lambda v, m, s: T.pow_const(v, 2.0),
     "sqrt 0-d": lambda v, m, s: T.sqrt(s),
     "matmul": lambda v, m, s: T.matmul(m, T.transpose(m)),
-    "matmul 1-D": lambda v, m, s: T.matmul(v, T.transpose(m)),
     "dot": lambda v, m, s: T.dot(v, v),
     "transpose": lambda v, m, s: T.transpose(m),
     "reshape": lambda v, m, s: T.reshape(m, (3, 2)),
