@@ -128,8 +128,7 @@ def cmd_analyze(args) -> int:
     bundle, dataset, train_idx, test_idx = _load_run(exp)
     pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], exp.pipeline,
                                             exp.eval.pair_seed, exp.eval.pair_count)
-    reports = [separability_report(bundle, pos_pairs, neg_pairs, source)
-               for source in ("projected", "backbone")]
+    reports = separability_report(bundle, pos_pairs, neg_pairs)
     out = exp.output_dir / "separability.csv"
     write_separability_csv(out, reports)
     for report in reports:

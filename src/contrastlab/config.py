@@ -10,6 +10,7 @@ JSON path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -56,8 +57,9 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
 
 
 def _typed(value, default, path: str):
-    """``value`` if it has the JSON type of ``default`` (an integer
-    widens to a float where the default is a float)."""
+    """``value`` if it has the JSON type of ``default``. Where the
+    default is a float, an integer widens to a float, and the number
+    must be finite (``json`` reads ``Infinity``, ``NaN`` and ``1e999``)."""
     if isinstance(default, tuple):
         if isinstance(value, list):
             return [_typed(v, default[0], path) for v in value]
@@ -66,10 +68,12 @@ def _typed(value, default, path: str):
         if value is None or type(value) is str:
             return value
         kind = "a string or null"
+    elif type(default) is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # false for inf, nan and a huge integer
+            return float(value)
+        kind = "a finite number"
     elif type(value) is type(default):
         return value
-    elif type(default) is float and type(value) is int:
-        return float(value)
     else:
         kind = _KINDS[type(default)]
     raise ConfigError(f"{path}: expected {kind}")

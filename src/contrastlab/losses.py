@@ -149,18 +149,12 @@ def temp_penalty(tau, d_prime: int) -> Tensor:
 
 # -- baseline losses (single head, constant temperature) -------------------
 
-def ntxent_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
-    """-log[ exp(s+/tau) / sum_n exp(s-_n/tau) ]; denominator holds the
-    negatives only."""
+def ntxent_terms(s_pos: Tensor, s_cand: Tensor, tau: float) -> LossTerms:
+    """-log[ exp(s+/tau) / sum_n exp(s_n/tau) ] over each row's
+    candidates s_n: the negatives, plus the positive as the last entry
+    for infonce."""
     pos = -(s_pos / tau)
-    neg = T.log(T.sum_(T.exp(s_neg / tau), axis=-1))
-    return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
-
-
-def infonce_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
-    """Like ntxent but the denominator also includes the positive term."""
-    pos = -(s_pos / tau)
-    neg = T.log(T.exp(s_pos / tau) + T.sum_(T.exp(s_neg / tau), axis=-1))
+    neg = T.log(T.sum_(T.exp(s_cand / tau), axis=-1))
     return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
 
 
@@ -339,8 +333,8 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
     matrices of the same rows' temperature embeddings; the bounded sigmoid
     reads only the gathered pair logits, so a self-pair on the diagonal,
     which is no pair, cannot trip its saturation check. The baseline
-    family scores the rows with ``ntxent_terms``/``infonce_terms`` at the
-    scheduled temperature, the multi-head family with ``nce_head_terms``.
+    family scores the rows with ``ntxent_terms`` at the scheduled
+    temperature, the multi-head family with ``nce_head_terms``.
     Returns the head sums of each head's ``_symmetric_mean`` and the
     temperatures used.
     """
@@ -349,13 +343,12 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
     heads, batch, d_prime = _stack_shape(cfg, z_a, z_b)
     if batch < 2:
         raise ContractViolation("in-batch negatives need a batch of at least 2")
-    # the baseline infonce_terms adds the positive to its denominator itself
-    partner, candidates = pair_indices(batch, cfg.variant == "infonce" and cfg.family == "multihead")
+    partner, candidates = pair_indices(batch, cfg.variant == "infonce")
     z = T.concat([z_a, z_b], axis=1)
     s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
     if cfg.family == "baseline":
-        make = ntxent_terms if cfg.variant == "ntxent" else infonce_terms
-        return _symmetric_mean(make(s_pos, s_cand, tau), batch), _scheduled_temps(tau, heads, 2 * batch)
+        return (_symmetric_mean(ntxent_terms(s_pos, s_cand, tau), batch),
+                _scheduled_temps(tau, heads, 2 * batch))
     if tau is None:
         phi = temperature_embedding(temps, z)
         r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)

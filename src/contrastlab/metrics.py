@@ -23,85 +23,65 @@ N_BINS = 100
 BIN_EDGES = np.linspace(-1.0, 1.0, N_BINS + 1)
 
 
-@dataclass
-class SimilarityHistogram:
-    """Counts and normalized mass over 100 equal bins on [-1, 1]; the
-    last bin includes its right edge."""
-
-    counts: np.ndarray
-
-    @property
-    def mass(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def histogram_from_values(values) -> SimilarityHistogram:
+def histogram_from_values(values) -> np.ndarray:
+    """Counts over 100 equal bins on [-1, 1]; the last bin includes its
+    right edge. A histogram's mass is ``counts / counts.sum()``."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ContractViolation("cannot histogram an empty value set")
     if values.min() < -1.0 or values.max() > 1.0:
         raise ContractViolation("similarities must lie in [-1, 1]")
     bins = np.minimum((np.floor((values + 1.0) * (N_BINS / 2.0))).astype(int), N_BINS - 1)
-    counts = np.bincount(bins, minlength=N_BINS)
-    return SimilarityHistogram(counts)
+    return np.bincount(bins, minlength=N_BINS)
 
 
-def pair_similarities(bundle: ModelBundle, pairs, source: str) -> np.ndarray:
+def pair_similarities(bundle: ModelBundle, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Similarity of each pair of views through the model, in the
-    geometry training optimizes (``nets.forward_views``). ``pairs``
-    unpacks into two aligned ``(n, h, w, c)`` view arrays (u, v).
+    geometry training optimizes, from one ``nets.forward_views`` call.
+    ``pairs`` unpacks into two aligned ``(n, h, w, c)`` view arrays (u, v).
 
-    ``projected``: mean over heads of the cosine similarity of the
-    per-head projections (similarities averaged in head order, not
-    features). ``backbone``: cosine similarity of the encoder outputs.
-    Both score with ``losses.cosine_sim``, the cosine of the negative-
-    cosine loss.
+    Returns (projected, backbone). ``projected``: mean over heads of the
+    cosine similarity of the per-head projections (similarities averaged
+    in head order, not features). ``backbone``: cosine similarity of the
+    encoder outputs. Both score with ``losses.cosine_sim``, the cosine of
+    the negative-cosine loss.
     """
-    if source not in ("projected", "backbone"):
-        raise ContractViolation(f"unknown similarity source {source!r}")
     u, v = pairs
     if len(u) == 0:
         raise ContractViolation("empty pair list")
-    xu = Tensor(u.reshape(len(u), -1))
-    xv = Tensor(v.reshape(len(v), -1))
-    hu, hv, pu, pv = forward_views(bundle, xu, xv)
-    if source == "backbone":
-        return cosine_sim(hu, hv).data.copy()
-    return cosine_sim(pu, pv).data.mean(axis=0)
+    hu, hv, pu, pv = forward_views(bundle, Tensor(u.reshape(len(u), -1)),
+                                   Tensor(v.reshape(len(v), -1)))
+    return cosine_sim(pu, pv).data.mean(axis=0), cosine_sim(hu, hv).data.copy()
 
 
-def similarity_histogram(bundle: ModelBundle, pairs, source: str) -> SimilarityHistogram:
-    return histogram_from_values(np.clip(pair_similarities(bundle, pairs, source), -1.0, 1.0))
-
-
-def overlap_coefficient(p: SimilarityHistogram, n: SimilarityHistogram) -> float:
-    """Histogram intersection: sum over bins of min(p_mass, n_mass)."""
-    if p.counts.shape != n.counts.shape:
+def overlap_coefficient(p: np.ndarray, n: np.ndarray) -> float:
+    """Histogram intersection of two count arrays: sum over bins of
+    min(p_mass, n_mass)."""
+    if p.shape != n.shape:
         raise ContractViolation("histograms use different binnings")
-    return float(np.minimum(p.mass, n.mass).sum())
+    return float(np.minimum(p / p.sum(), n / n.sum()).sum())
 
 
 @dataclass
 class SeparabilityReport:
+    """The positive- and negative-pair histogram counts of one source."""
+
     source: str
-    positive: SimilarityHistogram
-    negative: SimilarityHistogram
+    positive: np.ndarray
+    negative: np.ndarray
 
     @property
     def overlap(self) -> float:
         return overlap_coefficient(self.positive, self.negative)
 
 
-def separability_report(bundle: ModelBundle, pos_pairs, neg_pairs, source: str) -> SeparabilityReport:
-    return SeparabilityReport(
-        source,
-        similarity_histogram(bundle, pos_pairs, source),
-        similarity_histogram(bundle, neg_pairs, source),
-    )
+def separability_report(bundle: ModelBundle, pos_pairs, neg_pairs) -> list[SeparabilityReport]:
+    """The projected and the backbone report, in that order, from one
+    forward pass per pair set."""
+    pos, neg = pair_similarities(bundle, pos_pairs), pair_similarities(bundle, neg_pairs)
+    return [SeparabilityReport(source, histogram_from_values(np.clip(p, -1.0, 1.0)),
+                               histogram_from_values(np.clip(n, -1.0, 1.0)))
+            for source, p, n in zip(("projected", "backbone"), pos, neg)]
 
 
 def write_separability_csv(path, reports: list[SeparabilityReport]) -> None:
@@ -111,7 +91,8 @@ def write_separability_csv(path, reports: list[SeparabilityReport]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["source", "bin_lo", "bin_hi", "pos_mass", "neg_mass"])
         for report in reports:
-            pos_mass, neg_mass = report.positive.mass, report.negative.mass
+            pos_mass = report.positive / report.positive.sum()
+            neg_mass = report.negative / report.negative.sum()
             for b in range(N_BINS):
                 writer.writerow([report.source, repr(float(BIN_EDGES[b])),
                                  repr(float(BIN_EDGES[b + 1])),

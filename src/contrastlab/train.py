@@ -219,7 +219,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     given, along with a checkpoint). The evaluation after the last epoch
     is checked to be possible before the first step."""
     bundle, opt, train_idx, test_idx = _start(dataset, model_cfg, loss_cfg, train_cfg)
-    _require_evaluable(dataset.labels[train_idx], len(test_idx), train_cfg, eval_cfg)
+    _require_evaluable(dataset.labels, train_idx, len(test_idx), train_cfg, eval_cfg)
     train_rows: list[str] = []
     eval_rows: list[str] = []
     for epoch in range(train_cfg.epochs):
@@ -257,18 +257,20 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
     return RunResult(bundle, train_rows, eval_rows, train_idx, test_idx)
 
 
-def _require_evaluable(train_labels: np.ndarray, n_test: int, train_cfg: TrainConfig,
-                       eval_cfg: EvalConfig) -> None:
+def _require_evaluable(labels: np.ndarray, train_idx: np.ndarray, n_test: int,
+                       train_cfg: TrainConfig, eval_cfg: EvalConfig) -> None:
     """The split's sizes that ``evaluate`` needs: ``probe_per_class``
-    training images of every class, ``knn_k`` training images and two
-    held-out images. Each unmet need names its config path."""
-    classes, counts = np.unique(train_labels, return_counts=True)
+    training images of every class of the dataset (a class held out
+    whole counts 0), ``knn_k`` training images and two held-out images.
+    Each unmet need names its config path."""
+    classes, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(inverse[train_idx], minlength=len(classes))
     short = np.argmin(counts)
     require(counts[short] >= train_cfg.probe_per_class, "train.probe_per_class",
             f"class {classes[short]} has {counts[short]} training images, "
             f"need {train_cfg.probe_per_class}")
-    require(eval_cfg.knn_k <= len(train_labels), "eval.knn_k",
-            f"k={eval_cfg.knn_k} exceeds the {len(train_labels)} training images")
+    require(eval_cfg.knn_k <= len(train_idx), "eval.knn_k",
+            f"k={eval_cfg.knn_k} exceeds the {len(train_idx)} training images")
     require(n_test >= 2, "train.test_fraction",
             f"holds out {n_test} image(s), evaluation needs at least two")
 
@@ -300,7 +302,7 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, train_idx, test_idx,
     probe_acc = linear_probe(*split, train_cfg.probe_per_class, derive(train_cfg.run_seed, "probe"))
     pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], pipeline,
                                             eval_cfg.pair_seed, eval_cfg.pair_count)
-    overlap = separability_report(bundle, pos_pairs, neg_pairs, "projected").overlap
+    overlap = separability_report(bundle, pos_pairs, neg_pairs)[0].overlap
     return knn_acc, probe_acc, overlap
 
 

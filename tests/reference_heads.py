@@ -75,6 +75,16 @@ def reference_batch_loss(bundle, heads: list[Mlp], cfg, xa: Tensor, xb: Tensor, 
     return reference_nce_loss(cfg, views, temps)
 
 
+def _infonce_terms(s_pos: Tensor, s_neg: Tensor, tau: float) -> LossTerms:
+    """Baseline infonce row terms with the positive added to the sum over
+    the negatives, -log[exp(s+/tau) / (exp(s+/tau) + sum_n exp(s-_n/tau))]:
+    the form ``losses.nce_loss`` gets by scoring the positive as one more
+    candidate."""
+    pos = -(s_pos / tau)
+    neg = T.log(T.exp(s_pos / tau) + T.sum_(T.exp(s_neg / tau), axis=-1))
+    return LossTerms(pos, neg, Tensor(np.zeros(pos.shape)))
+
+
 def reference_nce_loss(cfg, projections, temps):
     """``losses.nce_loss`` over a per-head list of unit (z_a, z_b) pairs."""
     tau = L._scheduled_tau(cfg, temps)
@@ -95,7 +105,7 @@ def reference_nce_loss(cfg, projections, temps):
         z = T.concat([z_a, z_b], axis=0)
         s_pos, s_cand = pairs(T.matmul(z, T.transpose(z)))
         if cfg.family == "baseline":
-            make = L.ntxent_terms if cfg.variant == "ntxent" else L.infonce_terms
+            make = L.ntxent_terms if cfg.variant == "ntxent" else _infonce_terms
             terms = make(s_pos, s_cand, tau)
             tau_pos.append(np.full(2 * batch, tau))
             tau_all.append(np.array([tau]))
@@ -183,7 +193,8 @@ def reference_cross_corr(cfg, pairs, temps):
 
 
 def reference_pair_similarities(encoder: Mlp, heads: list[Mlp], pairs) -> np.ndarray:
-    """``metrics.pair_similarities(..., "projected")`` over per-head networks."""
+    """The projected similarities of ``metrics.pair_similarities`` over
+    per-head networks."""
     u, v = pairs
     _, _, raw = reference_forward_views(encoder, heads, Tensor(u.reshape(len(u), -1)),
                                         Tensor(v.reshape(len(v), -1)))

@@ -12,8 +12,8 @@ import pytest
 from contrastlab import train
 from contrastlab.cli import main
 from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
-from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, write_dataset,
-                                 write_pnm)
+from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, synthetic_images,
+                                 write_dataset, write_pnm)
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig, LossTerms
 from contrastlab.nets import Mlp, MlpSpec, ModelBundle, TempBounds, load_bundle, save_bundle
@@ -42,12 +42,25 @@ BAD_VALUES = {
 }
 
 
-def leaf_paths(doc: dict, prefix: str = "") -> set[str]:
-    paths = set()
+def leaves(doc: dict, prefix: str = "") -> dict:
+    """Each leaf of a JSON document by its dotted path."""
+    out = {}
     for key, value in doc.items():
         here = f"{prefix}{key}"
-        paths |= leaf_paths(value, here + ".") if isinstance(value, dict) else {here}
-    return paths
+        out.update(leaves(value, here + ".") if isinstance(value, dict) else {here: value})
+    return out
+
+
+# A non-finite number in every float leaf (json reads ``Infinity``), or as
+# the last entry of every list-of-floats leaf.
+INF = float("inf")
+NON_FINITE = {path: INF if isinstance(default, float) else [default[0], INF]
+              for path, default in sorted(leaves(resolve_config({})).items())
+              if isinstance(default, float)
+              or (isinstance(default, list) and isinstance(default[0], float))}
+BAD_CASES = ([pytest.param(path, value, "", id=path) for path, value in sorted(BAD_VALUES.items())]
+             + [pytest.param(path, value, "expected a finite number", id=f"{path}=inf")
+                for path, value in NON_FINITE.items()])
 
 
 class TestResolve:
@@ -127,22 +140,23 @@ class TestResolve:
 
 class TestFieldRules:
     def test_table_covers_every_field(self):
-        assert set(BAD_VALUES) == leaf_paths(resolve_config({}))
+        assert set(BAD_VALUES) == set(leaves(resolve_config({})))
 
-    @pytest.mark.parametrize("path", sorted(BAD_VALUES))
-    def test_bad_value_exits_2_with_one_line(self, path, tmp_path, capsys):
+    @pytest.mark.parametrize("path,value,reason", BAD_CASES)
+    def test_bad_value_exits_2_with_one_line(self, path, value, reason, tmp_path, capsys):
         doc = {"io": {"dataset": str(tmp_path / "data"), "output_dir": str(tmp_path / "o"),
                       "synthetic": {"classes": 2, "per_class": 3, "size": 8, "channels": 1}}}
         *sections, leaf = path.split(".")
         node = doc
         for section in sections:
             node = node.setdefault(section, {})
-        node[leaf] = BAD_VALUES[path]
+        node[leaf] = value
         config = tmp_path / "c.json"
         config.write_text(json.dumps(doc))
         assert main(["gen-data", "-c", str(config)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: config: {path}: "), err
+        assert len(err) == 1 and err[0].startswith(f"error: config: {path}: {reason}"), err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("make,field", [
         pytest.param(lambda: ModelConfig(d_prime=0), "d_prime", id="model"),
@@ -334,6 +348,26 @@ class TestCommands:
         assert main(["pretrain", "-c", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: contract: {need}: "), err
+        assert calls == []
+
+    def test_class_held_out_whole_stops_before_the_first_step(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """A class whose only image the split holds out has no training
+        image for the probe: pretrain stops before any step instead of
+        scoring that image as a certain miss."""
+        calls = []
+        monkeypatch.setattr(train, "train_step", lambda *args: calls.append(args))
+        samples = list(synthetic_images(SyntheticSpec(classes=3, per_class=40, size=8,
+                                                      channels=1, seed=1)))
+        write_dataset([s for s in samples if s[1] < 2] + [samples[80]], tmp_path / "data")
+        doc = {"model": {"d": 16, "d_prime": 8, "heads": 2},
+               "train": {"epochs": 2, "batch_size": 16, "probe_per_class": 10},
+               "io": {"dataset": str(tmp_path / "data"), "output_dir": str(tmp_path / "out")}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: contract: train.probe_per_class: class 2 has 0 training images, need 10"]
         assert calls == []
 
     @pytest.mark.parametrize("temp_width", [None, 8], ids=["scheduled", "barlow-adaptive"])

@@ -132,5 +132,5 @@ def test_pair_similarities_match_per_head_reference(heads):
     stream = SplitMix64(derive(33, "pairs", heads))
     pairs = _draw(stream, (2, 7, 2, 2, 3))
     np.testing.assert_array_equal(
-        pair_similarities(bundle, pairs, "projected"),
+        pair_similarities(bundle, pairs)[0],
         reference_pair_similarities(bundle.encoder, reference_heads(bundle.heads), pairs))

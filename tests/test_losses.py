@@ -296,6 +296,45 @@ class TestMultiheadInfonce:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+class TestTemperatureMinimisers:
+    """Where an nce head term is lowest in one kind of temperature at
+    fixed similarities, on a log grid over the bounds (eta, eta + iota),
+    with beta = 1, d' = 16, s+ = 0.8 and two negatives of one similarity
+    s-. Pinned as the loss stands: the positive temperature's minimiser
+    lies inside the range, at the closed form 2(1 - s+)/d' = 0.025, and
+    the negatives' common temperature has none, its lowest value is on
+    the grid's lowest point under both aggregations (the pull toward the
+    temperature floor). A loss that moves either minimiser changes this
+    test."""
+
+    GRID = np.geomspace(BOUNDS.eta, BOUNDS.eta + BOUNDS.iota, 2001)
+    S_POS, D_PRIME, FIXED_TAU = 0.8, 16, 0.05
+
+    def _totals(self, agg, s_neg, tau_pos, tau_neg):
+        cfg = LossConfig(heads=1, beta=1.0, kappa=2, neg_agg=agg, bounds=BOUNDS)
+        n = len(self.GRID)
+        terms, _ = L.nce_head_terms(cfg, Tensor(np.full(n, self.S_POS)), Tensor(tau_pos),
+                                    Tensor(np.full((n, 2), s_neg)), Tensor(tau_neg), self.D_PRIME)
+        return terms.total().data
+
+    @pytest.mark.parametrize("agg", ["softmax", "topk"])
+    @pytest.mark.parametrize("s_neg", [0.9, 0.5, 0.0, -0.5])
+    def test_positive_minimiser_is_the_closed_form(self, agg, s_neg):
+        fixed = np.full((len(self.GRID), 2), self.FIXED_TAU)
+        best = np.argmin(self._totals(agg, s_neg, self.GRID, fixed))
+        closed = 2.0 * (1.0 - self.S_POS) / self.D_PRIME
+        step = math.log(self.GRID[1] / self.GRID[0])
+        assert 0 < best < len(self.GRID) - 1
+        assert abs(math.log(self.GRID[best] / closed)) <= step
+
+    @pytest.mark.parametrize("agg", ["softmax", "topk"])
+    @pytest.mark.parametrize("s_neg", [0.9, 0.5, 0.0, -0.5])
+    def test_negative_minimiser_is_the_floor(self, agg, s_neg):
+        fixed = np.full(len(self.GRID), self.FIXED_TAU)
+        totals = self._totals(agg, s_neg, fixed, np.repeat(self.GRID[:, None], 2, axis=1))
+        assert np.argmin(totals) == 0
+
+
 class TestMultiheadNegcos:
     def test_perfect_alignment(self):
         u = Tensor([0.0, 1.0, 0.0])

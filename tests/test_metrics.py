@@ -1,42 +1,43 @@
-"""Similarity histograms, overlap coefficient, temperature statistics."""
+"""Similarity histograms (count arrays), overlap coefficient, temperature
+statistics."""
 import numpy as np
 import pytest
 
 from contrastlab import tensor as T
 from contrastlab.errors import ContractViolation
-from contrastlab.metrics import (N_BINS, SimilarityHistogram, histogram_from_values,
-                                 overlap_coefficient, pair_similarities,
-                                 separability_report, temperature_stats,
+from contrastlab import metrics
+from contrastlab.metrics import (N_BINS, histogram_from_values, overlap_coefficient,
+                                 pair_similarities, separability_report, temperature_stats,
                                  write_separability_csv)
-from contrastlab.nets import Mlp, ModelBundle
+from contrastlab.nets import Mlp, ModelBundle, forward_views
 from contrastlab.tensor import Tensor
 
 
 class TestHistogram:
     def test_identical_vectors_mass_at_one(self):
         hist = histogram_from_values(np.ones(50))
-        assert hist.counts[N_BINS - 1] == 50
-        assert hist.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        assert hist[N_BINS - 1] == 50
+        assert (hist / hist.sum()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_mass_at_zero(self):
         hist = histogram_from_values(np.zeros(20))
-        assert hist.counts[N_BINS // 2] == 20
+        assert hist[N_BINS // 2] == 20
 
     def test_uniform_grid_even_mass(self):
         values = -1.0 + 2.0 * np.arange(1000) / 999.0
         hist = histogram_from_values(values)
         # one-sample quantization: every bin holds 10 +- 1 of the 1000
-        assert hist.counts.min() >= 9 and hist.counts.max() <= 11
-        np.testing.assert_allclose(hist.mass, 0.01, atol=1.1e-3)
+        assert hist.min() >= 9 and hist.max() <= 11
+        np.testing.assert_allclose(hist / hist.sum(), 0.01, atol=1.1e-3)
 
     def test_total_mass_is_pair_count(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(-1, 1, size=137)
-        assert histogram_from_values(values).total == 137
+        assert histogram_from_values(values).sum() == 137
 
     def test_last_bin_right_inclusive(self):
         hist = histogram_from_values(np.array([1.0]))
-        assert hist.counts[N_BINS - 1] == 1
+        assert hist[N_BINS - 1] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
@@ -49,7 +50,7 @@ class TestHistogram:
 
 class TestOverlap:
     def _hist(self, counts):
-        return SimilarityHistogram(np.asarray(counts))
+        return np.asarray(counts)
 
     def test_identical_histograms(self):
         counts = np.random.default_rng(1).integers(0, 10, size=N_BINS)
@@ -115,20 +116,19 @@ class TestModelSimilarities:
     def test_identical_views_similarity_one(self):
         bundle = self._bundle()
         pairs = (self._views(0.3, 5), self._views(0.3, 5))
-        sims = pair_similarities(bundle, pairs, "projected")
+        sims, sims_b = pair_similarities(bundle, pairs)
         np.testing.assert_allclose(sims, 1.0, atol=1e-12)
-        sims_b = pair_similarities(bundle, pairs, "backbone")
         np.testing.assert_allclose(sims_b, 1.0, atol=1e-12)
 
     def test_projected_averages_head_similarities(self):
         bundle = self._bundle()
         pairs = self._random_pairs(np.random.default_rng(4), 3)
-        averaged = pair_similarities(bundle, pairs, "projected")
+        averaged = pair_similarities(bundle, pairs)[0]
         singles = []
         for c in range(3):
             head = Mlp(bundle.heads.spec, [Tensor(p.data[c:c + 1]) for p in bundle.heads.params])
             solo = ModelBundle(bundle.encoder, head, bundle.temp_net)
-            singles.append(pair_similarities(solo, pairs, "projected"))
+            singles.append(pair_similarities(solo, pairs)[0])
         np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-12)
 
     def test_projected_similarities_use_training_geometry(self):
@@ -148,18 +148,34 @@ class TestModelSimilarities:
                                         T.l2_normalize(bundle.heads(fv))), axis=-1).data, axis=0)
 
         trained = projected(T.l2_normalize(hu), T.l2_normalize(hv))
-        np.testing.assert_allclose(pair_similarities(bundle, pairs, "projected"), trained,
+        np.testing.assert_allclose(pair_similarities(bundle, pairs)[0], trained,
                                    rtol=1e-12, atol=1e-12)
         assert np.max(np.abs(projected(hu, hv) - trained)) > 1e-3
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ContractViolation):
-            pair_similarities(self._bundle(), (self._views(0.1), self._views(0.1)), "logits")
-
     def test_empty_pairs_rejected(self):
         with pytest.raises(ContractViolation):
-            pair_similarities(self._bundle(), (self._views(0.1, 0), self._views(0.1, 0)),
-                              "projected")
+            pair_similarities(self._bundle(), (self._views(0.1, 0), self._views(0.1, 0)))
+
+    def test_report_scores_both_sources_from_one_pass_per_pair_set(self, monkeypatch):
+        """One forward pass per pair set gives both reports, projected
+        first, each equal to the histograms of that pass's similarities."""
+        calls = []
+
+        def counted(bundle, xu, xv):
+            calls.append(len(xu.data))
+            return forward_views(bundle, xu, xv)
+
+        bundle = self._bundle()
+        rng = np.random.default_rng(7)
+        pos, neg = self._random_pairs(rng, 4), self._random_pairs(rng, 5)
+        monkeypatch.setattr(metrics, "forward_views", counted)
+        reports = separability_report(bundle, pos, neg)
+        assert calls == [4, 5]
+        assert [r.source for r in reports] == ["projected", "backbone"]
+        for report, p, n in zip(reports, pair_similarities(bundle, pos),
+                                pair_similarities(bundle, neg)):
+            np.testing.assert_array_equal(report.positive, histogram_from_values(np.clip(p, -1, 1)))
+            np.testing.assert_array_equal(report.negative, histogram_from_values(np.clip(n, -1, 1)))
 
 
 class TestSeparabilityCsv:
@@ -168,12 +184,13 @@ class TestSeparabilityCsv:
         rng = np.random.default_rng(5)
         pos = rng.uniform(size=(10, 2, 16, 16, 1)).swapaxes(0, 1)
         neg = rng.uniform(size=(10, 2, 16, 16, 1)).swapaxes(0, 1)
-        report = separability_report(bundle, pos, neg, "projected")
+        reports = separability_report(bundle, pos, neg)
         out = tmp_path / "separability.csv"
-        write_separability_csv(out, [report])
+        write_separability_csv(out, reports)
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "source,bin_lo,bin_hi,pos_mass,neg_mass"
-        assert len(lines) == 1 + N_BINS + 1
-        assert lines[-1].startswith("projected:overlap,,,")
-        assert float(lines[-1].split(",")[3]) == pytest.approx(report.overlap)
-        assert report.positive.total == 10 and report.negative.total == 10
+        assert len(lines) == 1 + 2 * (N_BINS + 1)
+        for report, summary in zip(reports, (lines[1 + N_BINS], lines[-1])):
+            assert summary.startswith(f"{report.source}:overlap,,,")
+            assert float(summary.split(",")[3]) == pytest.approx(report.overlap)
+            assert report.positive.sum() == 10 and report.negative.sum() == 10
