@@ -235,7 +235,9 @@ def _blur(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
     kernels = []
     for (u,) in draws:
         sigma = lo + u * (hi - lo)
-        side = math.exp(-0.5 / (sigma * sigma))
+        var = sigma * sigma
+        # a variance that underflows to 0 takes exp(-0.5 / var)'s limit: no blur
+        side = math.exp(-0.5 / var) if var else 0.0
         total = (side + 1.0) + side         # numpy's sum of [side, 1, side], in its order
         kernels.append((side / total, 1.0 / total))
     edge, middle = np.array(kernels).T[:, :, None, None, None]

@@ -29,10 +29,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _load_experiment(args) -> Experiment:
-    return load_config(args.config)[0]
-
-
 def _load_dataset(exp: Experiment) -> Dataset:
     if exp.dataset_path is not None:
         path = Path(exp.dataset_path)
@@ -51,8 +47,7 @@ def _print_results(results) -> bool:
     return ok
 
 
-def cmd_gradcheck(args) -> int:
-    exp = _load_experiment(args)
+def cmd_gradcheck(exp: Experiment) -> int:
     results = gradcheck_suite(seed=derive(exp.train.run_seed, "gradcheck"))
     ok = _print_results(results)
     if not ok:
@@ -60,8 +55,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_reduce_check(args) -> int:
-    exp = _load_experiment(args)
+def cmd_reduce_check(exp: Experiment) -> int:
     results = reduction_suite(seed=derive(exp.train.run_seed, "reduce"))
     results += mle_equivalence_suite(seed=derive(exp.train.run_seed, "mle"))
     ok = _print_results(results)
@@ -70,8 +64,7 @@ def cmd_reduce_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_gen_data(args) -> int:
-    exp = _load_experiment(args)
+def cmd_gen_data(exp: Experiment) -> int:
     if exp.dataset_path is None:
         raise ConfigError("io.dataset: gen-data needs a target directory")
     # Per-image arrays, all generated before the first write: one (N, H, W, C) array
@@ -81,8 +74,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    exp = _load_experiment(args)
+def cmd_pretrain(exp: Experiment) -> int:
     dataset = _load_dataset(exp)
     result = pretrain(dataset, exp.model, exp.loss, exp.train, exp.pipeline,
                       exp.eval, out_dir=exp.output_dir)
@@ -103,16 +95,14 @@ def _load_run(exp: Experiment):
     return bundle, dataset, train_idx, test_idx
 
 
-def cmd_knn(args) -> int:
-    exp = _load_experiment(args)
+def cmd_knn(exp: Experiment) -> int:
     acc = knn_eval(*split_features(*_load_run(exp)), exp.eval.knn_k)
     write_rows(exp.output_dir / "eval_log.csv", EVAL_LOG_HEADER, [f"-1,{acc!r},,"], append=True)
     print(f"knn_acc={acc}")
     return EXIT_OK
 
 
-def cmd_probe(args) -> int:
-    exp = _load_experiment(args)
+def cmd_probe(exp: Experiment) -> int:
     split = split_features(*_load_run(exp))
     rows = []
     for size in exp.eval.probe_sizes:
@@ -123,8 +113,7 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    exp = _load_experiment(args)
+def cmd_analyze(exp: Experiment) -> int:
     bundle, dataset, train_idx, test_idx = _load_run(exp)
     pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], exp.pipeline,
                                             exp.eval.pair_seed, exp.eval.pair_count)
@@ -164,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](load_config(args.config)[0])
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,9 +133,8 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
 # -- temperature penalty ----------------------------------------------------
 
-def _positive(tau, what: str) -> Tensor:
-    """``tau`` as a tensor, checked > 0 (fmin skips NaN, as ``.any()`` would)."""
-    tau = T.as_tensor(tau)
+def _positive(tau: Tensor, what: str) -> Tensor:
+    """``tau``, checked > 0 (fmin skips NaN, as ``.any()`` would)."""
     if tau.data.size and np.fmin.reduce(tau.data, axis=None) <= 0.0:
         raise DomainError(f"{what} needs tau > 0")
     return tau
@@ -222,10 +221,7 @@ def nce_head_terms(cfg: LossConfig, s_pos: Tensor, tau_pos: Tensor, s_cand: Tens
     s_sel = T.gather(s_cand, idx)
     t_sel = T.gather(tau_cand, idx)
     neg = T.sum_(s_sel / t_sel, axis=-1) / float(cfg.kappa)
-    if cfg.dim_factor_in_set_penalty:
-        set_pen = T.sum_(temp_penalty(t_sel, d_prime), axis=-1)
-    else:
-        set_pen = T.sum_(T.log(t_sel) + 1.0 / t_sel, axis=-1)
+    set_pen = T.sum_(temp_penalty(t_sel, d_prime if cfg.dim_factor_in_set_penalty else 2), axis=-1)
     return LossTerms(pos, neg, cfg.beta * (temp_penalty(tau_pos, d_prime) - set_pen)), t_sel.data
 
 
@@ -271,11 +267,6 @@ def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net: Mlp,
     """(d', d') per-channel-pair temperatures of the cross-correlation
     loss, one matrix per head of a stack: batch-dimension channel vectors
     pushed through the batch-width temperature net."""
-    n = z_a.shape[-2]
-    if temp_net.spec.widths[0] != n:
-        raise ContractViolation(
-            f"batch-width temperature net expects batches of {temp_net.spec.widths[0]}, got {n}"
-        )
     phi_a = temperature_embedding(temp_net, T.l2_normalize(T.transpose(z_a)))
     phi_b = temperature_embedding(temp_net, T.l2_normalize(T.transpose(z_b)))
     return bounded_sigmoid(T.matmul(phi_a, T.transpose(phi_b)), bounds)

@@ -39,9 +39,8 @@ class TempBounds:
         require(self.iota > 0, "iota", "must be > 0")
 
 
-def bounded_sigmoid(r: Tensor | float, bounds: TempBounds) -> Tensor:
+def bounded_sigmoid(r: Tensor, bounds: TempBounds) -> Tensor:
     """iota / (1 + exp(r)) + eta: strictly decreasing, range (eta, eta+iota)."""
-    r = T.as_tensor(r)
     tau = bounds.iota / (1.0 + T.exp(r)) + bounds.eta
     _assert_in_bounds(tau.data, bounds)
     return tau
@@ -133,10 +132,6 @@ class ModelBundle:
         if {len(s) for s in shapes} != {3} or len({s[0] for s in shapes}) != 1 or shapes[0][0] < 1:
             raise ContractViolation(f"head parameters need one leading head extent >= 1, got {shapes}")
 
-    @property
-    def n_heads(self) -> int:
-        return self.heads.params[0].shape[0]
-
     def parameters(self) -> list[Tensor]:
         """Every parameter, component by component in checkpoint order."""
         return [p for _, mlp in _component_entries(self) for p in mlp.params]
@@ -197,11 +192,6 @@ def adaptive_temperature(u: Tensor, v: Tensor, temp_net: Mlp, bounds: TempBounds
     respect to phi's parameters. The inputs enter through
     ``temperature_embedding`` and so receive no gradient.
     """
-    if u.shape[-1] != temp_net.spec.widths[0] or v.shape[-1] != temp_net.spec.widths[0]:
-        raise ContractViolation(
-            f"temperature net expects width {temp_net.spec.widths[0]}, "
-            f"got {u.shape[-1]} and {v.shape[-1]}"
-        )
     r = T.sum_(T.mul(temperature_embedding(temp_net, u), temperature_embedding(temp_net, v)),
                axis=-1)
     return bounded_sigmoid(r, bounds)

@@ -3,6 +3,8 @@
 Design constraints, chosen for auditability at desk scale:
 
 * storage is always float64, row-major (C order);
+* ops take ``Tensor`` operands, plus a Python number beside a tensor in
+  ``+ - * /``; outside data becomes a tensor once, through ``Tensor()``;
 * binary ops conform when shapes are equal, when one operand's shape is
   a trailing suffix of the other's (leading-batch broadcast), or when it
   is the other's with the row extent (axis -2) set to 1 (one row per
@@ -88,10 +90,6 @@ class Tensor:
         return neg(self)
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _node(data, parents: tuple, grad_fn: GradFn | None) -> Tensor:
     """An op's output: numpy already made ``data`` float64 and C-ordered,
     but a numpy scalar (a full reduction, ``dot``, 0-d operands) is wrapped."""
@@ -153,8 +151,6 @@ def _operands(a, b):
         return a, float(b)
     if isinstance(a, _NUMBER) and isinstance(b, Tensor):
         return float(a), b
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
     if a.data.shape != b.data.shape:
         _conform(a.data.shape, b.data.shape)
     return a, b
@@ -205,19 +201,16 @@ def div(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     with _overflow_guard(a.data, _LOG_MAX * _LOG_MAX):     # below, no entry tops _LOG_MAX
         out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     if np.logical_or.reduce(a.data <= 0.0, axis=None):
         raise DomainError("log of a non-positive argument")
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
@@ -227,7 +220,6 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     """log sum exp(a) along ``axis``, evaluated max-shifted so that rows
     whose every term underflows ``exp`` stay finite; the gradient is the
     softmax along ``axis``."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
     top = a.data.max(axis=ax, keepdims=True)
     if not np.all(np.isfinite(top)):
@@ -243,13 +235,11 @@ def logsumexp(a, axis: int = -1) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     mask = a.data > 0.0
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def pow_const(a, exponent: float) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     p = float(exponent)
     if (p < 0.0 or not p.is_integer()) and np.logical_or.reduce(a.data <= 0.0, axis=None):
         raise DomainError(f"x ** {p} needs a strictly positive base")
@@ -268,8 +258,6 @@ def matmul(a, b) -> Tensor:
     """Matrix product for 2D @ 2D operands; a 3D operand is a stack of
     matrices, multiplied matrix by matrix with an equal stack or with one
     2D matrix shared by the stack."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
     ka, kb = a.data.ndim, b.data.ndim
     if ka not in (2, 3) or kb not in (2, 3):
         raise ContractViolation(f"matmul supports 2D matrices or 3D stacks; got {a.shape} @ {b.shape}")
@@ -286,8 +274,6 @@ def matmul(a, b) -> Tensor:
 
 
 def dot(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
     if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
         raise ContractViolation(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
 
@@ -299,7 +285,6 @@ def dot(a, b) -> Tensor:
 
 def transpose(a) -> Tensor:
     """Swap the last two axes: a matrix, or every matrix of a stack."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
     if a.data.ndim < 2:
         raise ContractViolation(f"transpose needs a matrix or a stack of them, got {a.shape}")
     return _node(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,),
@@ -307,7 +292,6 @@ def transpose(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     new, old = tuple(shape), a.data.shape
     if math.prod(new) != a.data.size:
         raise ContractViolation(f"cannot reshape {old} to {new}")
@@ -315,7 +299,6 @@ def reshape(a, shape) -> Tensor:
 
 
 def sum_(a, axis: int | None = None) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     if axis is None:
         return _node(np.add.reduce(a.data, axis=None), (a,),
                      lambda g: (np.full(a.shape, float(g)),))
@@ -328,7 +311,6 @@ def sum_(a, axis: int | None = None) -> Tensor:
 
 
 def mean(a, axis: int | None = None) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     # np.add.reduce(...) / n is what ndarray.mean computes, without its
     # Python-level wrapper
     if axis is None:
@@ -345,7 +327,7 @@ def mean(a, axis: int | None = None) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(p if isinstance(p, Tensor) else Tensor(p) for p in parts)
+    parts = tuple(parts)
     if not parts:
         raise ContractViolation("concat of an empty sequence")
     ax = axis % parts[0].data.ndim
@@ -365,7 +347,6 @@ def gather(a, indices) -> Tensor:
     trailing suffix of that shape, which every leading index shares: one
     (n, k) table selects from each (n, m) matrix of a stack.
     """
-    a = a if isinstance(a, Tensor) else Tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     lead = a.shape[:-1]
     if not 0 < idx.ndim <= a.data.ndim or lead[len(lead) + 1 - idx.ndim:] != idx.shape[:-1]:
@@ -400,7 +381,6 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     silently adding an epsilon would make downstream similarity values
     quietly wrong.
     """
-    a = a if isinstance(a, Tensor) else Tensor(a)
     ax = axis % a.data.ndim
     guard = _overflow_guard(a.data, _MAX / 2)          # below, no row's squared norm overflows
     with guard:
@@ -432,7 +412,6 @@ def stop_gradient(a) -> Tensor:
     computes, so inside ``finite_diff_check`` each call returns the value
     the same call had at the base point."""
     global _replay_at
-    a = a if isinstance(a, Tensor) else Tensor(a)
     if _held is None:
         return _node(a.data, (), None)
     if _replay_at is None:

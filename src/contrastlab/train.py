@@ -137,16 +137,19 @@ def _batch_loss(bundle: ModelBundle, cfg: LossConfig, xa: Tensor, xb: Tensor,
 def train_step(bundle: ModelBundle, opt: SgdMomentum, cfg: LossConfig, xa: Tensor, xb: Tensor,
                lr: float, source) -> tuple[float, LossTerms, L.StepTemps, list[np.ndarray]]:
     """One step on a two-view batch: ``_batch_loss``, the finite-loss check,
-    ``backward`` over ``opt.params`` and the update. Returns the loss value,
-    its terms, the temperatures and the gradients the update applied."""
-    terms, temps = _batch_loss(bundle, cfg, xa, xb, source)
-    loss = terms.total()
-    value = loss.item()
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite loss: pos={terms.pos.item()}, "
-                              f"neg={terms.neg.item()}, omega={terms.omega.item()}")
-    grads = backward(loss, opt.params)
-    opt.step(grads, lr)
+    ``backward`` over ``opt.params`` and the update, with numpy's warnings
+    off (a value that overflows ends in the one error of the check that
+    meets it). Returns the loss value, its terms, the temperatures and the
+    gradients the update applied."""
+    with np.errstate(all="ignore"):
+        terms, temps = _batch_loss(bundle, cfg, xa, xb, source)
+        loss = terms.total()
+        value = loss.item()
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite loss: pos={terms.pos.item()}, "
+                                  f"neg={terms.neg.item()}, omega={terms.omega.item()}")
+        grads = backward(loss, opt.params)
+        opt.step(grads, lr)
     return value, terms, temps, grads
 
 
@@ -158,7 +161,6 @@ class RunResult:
     train_rows: list[str]
     eval_rows: list[str]
     train_indices: np.ndarray
-    test_indices: np.ndarray
 
 
 def _start(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
@@ -254,7 +256,7 @@ def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
         write_rows(out_dir / "train_log.csv", TRAIN_LOG_HEADER, train_rows)
         write_rows(out_dir / "eval_log.csv", EVAL_LOG_HEADER, eval_rows)
         save_bundle(bundle, out_dir / "checkpoint.bin")
-    return RunResult(bundle, train_rows, eval_rows, train_idx, test_idx)
+    return RunResult(bundle, train_rows, eval_rows, train_idx)
 
 
 def _require_evaluable(labels: np.ndarray, train_idx: np.ndarray, n_test: int,

@@ -358,6 +358,13 @@ class TestAugmentOps:
         out = augment_view(np.full((16, 16, 1), 0.25), AugPipeline(ops=("blur",)), seed=3)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
+    def test_blur_whose_variance_underflows_is_identity(self):
+        # sigma * sigma is 0.0 at sigma = 1e-300; the kernel is (0, 1, 0)
+        img = gradient_image()
+        pipeline = AugPipeline(ops=("blur",), blur_sigma=(1e-300, 1e-300))
+        for seed in range(4):
+            assert augment_view(img, pipeline, seed=seed).tobytes() == img.tobytes()
+
 
 class TestTwoViews:
     def test_views_of_derived_seeds(self):

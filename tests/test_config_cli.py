@@ -551,6 +551,39 @@ class TestCommands:
         assert len(err) == 1, err
         assert err[0].startswith("error: evaluation: epoch 0 step 0: non-finite loss: pos=inf, neg="), err
 
+    @pytest.mark.parametrize("loss, train_values, code", [
+        ({}, {"lr": 1e300}, 2),
+        ({}, {"weight_decay": 1e300}, 2),
+        ({"beta": 1e300}, {}, 2),
+        ({}, {"temp_lr_scale": 1e300}, 2),
+        ({"variant": "barlow", "lambda": 1e300}, {}, 2),
+        ({"temp_mode": "constant", "tau0": 1e-300}, {}, 2),
+        ({"temp_mode": "constant", "tau0": 1e300}, {}, 0),
+        ({"temp_mode": "cosine", "tau_max": 1e300}, {}, 0),
+    ], ids=["lr", "weight_decay", "beta", "temp_lr_scale", "barlow_lambda", "tau0_tiny",
+            "tau0_huge", "tau_max_huge"])
+    def test_overflowing_step_warns_nothing(self, tmp_path, capsys, loss, train_values, code):
+        """A step whose values overflow writes no numpy warning (here an
+        error): the run stops with the one line of the check that catches
+        it, or trains, and then scores, with empty stderr."""
+        doc = {"model": {"d": 16, "d_prime": 8, "heads": 2}, "loss": loss,
+               "augment": {"prefix": 5},
+               "train": {"epochs": 1, "batch_size": 16, "probe_per_class": 10, **train_values},
+               "eval": {"probe_sizes": [10]},
+               "io": {"output_dir": str(tmp_path / "out"),
+                      "synthetic": {"classes": 4, "per_class": 40, "size": 8}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pretrain", "-c", str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: contract: epoch 0 step 1: "), err
+            return
+        assert err == []
+        for command in ("knn", "probe", "analyze"):
+            assert main([command, "-c", str(path)]) == 0, command
+        assert capsys.readouterr().err == ""
+
     def test_without_config_echoes_the_defaults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["gen-data"]) == 2

@@ -297,15 +297,31 @@ class TestMultiheadInfonce:
 
 
 class TestTemperatureMinimisers:
-    """Where an nce head term is lowest in one kind of temperature at
-    fixed similarities, on a log grid over the bounds (eta, eta + iota),
-    with beta = 1, d' = 16, s+ = 0.8 and two negatives of one similarity
-    s-. Pinned as the loss stands: the positive temperature's minimiser
-    lies inside the range, at the closed form 2(1 - s+)/d' = 0.025, and
-    the negatives' common temperature has none, its lowest value is on
-    the grid's lowest point under both aggregations (the pull toward the
-    temperature floor). A loss that moves either minimiser changes this
-    test."""
+    """Where a loss term is lowest in one kind of temperature at fixed
+    features, on a log grid over the bounds (eta, eta + iota), with
+    beta = 1. Pinned as the losses stand; a loss that moves a minimiser
+    changes this test.
+
+    nce head terms (d' = 16, s+ = 0.8, two negatives of one similarity
+    s-): the positive temperature's minimiser lies inside the range, at
+    the closed form 2(1 - s+)/d' = 0.025, and the negatives' common
+    temperature has none, its lowest value is on the grid's lowest point
+    under both aggregations (the pull toward the temperature floor).
+
+    simsiam (one head, one row, d' = 16, both pairs at cosine s): the
+    minimiser lies inside the range, at (2 beta - s)/(beta d').
+
+    barlow diagonal (d' = 1, so no off-diagonal entry; four rows at
+    correlation c): the minimiser is [beta - 2c + sqrt((2c - beta)^2 +
+    4 beta c^2)]/beta, inside the range for c = 0.9 and 0.5; for c = -0.5
+    it lies past the range, so a diagonal of negative correlation is
+    lowest at the grid's top point.
+
+    barlow off-diagonal: at d' >= 2 a constant temperature is shared
+    with the diagonal, so no loss call isolates it. In closed form an
+    entry of correlation c adds (lambda c^2 - beta)/t - beta (d'/2) log t,
+    and lambda c^2 <= 5e-3 < beta, so it falls without bound as t -> 0:
+    its minimiser over the range is the floor."""
 
     GRID = np.geomspace(BOUNDS.eta, BOUNDS.eta + BOUNDS.iota, 2001)
     S_POS, D_PRIME, FIXED_TAU = 0.8, 16, 0.05
@@ -317,15 +333,18 @@ class TestTemperatureMinimisers:
                                     Tensor(np.full((n, 2), s_neg)), Tensor(tau_neg), self.D_PRIME)
         return terms.total().data
 
+    def _assert_closed_form(self, totals, closed):
+        best = np.argmin(totals)
+        step = math.log(self.GRID[1] / self.GRID[0])
+        assert 0 < best < len(self.GRID) - 1
+        assert abs(math.log(self.GRID[best] / closed)) <= step
+
     @pytest.mark.parametrize("agg", ["softmax", "topk"])
     @pytest.mark.parametrize("s_neg", [0.9, 0.5, 0.0, -0.5])
     def test_positive_minimiser_is_the_closed_form(self, agg, s_neg):
         fixed = np.full((len(self.GRID), 2), self.FIXED_TAU)
-        best = np.argmin(self._totals(agg, s_neg, self.GRID, fixed))
-        closed = 2.0 * (1.0 - self.S_POS) / self.D_PRIME
-        step = math.log(self.GRID[1] / self.GRID[0])
-        assert 0 < best < len(self.GRID) - 1
-        assert abs(math.log(self.GRID[best] / closed)) <= step
+        self._assert_closed_form(self._totals(agg, s_neg, self.GRID, fixed),
+                                 2.0 * (1.0 - self.S_POS) / self.D_PRIME)
 
     @pytest.mark.parametrize("agg", ["softmax", "topk"])
     @pytest.mark.parametrize("s_neg", [0.9, 0.5, 0.0, -0.5])
@@ -333,6 +352,30 @@ class TestTemperatureMinimisers:
         fixed = np.full(len(self.GRID), self.FIXED_TAU)
         totals = self._totals(agg, s_neg, fixed, np.repeat(self.GRID[:, None], 2, axis=1))
         assert np.argmin(totals) == 0
+
+    @pytest.mark.parametrize("s", [0.8, 0.5, 0.0, -0.5])
+    def test_simsiam_minimiser_is_the_closed_form(self, s):
+        cfg = one_head_cfg(variant="simsiam", beta=1.0, temp_mode="constant")
+        live = np.eye(self.D_PRIME)[:1]
+        target = s * live + math.sqrt(1.0 - s * s) * np.eye(self.D_PRIME)[1:2]
+        branches = [Tensor(z[None]) for z in (live, live, target, target)]
+        totals = [L.multihead_negcos(cfg, branches, t)[0].total().item() for t in self.GRID]
+        self._assert_closed_form(totals, (2.0 - s) / self.D_PRIME)
+
+    def _barlow_totals(self, c):
+        cfg = one_head_cfg(variant="barlow", beta=1.0, temp_mode="constant")
+        za = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        zb = c * za + math.sqrt(1.0 - c * c) * np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        pairs = [Tensor(za[None]), Tensor(zb[None])]
+        return [L.multihead_cross_corr(cfg, pairs, t)[0].total().item() for t in self.GRID]
+
+    @pytest.mark.parametrize("c", [0.9, 0.5])
+    def test_barlow_diagonal_minimiser_is_the_closed_form(self, c):
+        closed = 1.0 - 2.0 * c + math.sqrt((2.0 * c - 1.0) ** 2 + 4.0 * c * c)
+        self._assert_closed_form(self._barlow_totals(c), closed)
+
+    def test_barlow_negative_diagonal_minimiser_is_the_ceiling(self):
+        assert np.argmin(self._barlow_totals(-0.5)) == len(self.GRID) - 1
 
 
 class TestMultiheadNegcos:

@@ -85,7 +85,7 @@ class TestForwardViews:
         rng = np.random.default_rng(1)
         _, _, p, _ = forward_views(bundle, Tensor(rng.normal(size=(3, 6))),
                                    Tensor(rng.normal(size=(3, 6))))
-        assert p.shape[0] == bundle.n_heads == 3
+        assert p.shape[0] == bundle.heads.params[0].shape[0] == 3
         for c in range(3):
             for c2 in range(c + 1, 3):
                 assert not np.array_equal(p.data[c], p.data[c2])
@@ -197,7 +197,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_bundle(bundle, path)
         loaded = load_bundle(path)
-        assert loaded.n_heads == 2
+        assert loaded.heads.params[0].shape[0] == 2
         assert loaded.predictor is not None and loaded.temp_net.spec.widths == (16, 16)
         for orig, back in zip(bundle.parameters(), loaded.parameters()):
             assert back.data.tobytes() == orig.data.tobytes()
