@@ -8,10 +8,10 @@ Every check calls ``losses.head_loss`` as training does: on raw
 predictor branches over unit rows, or batch-standardized rows) is part of
 what is checked, and with the same kind of ``temps`` argument, the
 scheduled temperature or the temperature net. Each instance draws its
-leaves per head. The gradcheck cases probe two (C, B, d') leaves stacked
-from those draws (a negative-cosine instance has one row per head); the
-maximum-likelihood suite, whose oracle loops over the heads, keeps
-per-head leaves and stacks them on the graph.
+leaves per head and stacks them into two (C, B, d') leaves (a negative-
+cosine instance has one row per head); the gradcheck cases and the
+maximum-likelihood suite, whose oracle takes the same unit stacks as
+``losses.nce_loss``, probe those stacked leaves.
 The negative-cosine targets and the inputs of every adaptive temperature
 are stop-gradient values, and ``finite_diff_check`` holds each at the
 base point, which is exactly the function whose gradient the backward
@@ -87,19 +87,6 @@ def _negcos_instance(seed: int, heads: int):
     for bias in predictor.params[1::2]:
         bias.data = _rand(stream, bias.shape)
     return leaves, predictor, temp_net
-
-
-def _unit(views):
-    """Per-head unit projections, on the graph."""
-    return [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in views]
-
-
-def _stacks(per_head) -> tuple[Tensor, ...]:
-    """Per-head tuples of (B, d') or (d',) tensors, (z_a, z_b) or
-    negative-cosine branches, as the (C, B, d') stacks a batch loss takes,
-    on the graph; a vector is a batch of one."""
-    return tuple(T.concat([T.reshape(p, (1, p.size // p.shape[-1], p.shape[-1])) for p in side])
-                 for side in zip(*per_head))
 
 
 def gradcheck_suite(seed: int = 2024) -> list[CheckResult]:
@@ -179,14 +166,15 @@ def mle_equivalence_suite(seed: int = 515) -> list[CheckResult]:
         for i in range(MLE_INSTANCES):
             heads = 1 + (i % 2) * 2
             draws, temp_net = _instance(derive(seed, variant, i), heads)
-            views = [(Tensor(a), Tensor(b)) for a, b in draws]
+            views = _stacked(draws)
             cfg = LossConfig(variant=variant, heads=heads, beta=1.0,
                              temp_mode="adaptive", neg_agg="softmax")
-            leaves = [t for pair in views for t in pair] + temp_net.params
+            leaves = views + temp_net.params
 
-            loss = L.head_loss(cfg, *_stacks(views), temp_net)[0].total()
+            loss = L.head_loss(cfg, *views, temp_net)[0].total()
             grads_loss = backward(loss, leaves)
-            oracle = L.gaussian_ratio_loss(variant, _unit(views), temp_net, cfg.bounds)
+            oracle = L.gaussian_ratio_loss(variant, [T.l2_normalize(v) for v in views],
+                                           temp_net, cfg.bounds)
             grads_oracle = backward(oracle, leaves)
 
             expected = loss.item() + heads * (D_PRIME / 2.0) * math.log(2.0 * math.pi)

@@ -9,14 +9,15 @@ that keeps the learned variances away from degenerate values.
 There is one batch loss per variant: ``nce_loss`` (ntxent and infonce,
 in-batch negatives over one (C, 2B, 2B) stack of similarity matrices),
 ``multihead_negcos`` and ``multihead_cross_corr``. Each takes every head
-at once, as (C, B, d') stacks with head c in slice c, handles both
-families, and returns the batch terms, each summed over the heads in
-head order, with the temperatures it used. Its ``temps`` is the
-scheduled temperature, or the temperature net, which embeds the loss's
-own inputs. ``head_loss`` is the one path from raw head outputs to these
-losses: it normalizes, standardizes or runs the predictor as the variant
-needs, and training, the finite-difference checks, the maximum-
-likelihood suite and the reduction check all call it.
+at once, as (C, B, d') stacks with head c in slice c, builds its
+similarities, then its temperatures once (the temperature net's, which
+embeds the loss's own inputs, or the scheduled one filled to the pair
+shape), branches on the family only around the formula, and returns the
+batch terms, each summed over the heads in head order, with the head-
+first temperatures it used. ``head_loss`` is the one path from raw head
+outputs to these losses: it normalizes, standardizes or runs the
+predictor as the variant needs, and training, the finite-difference
+checks, the maximum-likelihood suite and the reduction check call it.
 
 Gradient flow through the adaptive temperature. With beta = 1 and
 softmax aggregation a head's ntxent term is, up to a constant, the
@@ -229,8 +230,8 @@ def nce_head_terms(cfg: LossConfig, s_pos: Tensor, tau_pos: Tensor, s_cand: Tens
 
 @dataclass
 class StepTemps:
-    """Temperatures a batch loss used: every emitted value, head by head,
-    plus the positive-pair temperatures arranged (samples, heads)."""
+    """Temperatures a batch loss used, head first: every value it built,
+    (heads, values), and the positive-pair temperatures, (heads, samples)."""
 
     all_values: np.ndarray
     positive: np.ndarray
@@ -254,12 +255,6 @@ def _stack_shape(cfg: LossConfig, *stacks: Tensor) -> tuple[int, int, int]:
         raise ContractViolation(f"expected {cfg.heads} heads of matching (B, d') rows, "
                                 f"got {[z.shape for z in stacks]}")
     return shape
-
-
-def _scheduled_temps(tau: float, heads: int, samples: int) -> StepTemps:
-    """A scheduled temperature as logged: one value per head, and the
-    (samples, heads) positive-pair temperatures."""
-    return StepTemps(np.full(heads, tau), np.full((samples, heads), tau))
 
 
 def channel_temperatures(z_a: Tensor, z_b: Tensor, temp_net: Mlp,
@@ -337,18 +332,18 @@ def nce_loss(cfg: LossConfig, projections, temps) -> tuple[LossTerms, StepTemps]
     partner, candidates = pair_indices(batch, cfg.variant == "infonce")
     z = T.concat([z_a, z_b], axis=1)
     s_pos, s_cand = _pairs(T.matmul(z, T.transpose(z)), partner, candidates)
-    if cfg.family == "baseline":
-        return (_symmetric_mean(ntxent_terms(s_pos, s_cand, tau), batch),
-                _scheduled_temps(tau, heads, 2 * batch))
     if tau is None:
         phi = temperature_embedding(temps, z)
         r_pos, r_cand = _pairs(T.matmul(phi, T.transpose(phi)), partner, candidates)
         t_pos, t_cand = bounded_sigmoid(r_pos, cfg.bounds), bounded_sigmoid(r_cand, cfg.bounds)
     else:
         t_pos, t_cand = Tensor(np.full(s_pos.shape, tau)), Tensor(np.full(s_cand.shape, tau))
-    terms, t_read = nce_head_terms(cfg, s_pos, t_pos, s_cand, t_cand, d_prime)
-    emitted = np.concatenate((t_read.reshape(heads, -1), t_pos.data), axis=1).ravel()
-    return _symmetric_mean(terms, batch), StepTemps(emitted, np.ascontiguousarray(t_pos.data.T))
+    if cfg.family == "baseline":
+        terms, t_read = ntxent_terms(s_pos, s_cand, tau), t_cand.data
+    else:
+        terms, t_read = nce_head_terms(cfg, s_pos, t_pos, s_cand, t_cand, d_prime)
+    emitted = np.concatenate((t_read.reshape(heads, -1), t_pos.data), axis=1)
+    return _symmetric_mean(terms, batch), StepTemps(emitted, t_pos.data)
 
 
 def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepTemps]:
@@ -361,30 +356,32 @@ def multihead_negcos(cfg: LossConfig, branches, temps) -> tuple[LossTerms, StepT
     is the scheduled temperature or the temperature net, which reads each
     positive pair, (live_a, target_b) and (live_b, target_a), at unit
     norm. Both temperature penalties enter with positive sign since both
-    pairs are positive pairs. The baseline family is the plain batch mean
-    of -0.5 s_a - 0.5 s_b over the same cosines; its temperature is only
-    logged.
+    pairs are positive pairs. Each branch is normalized once, and the
+    temperature net reads the same unit rows the cosines do. The baseline
+    family is the plain batch mean of -0.5 s_a - 0.5 s_b over the same
+    cosines; its temperature is only logged.
     """
     tau = _scheduled_tau(cfg, temps)
     live_a, live_b, target_a, target_b = branches
-    heads, batch, d_prime = _stack_shape(cfg, *branches)
-    s_a = cosine_sim(live_a, T.stop_gradient(target_b))
-    s_b = cosine_sim(live_b, T.stop_gradient(target_a))
-    if cfg.family == "baseline":
-        terms = LossTerms(T.sum_(T.mean(-0.5 * s_a - 0.5 * s_b, axis=-1)), Tensor(0.0), Tensor(0.0))
-        return terms, _scheduled_temps(tau, heads, 2 * batch)
+    d_prime = _stack_shape(cfg, *branches)[-1]
+    unit_a, unit_b = T.l2_normalize(live_a), T.l2_normalize(live_b)
+    goal_a = T.l2_normalize(T.stop_gradient(target_a))
+    goal_b = T.l2_normalize(T.stop_gradient(target_b))
+    s_a = T.sum_(T.mul(unit_a, goal_b), axis=-1)
+    s_b = T.sum_(T.mul(unit_b, goal_a), axis=-1)
     if tau is None:
-        tau_a = adaptive_temperature(T.l2_normalize(live_a), T.l2_normalize(target_b),
-                                     temps, cfg.bounds)
-        tau_b = adaptive_temperature(T.l2_normalize(live_b), T.l2_normalize(target_a),
-                                     temps, cfg.bounds)
+        tau_a = adaptive_temperature(unit_a, goal_b, temps, cfg.bounds)
+        tau_b = adaptive_temperature(unit_b, goal_a, temps, cfg.bounds)
     else:
         tau_a = tau_b = Tensor(np.full(s_a.shape, tau))
-    pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
-    omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
-    terms = LossTerms(T.sum_(T.mean(pos, axis=-1)), Tensor(0.0), T.sum_(T.mean(omega, axis=-1)))
+    if cfg.family == "baseline":
+        terms = LossTerms(T.sum_(T.mean(-0.5 * s_a - 0.5 * s_b, axis=-1)), Tensor(0.0), Tensor(0.0))
+    else:
+        pos = -0.5 * (s_a / tau_a) - 0.5 * (s_b / tau_b)
+        omega = cfg.beta * (temp_penalty(tau_a, d_prime) + temp_penalty(tau_b, d_prime))
+        terms = LossTerms(T.sum_(T.mean(pos, axis=-1)), Tensor(0.0), T.sum_(T.mean(omega, axis=-1)))
     tau_pos = np.hstack([tau_a.data, tau_b.data])
-    return terms, StepTemps(tau_pos.ravel(), np.ascontiguousarray(tau_pos.T))
+    return terms, StepTemps(tau_pos, tau_pos)
 
 
 def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, StepTemps]:
@@ -411,23 +408,21 @@ def multihead_cross_corr(cfg: LossConfig, pairs, temps) -> tuple[LossTerms, Step
     off = Tensor(1.0 - np.eye(d_prime))
     c_diag = T.sum_(T.mul(c_mat, eye), axis=-1)
     c_off = T.mul(T.mul(c_mat, c_mat), off)
-    if cfg.family == "baseline":
-        value = T.sum_(T.pow_const(1.0 - c_diag, 2.0), axis=-1) + cfg.lambd * _matrix_sum(c_off)
-        terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
-        return terms, _scheduled_temps(tau, heads, d_prime)
     if tau is None:
         t_mat = channel_temperatures(z_a, z_b, temps, cfg.bounds)
     else:
         t_mat = Tensor(np.full((heads, d_prime, d_prime), tau))
     diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
-    pos = T.sum_(T.pow_const(1.0 - c_diag / diag_t, 2.0), axis=-1)
-    neg = cfg.lambd * _matrix_sum(T.mul(c_off, 1.0 / t_mat))
-    omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime), axis=-1)
-                        - _matrix_sum(T.mul(temp_penalty(t_mat, d_prime), off)))
-    terms = LossTerms(T.sum_(pos), T.sum_(neg), T.sum_(omega))
-    if tau is not None:
-        return terms, _scheduled_temps(tau, heads, d_prime)
-    return terms, StepTemps(t_mat.data.ravel(), np.ascontiguousarray(diag_t.data.T))
+    if cfg.family == "baseline":
+        value = T.sum_(T.pow_const(1.0 - c_diag, 2.0), axis=-1) + cfg.lambd * _matrix_sum(c_off)
+        terms = LossTerms(T.sum_(value), Tensor(0.0), Tensor(0.0))
+    else:
+        pos = T.sum_(T.pow_const(1.0 - c_diag / diag_t, 2.0), axis=-1)
+        neg = cfg.lambd * _matrix_sum(T.mul(c_off, 1.0 / t_mat))
+        omega = cfg.beta * (T.sum_(temp_penalty(diag_t, d_prime), axis=-1)
+                            - _matrix_sum(T.mul(temp_penalty(t_mat, d_prime), off)))
+        terms = LossTerms(T.sum_(pos), T.sum_(neg), T.sum_(omega))
+    return terms, StepTemps(t_mat.data.reshape(heads, -1), diag_t.data)
 
 
 def head_loss(cfg: LossConfig, pa: Tensor, pb: Tensor, temps,
@@ -464,7 +459,8 @@ def gaussian_density(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
 def gaussian_ratio_loss(variant: str, projections, temps, bounds: TempBounds = TempBounds()) -> Tensor:
     """Independent ground truth for the softmax-aggregated in-batch
     losses: per head, the mean over the 2B rows of concat([z_a, z_b]) of
-    the negative log Gaussian ratio, summed over heads.
+    the negative log Gaussian ratio, summed over heads. ``projections``
+    is (z_a, z_b), the two (C, B, d') unit stacks ``nce_loss`` takes.
 
     Deliberately naive: similarities and temperatures are formed for
     every ordered pair of rows from row-wise products (no Gram matrix),
@@ -476,23 +472,19 @@ def gaussian_ratio_loss(variant: str, projections, temps, bounds: TempBounds = T
     """
     if variant not in ("ntxent", "infonce"):
         raise ContractViolation(f"oracle covers ntxent/infonce, got {variant!r}")
-    total: Tensor | None = None
-    for z_a, z_b in projections:
-        z = T.concat([z_a, z_b], axis=0)
-        n, d_prime = z.shape
-        first = T.matmul(Tensor(np.repeat(np.eye(n), n, axis=0)), z)   # row i*n + j is row i
-        second = T.matmul(Tensor(np.tile(np.eye(n), (n, 1))), z)       # row i*n + j is row j
-        s = T.reshape(T.sum_(T.mul(first, second), axis=-1), (n, n))
-        if isinstance(temps, Mlp):
-            tau = T.reshape(adaptive_temperature(first, second, temps, bounds), (n, n))
-        else:
-            tau = Tensor(np.full((n, n), float(temps)))
-        dens = gaussian_density(s, tau, d_prime)
-        partner = np.roll(np.eye(n), n // 2, axis=1)
-        numerator = T.sum_(T.mul(dens, Tensor(partner)), axis=-1)
-        denominator = T.sum_(T.mul(dens, Tensor(1.0 - np.eye(n) - partner)), axis=-1)
-        if variant == "infonce":
-            denominator = denominator + numerator
-        head_loss = T.mean(T.log(denominator) - T.log(numerator))
-        total = head_loss if total is None else total + head_loss
-    return total
+    z = T.concat(list(projections), axis=1)
+    heads, n, d_prime = z.shape
+    first = T.matmul(Tensor(np.repeat(np.eye(n), n, axis=0)), z)   # row i*n + j is row i
+    second = T.matmul(Tensor(np.tile(np.eye(n), (n, 1))), z)       # row i*n + j is row j
+    s = T.reshape(T.sum_(T.mul(first, second), axis=-1), (heads, n, n))
+    if isinstance(temps, Mlp):
+        tau = T.reshape(adaptive_temperature(first, second, temps, bounds), (heads, n, n))
+    else:
+        tau = Tensor(np.full((heads, n, n), float(temps)))
+    dens = gaussian_density(s, tau, d_prime)
+    partner = np.roll(np.eye(n), n // 2, axis=1)
+    numerator = T.sum_(T.mul(dens, Tensor(partner)), axis=-1)
+    denominator = T.sum_(T.mul(dens, Tensor(1.0 - np.eye(n) - partner)), axis=-1)
+    if variant == "infonce":
+        denominator = denominator + numerator
+    return T.sum_(T.mean(T.log(denominator) - T.log(numerator), axis=-1))

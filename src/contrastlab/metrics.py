@@ -29,7 +29,7 @@ def histogram_from_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ContractViolation("cannot histogram an empty value set")
-    if values.min() < -1.0 or values.max() > 1.0:
+    if not (values.min() >= -1.0 and values.max() <= 1.0):      # NaN fails both
         raise ContractViolation("similarities must lie in [-1, 1]")
     bins = np.minimum((np.floor((values + 1.0) * (N_BINS / 2.0))).astype(int), N_BINS - 1)
     return np.bincount(bins, minlength=N_BINS)
@@ -49,8 +49,9 @@ def pair_similarities(bundle: ModelBundle, pairs) -> tuple[np.ndarray, np.ndarra
     u, v = pairs
     if len(u) == 0:
         raise ContractViolation("empty pair list")
-    hu, hv, pu, pv = forward_views(bundle, Tensor(u.reshape(len(u), -1)),
-                                   Tensor(v.reshape(len(v), -1)))
+    with np.errstate(all="ignore"):     # a value that overflows fails the histogram's range check
+        hu, hv, pu, pv = forward_views(bundle, Tensor(u.reshape(len(u), -1)),
+                                       Tensor(v.reshape(len(v), -1)))
     return cosine_sim(pu, pv).data.mean(axis=0), cosine_sim(hu, hv).data.copy()
 
 
@@ -101,12 +102,12 @@ def write_separability_csv(path, reports: list[SeparabilityReport]) -> None:
 
 
 def temperature_stats(taus: np.ndarray) -> float:
-    """Cross-head variance of an (samples, heads) temperature matrix: the
-    mean over samples of the population variance across the head
-    temperatures of that sample."""
+    """Cross-head variance of a (heads, samples) temperature matrix, as
+    ``losses.StepTemps.positive`` holds it: the mean over samples of the
+    population variance across the head temperatures of that sample."""
     taus = np.asarray(taus, dtype=np.float64)
     if taus.ndim != 2 or taus.size == 0:
-        raise ContractViolation(f"expected a nonempty (samples, heads) matrix, got {taus.shape}")
-    variances = taus.var(axis=1)
-    variances[taus.max(axis=1) == taus.min(axis=1)] = 0.0
+        raise ContractViolation(f"expected a nonempty (heads, samples) matrix, got {taus.shape}")
+    variances = taus.var(axis=0)
+    variances[taus.max(axis=0) == taus.min(axis=0)] = 0.0
     return float(variances.mean())

@@ -272,6 +272,8 @@ def _decode_bundle(blob: bytes) -> ModelBundle:
         arr = T.amtd_decode(payload[start:end])
         if list(arr.shape) != entry["shape"]:
             raise ContractViolation(f"checkpoint tensor {entry['name']} has wrong shape")
+        if not np.isfinite(arr).all():
+            raise ContractViolation(f"checkpoint tensor {entry['name']} is not finite")
         arrays[entry["name"]] = arr
 
     def rebuild(name: str) -> Mlp:

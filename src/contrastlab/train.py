@@ -208,8 +208,13 @@ def _fmt(x: float) -> str:
 
 
 def encode_features(bundle: ModelBundle, pixels: np.ndarray) -> np.ndarray:
-    """Encoder outputs of (n, h, w, c) images, one row each."""
-    return bundle.encoder(Tensor(pixels.reshape(len(pixels), -1))).data.copy()
+    """Encoder outputs of (n, h, w, c) images, one row each, with numpy's
+    warnings off; a feature that overflows raises ``DomainError``."""
+    with np.errstate(all="ignore"):
+        features = bundle.encoder(Tensor(pixels.reshape(len(pixels), -1))).data
+    if not np.isfinite(features).all():
+        raise DomainError("encoder features are not finite")
+    return features
 
 
 def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,

@@ -4,7 +4,8 @@ bit-exact reference for the one-pass forward and the batch losses.
 Here every head is its own ``Mlp`` and the forward pass and each loss
 loop over the heads in Python, adding head by head. ``reference_heads``
 splits a stacked head network into such networks, on new parameter
-leaves, so that both paths can run and be differentiated side by side.
+leaves, so that both paths can run and be differentiated side by side,
+and ``stacks`` lays per-head tensors out as the stacks a batch loss takes.
 """
 import numpy as np
 
@@ -42,7 +43,16 @@ def _add(a: LossTerms, b: LossTerms | None) -> LossTerms:
 
 
 def _emitted(tau_pos, tau_all) -> StepTemps:
-    return StepTemps(np.concatenate(tau_all), np.stack(tau_pos, axis=1))
+    """Per-head temperature lists as the head-first ``StepTemps``."""
+    return StepTemps(np.stack(tau_all), np.stack(tau_pos))
+
+
+def stacks(per_head) -> tuple[Tensor, ...]:
+    """Per-head tuples of (B, d') or (d',) tensors, (z_a, z_b) or
+    negative-cosine branches, as the (C, B, d') stacks a batch loss takes,
+    on the graph; a vector is a batch of one."""
+    return tuple(T.concat([T.reshape(p, (1, p.size // p.shape[-1], p.shape[-1])) for p in side])
+                 for side in zip(*per_head))
 
 
 def reference_forward_views(encoder: Mlp, heads: list[Mlp], x: Tensor, x_pos: Tensor):
@@ -107,8 +117,10 @@ def reference_nce_loss(cfg, projections, temps):
         if cfg.family == "baseline":
             make = L.ntxent_terms if cfg.variant == "ntxent" else _infonce_terms
             terms = make(s_pos, s_cand, tau)
+            # reported as the candidate table losses.nce_loss builds, then the positives
+            width = negatives.shape[1] + (cfg.variant == "infonce") + 1
             tau_pos.append(np.full(2 * batch, tau))
-            tau_all.append(np.array([tau]))
+            tau_all.append(np.full(2 * batch * width, tau))
         else:
             if tau is None:
                 phi = temperature_embedding(temps, z)
@@ -117,8 +129,7 @@ def reference_nce_loss(cfg, projections, temps):
             else:
                 t_pos, t_cand = Tensor(np.full(2 * batch, tau)), Tensor(np.full(candidates.shape, tau))
             terms, t_read = L.nce_head_terms(cfg, s_pos, t_pos, s_cand, t_cand, z_a.shape[-1])
-            tau_all.append(t_read.ravel())
-            tau_all.append(t_pos.data)
+            tau_all.append(np.concatenate([t_read.ravel(), t_pos.data]))
             tau_pos.append(t_pos.data)
         total = _add(LossTerms(half(terms.pos), half(terms.neg), half(terms.omega)), total)
     return total, _emitted(tau_pos, tau_all)
@@ -135,7 +146,6 @@ def reference_negcos(cfg, branches, temps):
         if cfg.family == "baseline":
             terms = LossTerms(T.mean(-0.5 * s_a - 0.5 * s_b), Tensor(0.0), Tensor(0.0))
             tau_pos.append(np.full(2 * s_a.size, tau))
-            tau_all.append(np.array([tau]))
         else:
             d_prime = live_a.shape[-1]
             if tau is None:
@@ -149,9 +159,8 @@ def reference_negcos(cfg, branches, temps):
             omega = cfg.beta * (L.temp_penalty(tau_a, d_prime) + L.temp_penalty(tau_b, d_prime))
             terms = LossTerms(T.mean(pos), Tensor(0.0), T.mean(omega))
             tau_pos.append(np.concatenate([tau_a.data.ravel(), tau_b.data.ravel()]))
-            tau_all.append(tau_pos[-1])
         total = _add(terms, total)
-    return total, _emitted(tau_pos, tau_all)
+    return total, _emitted(tau_pos, tau_pos)
 
 
 def reference_cross_corr(cfg, pairs, temps):
@@ -167,27 +176,23 @@ def reference_cross_corr(cfg, pairs, temps):
         eye = Tensor(np.eye(d_prime))
         off = Tensor(1.0 - np.eye(d_prime))
         diag_c = T.sum_(T.mul(c_mat, eye), axis=-1)
+        if tau is None:
+            t_mat = L.channel_temperatures(z_a, z_b, temps, cfg.bounds)
+        else:
+            t_mat = Tensor(np.full((d_prime, d_prime), tau))
         if cfg.family == "baseline":
             on_term = T.sum_(T.pow_const(1.0 - diag_c, 2.0))
             off_term = cfg.lambd * T.sum_(T.mul(T.mul(c_mat, c_mat), off))
             terms = LossTerms(on_term + off_term, Tensor(0.0), Tensor(0.0))
         else:
-            if tau is None:
-                t_mat = L.channel_temperatures(z_a, z_b, temps, cfg.bounds)
-            else:
-                t_mat = Tensor(np.full((d_prime, d_prime), tau))
             diag_t = T.sum_(T.mul(t_mat, eye), axis=-1)
             pos = T.sum_(T.pow_const(1.0 - diag_c / diag_t, 2.0))
             neg = cfg.lambd * T.sum_(T.mul(T.mul(T.mul(c_mat, c_mat), off), 1.0 / t_mat))
             omega = cfg.beta * (T.sum_(L.temp_penalty(diag_t, d_prime))
                                 - T.sum_(T.mul(L.temp_penalty(t_mat, d_prime), off)))
             terms = LossTerms(pos, neg, omega)
-        if tau is None:
-            tau_pos.append(np.diag(t_mat.data).copy())
-            tau_all.append(t_mat.data.ravel())
-        else:
-            tau_pos.append(np.full(d_prime, tau))
-            tau_all.append(np.array([tau]))
+        tau_pos.append(np.diag(t_mat.data).copy())
+        tau_all.append(t_mat.data.ravel())
         total = _add(terms, total)
     return total, _emitted(tau_pos, tau_all)
 

@@ -13,12 +13,13 @@ from contrastlab import losses as L
 from contrastlab import tensor as T
 from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, parse_pnm,
                                  write_pnm, PnmError)
-from contrastlab.checks import _stacks, gradcheck_suite, mle_equivalence_suite, reduction_suite
+from contrastlab.checks import gradcheck_suite, mle_equivalence_suite, reduction_suite
 from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds
 from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import EvalConfig, ModelConfig, TrainConfig, pretrain
+from reference_heads import stacks
 
 BOUNDS = TempBounds(1e-5, 2.0)
 BASELINE = LossConfig(variant="ntxent", family="baseline", heads=1,
@@ -131,12 +132,12 @@ class TestCriterion5StopGradient:
         cfg = LossConfig(variant="simsiam", heads=1, beta=0.5,
                          temp_mode="constant", tau0=0.5)
         leaves = [live_a, live_b, tgt_a, tgt_b]
-        loss = L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]), 0.5)[0].total()
+        loss = L.multihead_negcos(cfg, stacks([(live_a, live_b, tgt_a, tgt_b)]), 0.5)[0].total()
         _, _, g_tgt_a, g_tgt_b = backward(loss, leaves)
         analytic_zero = (np.all(g_tgt_a == 0.0) and np.all(g_tgt_b == 0.0))
 
         def value():
-            return L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]),
+            return L.multihead_negcos(cfg, stacks([(live_a, live_b, tgt_a, tgt_b)]),
                                       0.5)[0].total().item()
 
         sensitivities = []

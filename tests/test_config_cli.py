@@ -249,6 +249,23 @@ def small_config(tmp_path_factory):
     return root, cfg_path
 
 
+@pytest.fixture(scope="module")
+def crafted_run(tmp_path_factory):
+    """A 2x20 8x8 3-channel set and a config whose eval commands read the
+    checkpoint a test writes to ``root / "out"``."""
+    root = tmp_path_factory.mktemp("crafted")
+    write_dataset(generate_dataset(SyntheticSpec(classes=2, per_class=20, size=8, channels=3)),
+                  root / "data")
+    (root / "out").mkdir()
+    doc = {"model": {"d": 16, "d_prime": 8, "heads": 2},
+           "train": {"probe_per_class": 10},
+           "eval": {"pair_count": 20, "probe_sizes": [10]},
+           "io": {"dataset": str(root / "data"), "output_dir": str(root / "out")}}
+    path = root / "experiment.json"
+    path.write_text(json.dumps(doc))
+    return root, path
+
+
 class TestCommands:
     def test_pretrain_then_eval_commands(self, small_config):
         root, cfg_path = small_config
@@ -401,6 +418,27 @@ class TestCommands:
                 assert code in (0, 2, 3), (command, case)
                 assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
                     (command, case, err)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200, 1e308], ids=str)
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("component", ["encoder", "heads"])
+    def test_non_finite_or_huge_weights_exit_with_one_line(self, crafted_run, capsys,
+                                                           component, index, value):
+        """A well-formed checkpoint with one parameter tensor of the
+        encoder or the heads filled with NaN, inf or a huge finite value:
+        knn, probe and analyze each exit 0, 2 or 3, with exactly one error
+        line when they fail and no warning (warnings are errors here)."""
+        root, path = crafted_run
+        bundle = ModelBundle.build(192, 16, 8, 2, seed=3, temp_width=8)
+        param = getattr(bundle, component).params[index]
+        param.data = np.full(param.shape, value)
+        save_bundle(bundle, root / "out" / "checkpoint.bin")
+        for command in ("knn", "probe", "analyze"):
+            code = main([command, "-c", str(path)])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2, 3), command
+            assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
+                (command, err)
 
     @pytest.mark.parametrize("damage", ["truncated-payload", "smaller-image"])
     def test_bad_dataset_file_is_io_error(self, small_config, tmp_path, capsys, damage):

@@ -9,12 +9,13 @@ import pytest
 from contrastlab import checks
 from contrastlab import losses as L
 from contrastlab import tensor as T
-from contrastlab.checks import _negcos_instance, _stacks
+from contrastlab.checks import _negcos_instance
 from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
 from contrastlab.nets import Mlp, MlpSpec, TempBounds, bounded_sigmoid
 from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward, finite_diff_check
+from reference_heads import stacks
 
 BOUNDS = TempBounds(1e-5, 2.0)
 
@@ -113,7 +114,7 @@ def random_views(stream, heads, batch=3, d_prime=4):
 def nce(cfg, projections, temps=None) -> L.LossTerms:
     """In-batch loss terms of per-head (z_a, z_b) pairs, stacked as the
     loss takes them; a non-adaptive cfg defaults to its tau0."""
-    return L.nce_loss(cfg, _stacks(projections), cfg.tau0 if temps is None else temps)[0]
+    return L.nce_loss(cfg, stacks(projections), cfg.tau0 if temps is None else temps)[0]
 
 
 def mass_one_negatives():
@@ -143,20 +144,20 @@ class TestBaselineLosses:
 
     def test_negcos_perfect_alignment(self):
         branches = [tuple(Tensor([0.0, 1.0]) for _ in range(4))]
-        loss = L.multihead_negcos(baseline_cfg("simsiam"), _stacks(branches), 1.0)[0].total()
+        loss = L.multihead_negcos(baseline_cfg("simsiam"), stacks(branches), 1.0)[0].total()
         np.testing.assert_allclose(loss.item(), -1.0, atol=1e-12)
 
     def test_cross_corr_identity_is_zero(self):
         # exactly uncorrelated standardized channels: C = I
         z = Tensor(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
         loss = L.multihead_cross_corr(baseline_cfg("barlow", lambd=0.7),
-                                      _stacks([(z, Tensor(z.data.copy()))]), 1.0)[0].total()
+                                      stacks([(z, Tensor(z.data.copy()))]), 1.0)[0].total()
         np.testing.assert_allclose(loss.item(), 0.0, atol=1e-12)
 
     def test_cross_corr_requires_standardized(self):
         z = Tensor(np.random.default_rng(0).normal(size=(4, 2)))
         with pytest.raises(ContractViolation):
-            L.multihead_cross_corr(baseline_cfg("barlow", lambd=1.0), _stacks([(z, z)]), 1.0)
+            L.multihead_cross_corr(baseline_cfg("barlow", lambd=1.0), stacks([(z, z)]), 1.0)
 
     def test_ntxent_requires_negatives(self):
         # a batch of one has no in-batch negative
@@ -384,7 +385,7 @@ class TestMultiheadNegcos:
         branches = [(u, Tensor(u.data.copy()), Tensor(u.data.copy()), Tensor(u.data.copy()))]
         cfg = one_head_cfg(variant="simsiam")
         np.testing.assert_allclose(
-            L.multihead_negcos(cfg, _stacks(branches), 1.0)[0].total().item(), -1.0, atol=1e-12)
+            L.multihead_negcos(cfg, stacks(branches), 1.0)[0].total().item(), -1.0, atol=1e-12)
 
     def test_stop_gradient_branches_get_zero_gradient(self):
         stream = SplitMix64(15)
@@ -395,7 +396,7 @@ class TestMultiheadNegcos:
         leaves = [live_a, live_b, tgt_a, tgt_b]
         branches = [(live_a, live_b, tgt_a, tgt_b)]
         g_live_a, _, g_tgt_a, g_tgt_b = backward(
-            L.multihead_negcos(cfg, _stacks(branches), temp_net)[0].total(), leaves)
+            L.multihead_negcos(cfg, stacks(branches), temp_net)[0].total(), leaves)
         assert np.all(g_tgt_a == 0.0) and np.all(g_tgt_b == 0.0)
         assert np.abs(g_live_a).max() > 0
 
@@ -408,7 +409,7 @@ class TestMultiheadNegcos:
         cfg = one_head_cfg(variant="simsiam")
 
         def value():
-            return L.multihead_negcos(cfg, _stacks([(live_a, live_b, tgt_a, tgt_b)]),
+            return L.multihead_negcos(cfg, stacks([(live_a, live_b, tgt_a, tgt_b)]),
                                       1.0)[0].total().item()
 
         base = value()
@@ -425,9 +426,9 @@ class TestMultiheadNegcos:
         stream = SplitMix64(17)
         branch = tuple(rand_tensor(stream, (4,)) for _ in range(4))
         one = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4),
-                                 _stacks([branch]), 0.7)[0].total().item()
+                                 stacks([branch]), 0.7)[0].total().item()
         two = L.multihead_negcos(one_head_cfg(variant="simsiam", beta=0.4, heads=2),
-                                 _stacks([branch, branch]), 0.7)[0].total().item()
+                                 stacks([branch, branch]), 0.7)[0].total().item()
         np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
 
 
@@ -442,16 +443,16 @@ class TestMultiheadCrossCorr:
     def test_identity_correlation_zero_loss(self):
         z = Tensor(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
         cfg = one_head_cfg(variant="barlow", lambd=0.6)
-        terms, _ = L.multihead_cross_corr(cfg, _stacks([(z, Tensor(z.data.copy()))]), 1.0)
+        terms, _ = L.multihead_cross_corr(cfg, stacks([(z, Tensor(z.data.copy()))]), 1.0)
         np.testing.assert_allclose(terms.total().item(), 0.0, atol=1e-12)
 
     def test_lambda_gates_off_diagonals(self):
         za, zb = standardized_pair(18)
         cfg0 = one_head_cfg(variant="barlow", lambd=0.0)
-        base = L.multihead_cross_corr(cfg0, _stacks([(za, zb)]), 1.0)[0].total().item()
+        base = L.multihead_cross_corr(cfg0, stacks([(za, zb)]), 1.0)[0].total().item()
         # permuting one side's channels changes off-diagonal structure only
         # through the diagonal; with lambda=0 the loss ignores off-diagonals
-        terms, _ = L.multihead_cross_corr(cfg0, _stacks([(za, zb)]), 1.0)
+        terms, _ = L.multihead_cross_corr(cfg0, stacks([(za, zb)]), 1.0)
         assert terms.neg.item() == 0.0
         assert base == terms.total().item()
 
@@ -462,14 +463,14 @@ class TestMultiheadCrossCorr:
         za = Tensor(np.column_stack([base_cols[:, 0], base_cols[:, 1]]))
         zb = Tensor(np.column_stack([base_cols[:, 1] * -1.0, base_cols[:, 0] * -1.0]))
         cfg = one_head_cfg(variant="barlow", lambd=1.0)
-        with_pair = L.multihead_cross_corr(cfg, _stacks([(za, zb)]), 1.0)[0].total().item()
+        with_pair = L.multihead_cross_corr(cfg, stacks([(za, zb)]), 1.0)[0].total().item()
         # diagonals are 0 here: loss = sum (1-0)^2 * 2 + lambda * (1 + 1)
         np.testing.assert_allclose(with_pair, 2.0 + 2.0, atol=1e-12)
 
     def test_small_batch_rejected(self):
         z = Tensor(np.ones((1, 2)))
         with pytest.raises(ContractViolation):
-            L.multihead_cross_corr(one_head_cfg(variant="barlow"), _stacks([(z, z)]), 1.0)
+            L.multihead_cross_corr(one_head_cfg(variant="barlow"), stacks([(z, z)]), 1.0)
 
 
 class TestSoftmaxAggregate:
@@ -542,7 +543,7 @@ class TestMleOracle:
             cfg = LossConfig(variant=variant, heads=heads, beta=1.0, temp_mode="adaptive",
                              neg_agg="softmax", bounds=BOUNDS)
             loss = nce(cfg, projections, temp_net).total().item()
-            oracle = L.gaussian_ratio_loss(variant, projections, temp_net, BOUNDS).item()
+            oracle = L.gaussian_ratio_loss(variant, stacks(projections), temp_net, BOUNDS).item()
             expected = loss + heads * 4.0 * math.log(2 * math.pi)
             assert abs(oracle - expected) / max(1.0, abs(oracle)) < 1e-8
 
@@ -553,7 +554,8 @@ class TestMleOracle:
         leaves = [t for pair in views for t in pair] + temp_net.params
         projections = unit_views(views)
         g_loss = backward(nce(cfg, projections, temp_net).total(), leaves)
-        g_oracle = backward(L.gaussian_ratio_loss("ntxent", projections, temp_net, BOUNDS), leaves)
+        g_oracle = backward(L.gaussian_ratio_loss("ntxent", stacks(projections), temp_net, BOUNDS),
+                            leaves)
         for a, b in zip(g_loss, g_oracle):
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) < 1e-8
 
@@ -566,8 +568,51 @@ class TestMleOracle:
         q = math.sqrt(1.0 - p * p)
         z_a = Tensor([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         z_b = Tensor([[p, q, 0.0, 0.0], [0.0, 0.0, p, q]])
-        oracle = L.gaussian_ratio_loss("ntxent", [(z_a, z_b)], tau)
+        oracle = L.gaussian_ratio_loss("ntxent", stacks([(z_a, z_b)]), tau)
         np.testing.assert_allclose(oracle.item(), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["ntxent", "infonce"])
+    def test_stack_is_the_sum_of_its_heads(self, variant):
+        """The oracle over a (C, B, d') stack is the head-order sum of its
+        C = 1 calls: the value bit for bit, the gradients (phi's adds the
+        heads in another order) to 1e-12."""
+        views, temp_net = self._instance(derive(55, variant), 3)
+        leaves = [t for pair in views for t in pair] + temp_net.params
+        projections = unit_views(views)
+        stacked = L.gaussian_ratio_loss(variant, stacks(projections), temp_net, BOUNDS)
+        heads = [L.gaussian_ratio_loss(variant, stacks([pair]), temp_net, BOUNDS)
+                 for pair in projections]
+        summed = heads[0] + heads[1] + heads[2]
+        assert stacked.item() == summed.item()
+        for got, want in zip(backward(stacked, leaves), backward(summed, leaves), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestStepTempsLayout:
+    @pytest.mark.parametrize("variant", ["ntxent", "infonce", "simsiam", "barlow"])
+    @pytest.mark.parametrize("family,heads,mode", [
+        ("baseline", 1, "constant"), ("baseline", 1, "cosine"),
+        ("multihead", 3, "cosine"), ("multihead", 3, "adaptive")])
+    def test_temperatures_are_reported_head_first(self, variant, family, heads, mode):
+        """Every batch loss, family and temperature source reports
+        (heads, values) and (heads, samples) arrays; a scheduled
+        temperature fills both."""
+        batch, d_prime = 4, 8
+        cfg = LossConfig(variant=variant, family=family, heads=heads, temp_mode=mode,
+                         bounds=BOUNDS)
+        stream = SplitMix64(derive(56, variant, family, mode))
+        pa, pb = (rand_tensor(stream, (heads, batch, d_prime)) for _ in range(2))
+        width = batch if variant == "barlow" else d_prime
+        temps = Mlp.init(MlpSpec((width, width)), seed=3) if mode == "adaptive" else 0.5
+        predictor = Mlp.init(MlpSpec((d_prime, d_prime, d_prime)), seed=4)
+        for bias in predictor.params[1::2]:
+            bias.data[:] = 0.1
+        _, got = L.head_loss(cfg, pa, pb, temps, predictor)
+        samples = d_prime if variant == "barlow" else 2 * batch
+        assert got.positive.shape == (heads, samples)
+        assert got.all_values.ndim == 2 and got.all_values.shape[0] == heads
+        if mode != "adaptive":
+            assert np.all(got.all_values == 0.5) and np.all(got.positive == 0.5)
 
 
 class TestTemperatureGradientFlow:
@@ -598,14 +643,14 @@ class TestTemperatureGradientFlow:
             cfg = one_head_cfg(variant="simsiam", temp_mode="adaptive", beta=0.5)
 
             def penalty():
-                return L.multihead_negcos(cfg, _stacks([leaves]), temp_net)[0].omega
+                return L.multihead_negcos(cfg, stacks([leaves]), temp_net)[0].omega
         else:
             leaves = [rand_tensor(stream, (6, 4)) for _ in range(2)]
             temp_net = Mlp.init(MlpSpec((6, 6)), seed=14)
             cfg = one_head_cfg(variant="barlow", temp_mode="adaptive", beta=0.5)
 
             def penalty():
-                pairs = tuple(L.batch_standardize(t) for t in _stacks([leaves]))
+                pairs = tuple(L.batch_standardize(t) for t in stacks([leaves]))
                 return L.multihead_cross_corr(cfg, pairs, temp_net)[0].omega
 
         omega = penalty()

@@ -91,15 +91,15 @@ class TestOverlap:
 
 class TestTemperatureStats:
     def test_hand_cross_head_variance(self):
-        taus = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
+        taus = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 5))
         assert temperature_stats(taus) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_equal_temperatures_zero_variance(self):
-        assert temperature_stats(np.full((7, 3), 0.2)) == 0.0
+        assert temperature_stats(np.full((3, 7), 0.2)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            temperature_stats(np.zeros((0, 3)))
+            temperature_stats(np.zeros((3, 0)))
 
 
 class TestModelSimilarities:

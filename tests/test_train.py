@@ -11,13 +11,12 @@ from contrastlab import train
 from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
-from contrastlab.nets import TempBounds
+from contrastlab.nets import TempBounds, forward_views
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
                                _batch_loss, _nearest, _start, build_eval_pairs, knn_eval,
                                linear_probe, pretrain, reduction_check, temperature_for_step,
                                train_step)
-from reference_heads import reference_forward_views, reference_heads, stacked_grads
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
 
@@ -142,10 +141,10 @@ class TestBatchLossEquivalence:
     def test_batch_matches_oracle_in_training_geometry(self):
         """The training loss equals the naive Gaussian-ratio oracle, up to
         the (d'/2) log(2 pi) constant per head, in value and in the
-        gradient of every parameter. The oracle's projections are built
-        here in the training geometry (heads read unit-normalized
-        backbone features); head biases of 0.3 make an oracle fed raw
-        backbone features disagree."""
+        gradient of every parameter. The oracle reads the head stacks of
+        ``forward_views`` (heads read unit-normalized backbone features) at
+        unit norm; head biases of 0.3 make an oracle fed raw backbone
+        features disagree."""
         dataset = small_dataset()
         bounds = TempBounds(1e-5, 2.0)
         cfg = LossConfig(variant="ntxent", family="multihead", heads=2, beta=1.0,
@@ -161,16 +160,11 @@ class TestBatchLossEquivalence:
         batch_terms, _ = _batch_loss(bundle, cfg, xa, xb, bundle.temp_net)
         batch_grads = backward(batch_terms.total(), params)
 
-        heads = reference_heads(bundle.heads)
-        _, _, raw = reference_forward_views(bundle.encoder, heads, xa, xb)
-        projections = [(T.l2_normalize(a), T.l2_normalize(b)) for a, b in raw]
-        oracle = L.gaussian_ratio_loss("ntxent", projections, bundle.temp_net, bounds)
-        encoder, per_head = bundle.encoder.params, [p for h in heads for p in h.params]
-        grads = backward(oracle, encoder + per_head + bundle.temp_net.params)
-        split = len(encoder) + len(per_head)
-        temp_grads = grads[split:]
-        oracle_grads = (grads[:len(encoder)] + stacked_grads(heads, grads[len(encoder):split])
-                        + temp_grads)
+        _, _, pa, pb = forward_views(bundle, xa, xb)
+        oracle = L.gaussian_ratio_loss("ntxent", (T.l2_normalize(pa), T.l2_normalize(pb)),
+                                       bundle.temp_net, bounds)
+        oracle_grads = backward(oracle, params)
+        temp_grads = oracle_grads[-len(bundle.temp_net.params):]
         offset = 2 * 4.0 * math.log(2.0 * math.pi)
         np.testing.assert_allclose(batch_terms.total().item() + offset, oracle.item(), rtol=1e-10)
         for got, want in zip(batch_grads, oracle_grads, strict=True):
