@@ -12,7 +12,9 @@ is a pure function of (image, pipeline, seed), whatever stack it is
 computed in, and whole epochs are reproducible regardless of execution
 order.
 
-Cost model. Training makes one call per sample (a stack of 2) and
+Cost model. A training step or an eval pair block derives all its view
+seeds (``rng.derive_many``) and draws (``view_draws``) in one uint64
+array pass. Training then makes one call per sample (a stack of 2) and
 evaluation one per view (a stack of 1), so each call's fixed cost
 counts as much as its per-value work:
 
@@ -20,16 +22,16 @@ counts as much as its per-value work:
   (side, h, w, c): the flat offsets of each output value's source rows
   and columns from the crop's top-left value, and the weight rows, all
   O(h + w * c) in size;
-- a view's draws for all its ops come from one ``derived_floats`` pass
-  over plain ints, which mixes the view seed once;
+- crop, blur and flip read each view's draws as Python floats, which
+  costs less than numpy calls on stacks of 1 or 2;
 - the stack is clamped (``ndarray.clip``) after crop, blur and gray,
   whose weights can round one ulp past 1, and after a flip only when it
   is the sole op: jitter clamps its own result, and any other flip only
   moves values an earlier op clamped.
 
-Calls stay per sample because the benchmark's traced checks count
-``make_two_views`` and ``augment_view`` calls; batching a whole step's
-views into one call waits for that benchmark to count views instead.
+Calls stay per sample until the benchmark's traced checks, which count
+``make_two_views`` and ``augment_view`` calls, count views instead; then
+a whole step's views can be one call.
 
 Every command that reads a dataset directory loads it whole, so its
 fixed cost per file counts too: one ``stat`` per index row, plus one
@@ -52,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, require, require_choice
-from .rng import SplitMix64, derive, derived_floats, uniform_index
+from .rng import SplitMix64, derive, derive_many, stream_floats, uniform_index
 
 MAX_DIMENSION = 65535
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -215,7 +217,7 @@ def _crop(views: np.ndarray, pipeline: AugPipeline, draws) -> tuple[np.ndarray, 
     flat = views.reshape(-1)
     out = np.empty(views.shape)
     resized = np.empty(n, dtype=bool)
-    for k, (u_scale, u_y, u_x) in enumerate(draws):
+    for k, (u_scale, u_y, u_x) in enumerate(draws.tolist()):
         side = max(1, int(round(math.sqrt(lo + u_scale * (hi - lo)) * min(h, w))))
         oy, ox = uniform_index(u_y, h - side + 1), uniform_index(u_x, w - side + 1)
         row_offsets, col_offsets, wx, wy = _crop_table(side, h, w, c)
@@ -233,7 +235,7 @@ def _blur(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
     h, w = views.shape[1:3]
     lo, hi = pipeline.blur_sigma
     kernels = []
-    for (u,) in draws:
+    for u in draws[:, 0].tolist():
         sigma = lo + u * (hi - lo)
         var = sigma * sigma
         # a variance that underflows to 0 takes exp(-0.5 / var)'s limit: no blur
@@ -252,7 +254,7 @@ def _luma(views: np.ndarray) -> np.ndarray:
 
 
 def _gray(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
-    chosen = np.array([u < pipeline.gray_prob for (u,) in draws])
+    chosen = draws[:, 0] < pipeline.gray_prob
     if views.shape[3] == 3 and chosen.any():
         views[chosen] = _luma(views[chosen])[..., None]
     return views
@@ -262,7 +264,7 @@ def _jitter(views: np.ndarray, pipeline: AugPipeline, draws,
             resized: np.ndarray) -> np.ndarray:
     """Brightness, contrast about the view's mean luma, then saturation."""
     s = pipeline.jitter_strength
-    factors = np.array([[1.0 - s + u * 2.0 * s for u in view_draws] for view_draws in draws])
+    factors = (1.0 - s) + (draws * 2.0) * s
     brightness, contrast, saturation = factors.T[:, :, None, None, None]
     out = (views * brightness).clip(0.0, 1.0)
     # A float sum depends on its order, and a view's bytes must not depend
@@ -284,21 +286,27 @@ def _jitter(views: np.ndarray, pipeline: AugPipeline, draws,
 
 
 def _flip(views: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
-    for k, (u,) in enumerate(draws):
+    for k, u in enumerate(draws[:, 0].tolist()):
         if u < pipeline.flip_prob:
             views[k] = views[k, :, ::-1]
     return views
 
 
-def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarray:
-    """Views of an (n, h, w, c) stack, view k seeded by ``seeds[k]``: the
-    enabled ops in fixed order, each run once on the whole stack. Views
-    keep their resolution, stay clamped to [0, 1] and own their memory."""
+def view_draws(pipeline: AugPipeline, seeds) -> list[np.ndarray]:
+    """Per enabled op, the (..., k) draws of the views seeded by ``seeds``
+    (an int or an int array): the first k floats of ``derive(seed, i)``'s
+    stream, for the op's tag i and count k."""
+    plan = [_DRAW_PLAN[name] for name in pipeline.ops]
+    return [stream_floats(derive_many(seeds, i), k) for i, k in plan]
+
+
+def augment_views(images: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
+    """Views of an (n, h, w, c) stack, view k drawn by row k of each op's
+    ``view_draws`` array: the enabled ops in fixed order, each run once on
+    the whole stack. Views keep their resolution, stay clamped to [0, 1]
+    and own their memory."""
     views = np.array(images, dtype=np.float64)
     resized = np.zeros(len(views), dtype=bool)
-    plan = [_DRAW_PLAN[name] for name in pipeline.ops]
-    # per op, the draws of each view: ``first_floats(derive(seed, i), k)``
-    draws = zip(*[derived_floats(seed, plan) for seed in seeds])
     for name, op_draws in zip(pipeline.ops, draws):
         if name == "crop":
             views, resized = _crop(views, pipeline, op_draws)
@@ -316,17 +324,16 @@ def augment_views(images: np.ndarray, pipeline: AugPipeline, seeds) -> np.ndarra
     return views
 
 
-def augment_view(pixels: np.ndarray, pipeline: AugPipeline, seed: int) -> np.ndarray:
-    """One (h, w, c) view: ``augment_views`` on a stack of one."""
-    return augment_views(pixels[None], pipeline, [seed])[0]
+def augment_view(pixels: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
+    """One (h, w, c) view from one view's draws, (k,) per op:
+    ``augment_views`` on a stack of one."""
+    return augment_views(pixels[None], pipeline, [d[None] for d in draws])[0]
 
 
-def make_two_views(image: np.ndarray, pipeline: AugPipeline, epoch: int,
-                   sample_index: int, run_seed: int) -> np.ndarray:
-    """Two independently seeded views of one sample — a positive pair —
-    as one (2, h, w, c) array, computed in one pass."""
-    seeds = [derive(run_seed, "view", epoch, sample_index, branch) for branch in (0, 1)]
-    return augment_views(np.array((image, image)), pipeline, seeds)
+def make_two_views(image: np.ndarray, pipeline: AugPipeline, draws) -> np.ndarray:
+    """Two views of one sample — a positive pair — from their draws,
+    (2, k) per op, as one (2, h, w, c) array computed in one pass."""
+    return augment_views(np.array((image, image)), pipeline, draws)
 
 
 # -- dataset layout -----------------------------------------------------------

@@ -49,21 +49,40 @@ def derive(seed: int, *parts: int | str) -> int:
     return state
 
 
-def first_floats(seed: int, k: int) -> list[float]:
-    """The first ``k`` ``next_float`` draws of ``SplitMix64(seed)``, as
-    plain floats with no stream object."""
-    floats = []
-    for _ in range(k):
-        seed += _GOLDEN
-        floats.append((_mix(seed) >> 11) * 2.0 ** -53)
-    return floats
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """``_mix`` of a uint64 array in place, which never warns on wrapping
+    (a numpy scalar would, even from a 0-d array); returns ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def derived_floats(seed: int, plan) -> list[list[float]]:
-    """``[first_floats(derive(seed, i), k) for i, k in plan]``, with
-    ``seed`` mixed once."""
-    root = _mix(seed)
-    return [first_floats(_mix((root ^ i) + _GOLDEN), k) for i, k in plan]
+def _u64(part) -> np.ndarray:
+    """A seed or tag as a new uint64 array, folded as ``derive`` folds it."""
+    if isinstance(part, str):
+        part = _fnv1a(part)
+    return np.array(part & _MASK64 if isinstance(part, int) else part).astype(np.uint64)
+
+
+def derive_many(seed, *parts) -> np.ndarray:
+    """``derive`` of each element of the broadcast int-array parts (the seed
+    may be one too), with str and int parts folded as ``derive`` folds them."""
+    state = _mix_array(_u64(seed))
+    for part in parts:
+        state = np.array(state ^ _u64(part))
+        state += np.uint64(_GOLDEN)
+        _mix_array(state)
+    return state
+
+
+def stream_floats(seeds: np.ndarray, k: int) -> np.ndarray:
+    """(..., k): the first ``k`` ``next_float`` draws of ``SplitMix64(seed)``
+    for each of the uint64 ``seeds``."""
+    counters = seeds[..., None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return (_mix_array(counters) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def uniform_index(u: float, n: int) -> int:
@@ -97,19 +116,9 @@ class SplitMix64:
 
         Emits the same sequence as repeated ``next_float`` calls.
         """
-        if n == 0:
-            return np.zeros(0)
-        base = np.uint64(self._state)
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        counters = base + steps
-        self._state = int(counters[-1])
-        z = counters
-        z = z ^ (z >> np.uint64(30))
-        z = z * np.uint64(0xBF58476D1CE4E5B9)
-        z = z ^ (z >> np.uint64(27))
-        z = z * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        draws = stream_floats(np.array(self._state, dtype=np.uint64), n)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return draws
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller on paired uniform draws."""

@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import losses as L
-from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split
+from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split, view_draws
 from .errors import ContractViolation, DomainError, EvaluationError, require
 from .losses import LossConfig, LossTerms
 from .metrics import separability_report, temperature_stats
 from .nets import ModelBundle, forward_views, save_bundle
 from .nets import bounded_sigmoid  # noqa: F401  (bench/spans.py traces train.bounded_sigmoid)
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive, derive_many
 from .tensor import Tensor, backward
 
 TRAIN_LOG_HEADER = "epoch,step,loss,pos_term,neg_term,omega_term,tau_min,tau_mean,tau_max,tau_var_heads"
@@ -191,14 +191,16 @@ def _start(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
 
 def _two_view_batches(dataset: Dataset, train_idx: np.ndarray, pipeline: AugPipeline,
                       train_cfg: TrainConfig, epoch: int):
-    """The epoch's shuffled full two-view batches as (step, xa, xb)."""
+    """The epoch's shuffled full two-view batches as (step, xa, xb), the
+    views of each step drawn at once: (j, b) from ``derive(run_seed, "view", epoch, j, b)``."""
     size = train_cfg.batch_size
     perm = SplitMix64(derive(train_cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
     for step in range(len(train_idx) // size):
         batch = train_idx[perm[step * size:(step + 1) * size]]
+        draws = view_draws(pipeline, derive_many(train_cfg.run_seed, "view", epoch, batch[:, None], (0, 1)))
         views = np.empty((2, len(batch)) + dataset.pixels.shape[1:])
         for row, j in enumerate(batch):
-            views[:, row] = make_two_views(dataset.pixels[j], pipeline, epoch, int(j), train_cfg.run_seed)
+            views[:, row] = make_two_views(dataset.pixels[j], pipeline, [d[row] for d in draws])
         xa, xb = (Tensor(v.reshape(len(batch), -1)) for v in views)
         yield step, xa, xb
 
@@ -316,23 +318,27 @@ def evaluate(bundle: ModelBundle, dataset: Dataset, train_idx, test_idx,
 def build_eval_pairs(images: np.ndarray, pipeline: AugPipeline, seed: int,
                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-seed positive and negative pairs as (2, count, h, w, c) view
-    arrays (u, v): two views of one held-out image, or of two distinct ones."""
+    arrays (u, v): two views of one held-out image, or of two distinct ones;
+    each block's views drawn at once, (p, b) from ``derive(seed, "pos"|"neg", p, b)``."""
     if len(images) < 2:
         raise ContractViolation("need at least two held-out images")
     stream = SplitMix64(derive(seed, "choose"))
     pos = np.empty((2, count) + images.shape[1:])
     neg = np.empty_like(pos)
+    pairs = np.arange(count)[:, None]
+    draws = view_draws(pipeline, derive_many(seed, "pos", pairs, (0, 1)))
     for p in range(count):
         i = stream.next_index(len(images))
-        pos[0, p] = augment_view(images[i], pipeline, derive(seed, "pos", p, 0))
-        pos[1, p] = augment_view(images[i], pipeline, derive(seed, "pos", p, 1))
+        pos[0, p] = augment_view(images[i], pipeline, [d[p, 0] for d in draws])
+        pos[1, p] = augment_view(images[i], pipeline, [d[p, 1] for d in draws])
+    draws = view_draws(pipeline, derive_many(seed, "neg", pairs, (0, 1)))
     for p in range(count):
         i = stream.next_index(len(images))
         j = stream.next_index(len(images))
         while j == i:
             j = stream.next_index(len(images))
-        neg[0, p] = augment_view(images[i], pipeline, derive(seed, "neg", p, 0))
-        neg[1, p] = augment_view(images[j], pipeline, derive(seed, "neg", p, 1))
+        neg[0, p] = augment_view(images[i], pipeline, [d[p, 0] for d in draws])
+        neg[1, p] = augment_view(images[j], pipeline, [d[p, 1] for d in draws])
     return pos, neg
 
 
@@ -367,23 +373,26 @@ def knn_eval(train_feats: np.ndarray, train_labels: np.ndarray,
     The neighbors are the first k of a stable sort of each row (distance
     ties go to the lower train index), found by one ``np.partition`` of
     the distance matrix and a stable sort of each row's candidates
-    (``_nearest``)."""
+    (``_nearest``). Every row votes at once: ``np.bincount`` counts each
+    (row, class) cell and sums its distances in neighbor order."""
     if len(train_feats) == 0:
         raise ContractViolation("empty train set")
     if k > len(train_feats):
         raise ContractViolation(f"k={k} exceeds train set size {len(train_feats)}")
     dist = 1.0 - _normalize_rows(test_feats) @ _normalize_rows(train_feats).T
-    correct = 0
-    for row, order, true_label in zip(dist, _nearest(dist, k), test_labels):
-        votes: dict[int, int] = {}
-        sums: dict[int, float] = {}
-        for idx in order:
-            cls = int(train_labels[idx])
-            votes[cls] = votes.get(cls, 0) + 1
-            sums[cls] = sums.get(cls, 0.0) + float(row[idx])
-        best = min(votes, key=lambda c: (-votes[c], sums[c], c))
-        correct += int(best == int(true_label))
-    return correct / len(test_labels)
+    order = np.array(_nearest(dist, k), dtype=np.intp).reshape(len(dist), k)
+    classes, codes = np.unique(train_labels, return_inverse=True)
+    near, rows, n = codes[order], np.arange(len(dist)), len(classes)
+    cells = (rows[:, None] * n + near).ravel()
+    votes, sums = (np.bincount(cells, weights, len(dist) * n).reshape(-1, n)
+                   for weights in (None, np.take_along_axis(dist, order, 1).ravel()))
+    top = votes == votes.max(axis=1, keepdims=True)
+    best = np.argmin(np.where(top & ~np.isnan(sums), sums, np.inf), axis=1)
+    # NaN compares false, so a NaN sum keeps the vote only in the first
+    # top class to appear among the neighbors
+    first = near[rows, np.argmax(np.take_along_axis(top, near, 1), axis=1)]
+    best = np.where(np.isnan(sums[rows, first]), first, best)
+    return int(np.count_nonzero(classes[best] == test_labels)) / len(test_labels)
 
 
 def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,

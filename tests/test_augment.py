@@ -11,10 +11,10 @@ import pytest
 from contrastlab.augment import (LUMA_WEIGHTS, OP_ORDER, AugPipeline, Dataset, PnmError,
                                  SyntheticSpec, _crop_table, augment_view, augment_views,
                                  generate_dataset, load_dataset, make_two_views, parse_pnm,
-                                 stratified_split, write_dataset, write_pnm)
+                                 stratified_split, view_draws, write_dataset, write_pnm)
 from contrastlab.cli import main
 from contrastlab.errors import ContractViolation
-from contrastlab.rng import SplitMix64, derive
+from contrastlab.rng import SplitMix64, derive, derive_many
 
 
 class TestPnm:
@@ -206,8 +206,20 @@ OP_SUBSETS = ([pytest.param(OP_ORDER[:n], id=str(n)) for n in range(1, len(OP_OR
                  [(op,) for op in OP_ORDER[1:]] + [("gray", "flip"), ("jitter", "flip")]])
 
 
+def seeded_view(pixels, pipeline, seed):
+    """``augment_view`` with the draws of ``seed``."""
+    return augment_view(pixels, pipeline, view_draws(pipeline, seed))
+
+
+def training_views(image, pipeline, epoch, sample_index, run_seed):
+    """``make_two_views`` with the draws training gives the sample: branch
+    b seeded by ``derive(run_seed, "view", epoch, sample_index, b)``."""
+    seeds = derive_many(run_seed, "view", epoch, sample_index, (0, 1))
+    return make_two_views(image, pipeline, view_draws(pipeline, seeds))
+
+
 def assert_matches_reference(images, pipeline, seeds):
-    views = augment_views(images, pipeline, seeds)
+    views = augment_views(images, pipeline, view_draws(pipeline, seeds))
     assert views.shape == images.shape
     for image, view, seed in zip(images, views, seeds):
         assert view.tobytes() == reference_view(image, pipeline, seed).tobytes()
@@ -245,17 +257,18 @@ class TestStackedViews:
     def test_memory_layout_of_input_is_irrelevant(self, prefix):
         images = np.random.default_rng(5).random((3, 13, 9, 3))
         pipeline = AugPipeline.prefix(prefix)
-        expected = augment_views(images, pipeline, [1, 2, 3]).tobytes()
+        expected = augment_views(images, pipeline, view_draws(pipeline, [1, 2, 3])).tobytes()
         for layout in (np.asfortranarray(images),
                        np.ascontiguousarray(images[:, ::-1])[:, ::-1],     # negative row stride
                        np.repeat(images, 2, axis=2)[:, :, ::2]):           # every other column
-            assert augment_views(layout, pipeline, [1, 2, 3]).tobytes() == expected
+            assert augment_views(layout, pipeline, view_draws(pipeline, [1, 2, 3])).tobytes() == expected
 
     def test_single_view_is_stack_of_one(self):
         image = checker_image(size=12)
         pipeline = AugPipeline.prefix(5)
-        stacked = augment_views(np.stack([image, gradient_image(size=12)]), pipeline, [4, 5])
-        assert augment_view(image, pipeline, 4).tobytes() == stacked[0].tobytes()
+        stacked = augment_views(np.stack([image, gradient_image(size=12)]), pipeline,
+                                view_draws(pipeline, [4, 5]))
+        assert seeded_view(image, pipeline, 4).tobytes() == stacked[0].tobytes()
 
 
 class TestCropSides:
@@ -289,12 +302,12 @@ class TestCropSides:
         dataset = generate_dataset(SyntheticSpec(classes=4, per_class=3, size=16, channels=3))
         for index, image in enumerate(dataset.pixels):
             for epoch in range(4):
-                views = make_two_views(image, pipeline, epoch, index, run_seed=1)
+                views = training_views(image, pipeline, epoch, index, run_seed=1)
                 for branch in (0, 1):
                     seed = derive(1, "view", epoch, index, branch)
                     expected = reference_view(image, pipeline, seed).tobytes()
                     assert views[branch].tobytes() == expected
-                    assert augment_view(image, pipeline, seed).tobytes() == expected
+                    assert seeded_view(image, pipeline, seed).tobytes() == expected
 
 
 class TestPipelineConstruction:
@@ -317,14 +330,14 @@ class TestAugmentOps:
     def test_flip_is_exact_mirror(self):
         img = gradient_image()
         pipeline = AugPipeline(ops=("flip",), flip_prob=1.0)
-        out = augment_view(img, pipeline, seed=1)
+        out = seeded_view(img, pipeline, 1)
         np.testing.assert_array_equal(out, img[:, ::-1])
 
     def test_gray_uses_luma_weights(self):
         img = checker_image()
         img[:, :, 0] *= 0.9
         pipeline = AugPipeline(ops=("gray",), gray_prob=1.0)
-        out = augment_view(img, pipeline, seed=2)
+        out = seeded_view(img, pipeline, 2)
         luma = img @ np.array([0.299, 0.587, 0.114])
         for c in range(3):
             np.testing.assert_allclose(out[:, :, c], luma, atol=1e-12)
@@ -332,15 +345,15 @@ class TestAugmentOps:
     def test_same_seed_bitwise_identical(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(5)
-        a = augment_view(img, pipeline, seed=33)
-        b = augment_view(img, pipeline, seed=33)
+        a = seeded_view(img, pipeline, 33)
+        b = seeded_view(img, pipeline, 33)
         np.testing.assert_array_equal(a, b)
 
     def test_outputs_stay_in_range_and_shape(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(5)
         for seed in range(40):
-            out = augment_view(img, pipeline, seed=seed)
+            out = seeded_view(img, pipeline, seed)
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -350,12 +363,12 @@ class TestAugmentOps:
         flipped = 0
         trials = 10_000
         for seed in range(trials):
-            out = augment_view(img, pipeline, seed=seed)
+            out = seeded_view(img, pipeline, seed)
             flipped += int(not np.array_equal(out, img))
         assert abs(flipped / trials - 0.5) < 0.02
 
     def test_blur_preserves_constant_image(self):
-        out = augment_view(np.full((16, 16, 1), 0.25), AugPipeline(ops=("blur",)), seed=3)
+        out = seeded_view(np.full((16, 16, 1), 0.25), AugPipeline(ops=("blur",)), 3)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_blur_whose_variance_underflows_is_identity(self):
@@ -363,14 +376,14 @@ class TestAugmentOps:
         img = gradient_image()
         pipeline = AugPipeline(ops=("blur",), blur_sigma=(1e-300, 1e-300))
         for seed in range(4):
-            assert augment_view(img, pipeline, seed=seed).tobytes() == img.tobytes()
+            assert seeded_view(img, pipeline, seed).tobytes() == img.tobytes()
 
 
 class TestTwoViews:
     def test_views_of_derived_seeds(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(5)
-        views = make_two_views(img, pipeline, epoch=1, sample_index=6, run_seed=2)
+        views = training_views(img, pipeline, epoch=1, sample_index=6, run_seed=2)
         assert views.shape == (2,) + img.shape
         for branch in (0, 1):
             seed = derive(2, "view", 1, 6, branch)
@@ -382,25 +395,25 @@ class TestTwoViews:
     def test_views_own_their_memory(self, pipeline):
         dataset = generate_dataset(SyntheticSpec(classes=1, per_class=2, size=8, channels=1))
         image = dataset.pixels[1]
-        for views in (make_two_views(image, pipeline, 0, 1, run_seed=3),
-                      augment_view(image, pipeline, seed=3)[None]):
+        for views in (training_views(image, pipeline, 0, 1, run_seed=3),
+                      seeded_view(image, pipeline, 3)[None]):
             np.testing.assert_array_equal(views[0], image)
             assert views.flags.writeable and not np.shares_memory(views, dataset.pixels)
 
     def test_branches_differ(self):
         img = checker_image()
-        va, vb = make_two_views(img, AugPipeline.prefix(5), epoch=0, sample_index=3,
+        va, vb = training_views(img, AugPipeline.prefix(5), epoch=0, sample_index=3,
                                 run_seed=9)
         assert not np.array_equal(va, vb)
 
     def test_pure_function_of_seeds(self):
         img = checker_image()
         pipeline = AugPipeline.prefix(4)
-        a1 = make_two_views(img, pipeline, 2, 17, run_seed=5)
-        a2 = make_two_views(img, pipeline, 2, 17, run_seed=5)
+        a1 = training_views(img, pipeline, 2, 17, run_seed=5)
+        a2 = training_views(img, pipeline, 2, 17, run_seed=5)
         np.testing.assert_array_equal(a1[0], a2[0])
         np.testing.assert_array_equal(a1[1], a2[1])
-        b = make_two_views(img, pipeline, 3, 17, run_seed=5)
+        b = training_views(img, pipeline, 3, 17, run_seed=5)
         assert not np.array_equal(a1[0], b[0])
 
 

@@ -2,10 +2,12 @@
 between the scalar, vectorized and loop draw paths, and pinned values:
 every seed in the project comes from ``derive`` and these streams, so a
 change to either would change every log."""
+import warnings
+
 import numpy as np
 import pytest
 
-from contrastlab.rng import SplitMix64, derive, derived_floats, first_floats
+from contrastlab.rng import SplitMix64, derive, derive_many, stream_floats
 
 # derive(*args) as computed when the generator was first written.
 DERIVE_GOLDEN = [
@@ -84,24 +86,59 @@ def test_stream_golden():
     assert [stream.next_index(n) for n in (1, 2, 7, 100, 2**40)] == [0, 0, 1, 34, 41814612516]
 
 
+def test_derive_many_matches_derive():
+    """Int-array parts broadcast, and every element is ``derive`` of its
+    parts: str parts, int parts past 2**63 or below 0, and array parts of
+    either signedness fold as ``derive`` folds them."""
+    rows = np.array([0, 1, 5, 2**62, 12345])[:, None]
+    wide = np.array([2**64 - 1, 2**63], dtype=np.uint64)
+    negative = np.array([-1, -2**63, 7])[:, None, None]
+    for seed in (0, 7, 2**63 + 5, 2**64 - 1, -3):
+        got = derive_many(seed, "view", 2**63 + 9, rows, -4, (0, 1), "é")
+        assert got.dtype == np.uint64 and got.shape == (5, 2)
+        for (r, b), value in np.ndenumerate(got):
+            assert int(value) == derive(seed, "view", 2**63 + 9, int(rows[r, 0]), -4, b, "é")
+        got = derive_many(seed, negative, wide)
+        assert got.shape == (3, 1, 2)
+        for (r, _, c), value in np.ndenumerate(got):
+            assert int(value) == derive(seed, int(negative[r, 0, 0]), int(wide[c]))
+        assert int(derive_many(seed)) == derive(seed)
+    seeds = [derive(3, "seed", i) for i in range(50)] + [0, 2**64 - 1]
+    got = derive_many(np.array(seeds, dtype=np.uint64), "pos", 4)
+    assert got.tolist() == [derive(seed, "pos", 4) for seed in seeds]
+
+
 @pytest.mark.parametrize("k", [1, 3])
-def test_first_floats_match_stream(k):
-    for seed in [derive(5, "first", i) for i in range(998)] + [0, 2**64 - 1]:
-        stream = SplitMix64(seed)
-        assert first_floats(seed, k) == [stream.next_float() for _ in range(k)]
+def test_stream_floats_match_streams(k):
+    """Per seed, the first ``k`` ``next_float`` draws of its stream, also
+    for the derived seeds of every tag of a view's draw plan."""
+    seeds = [derive(5, "first", i) for i in range(300)] + [0, 2**64 - 1]
+    grid = np.array(seeds, dtype=np.uint64).reshape(2, -1)
+    for tag in (None, 0, 1, 4, 2**64 - 1):
+        draws = stream_floats(grid if tag is None else derive_many(grid, tag), k)
+        assert draws.shape == (2, len(seeds) // 2, k)
+        for seed, row in zip(seeds, draws.reshape(len(seeds), k).tolist()):
+            stream = SplitMix64(seed if tag is None else derive(seed, tag))
+            assert row == [stream.next_float() for _ in range(k)]
 
 
-def test_derived_floats_match_derive_then_first_floats():
-    """One pass over a plan of (tag, draw count) pairs gives each tag's
-    ``first_floats(derive(seed, tag), k)``, for any seed, tag and count."""
-    rng = np.random.default_rng(19)
-    seeds = [int(s) for s in rng.integers(0, 2**64, 300, dtype=np.uint64)]
-    seeds += [0, -1, -5, 2**64 - 1, 2**64 + 3]
-    for seed in seeds:
-        n = int(rng.integers(0, 7))
-        plan = [(int(i), int(k)) for i, k in zip(rng.integers(0, 2**63, n), rng.integers(0, 5, n))]
-        plan += [(i, 3) for i in (0, 4, 2**64 - 1)]
-        assert derived_floats(seed, plan) == [first_floats(derive(seed, i), k) for i, k in plan]
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_array_paths_do_not_warn_on_one_element(shape):
+    """A numpy scalar uint64 warns when it wraps; the array paths wrap
+    arrays in place, so a 0-d or length-1 input warns nothing either."""
+    tag = 2**64 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**63 + 1, 2**64 - 1):
+            seeds = np.full(shape, seed, dtype=np.uint64)
+            got = derive_many(seeds, "view", np.full(shape, 2**63 + 1, dtype=np.uint64), tag)
+            assert got.shape == shape
+            assert got.reshape(-1).tolist() == [derive(seed, "view", 2**63 + 1, tag)]
+            draws = stream_floats(derive_many(seeds, tag), 3)
+            stream = SplitMix64(derive(seed, tag))
+            assert draws.shape == shape + (3,)
+            assert draws.reshape(-1).tolist() == [stream.next_float() for _ in range(3)]
+            assert SplitMix64(seed).floats(1).tolist() == [SplitMix64(seed).next_float()]
 
 
 def scalar_permutation(stream: SplitMix64, n: int) -> np.ndarray:

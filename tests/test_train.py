@@ -12,11 +12,13 @@ from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig
 from contrastlab.nets import TempBounds, forward_views
+from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
                                _batch_loss, _nearest, _start, build_eval_pairs, knn_eval,
                                linear_probe, pretrain, reduction_check, temperature_for_step,
                                train_step)
+from test_augment import reference_view
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
 
@@ -202,7 +204,7 @@ class TestKnn:
         train = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([3, 5])
         acc = knn_eval(train, labels, np.array([[0.0, 1.0]]), np.array([5]), k=1)
-        assert acc == 1.0
+        assert acc == 1.0 and type(acc) is float     # logs write its repr
 
     def test_single_class_train_set(self):
         train = np.array([[1.0, 0.0], [0.9, 0.1]])
@@ -318,6 +320,31 @@ class TestKnnNeighbours:
         with np.errstate(invalid="ignore"):
             assert knn_eval(train, labels, test, test_labels, k) == \
                 full_sort_knn(train, labels, test, test_labels, k)
+
+    def test_vote_ties_match_the_reference_vote(self):
+        """Features on an integer grid, each repeated, tie distances, vote
+        counts and summed distances across classes at every k; scoring one
+        test row against each class in turn compares the chosen class
+        itself, not only the accuracy."""
+        rng = np.random.default_rng(14)
+        grid = rng.integers(-1, 2, size=(8, 2)).astype(float)
+        grid[np.all(grid == 0, axis=1)] = 1.0
+        train = np.repeat(grid, 3, axis=0)[rng.permutation(24)]
+        test = np.vstack([grid, [[1.0, 1.0], [-1.0, 0.0]]])
+        labels = rng.integers(0, 4, size=24) * 5 - 3
+        tied = 0
+        for k in range(1, len(train) + 1):
+            for row in range(len(test)):
+                picks = [knn_eval(train, labels, test[row:row + 1], np.array([c]), k)
+                         for c in np.unique(labels)]
+                assert sum(picks) == 1.0
+                assert picks == [full_sort_knn(train, labels, test[row:row + 1], np.array([c]), k)
+                                 for c in np.unique(labels)]
+            near = np.argsort(1.0 - test @ train.T / np.linalg.norm(train, axis=1), axis=1,
+                              kind="stable")[:, :k]
+            counts = np.array([np.bincount(labels[r] + 3, minlength=19) for r in near])
+            tied += int(np.sum(np.sum(counts == counts.max(axis=1, keepdims=True), axis=1) > 1))
+        assert tied > 0, "no vote tie"
 
 
 class TestLinearProbe:
@@ -435,6 +462,42 @@ class TestPretrain:
         second_epoch_tau = float(result.train_rows[-1].split(",")[6])
         assert first_epoch_tau == pytest.approx(0.5)
         assert second_epoch_tau == pytest.approx(0.1)
+
+
+class TestViewSeeds:
+    """Every view training and evaluation compute equals the per-view
+    reference at the seed ``derive`` gives it."""
+
+    @pytest.mark.parametrize("prefix", [1, 5])
+    def test_training_views_of_derived_seeds(self, prefix):
+        dataset = small_dataset()
+        pipeline = AugPipeline.prefix(prefix)
+        cfg = TrainConfig(batch_size=16, run_seed=3)
+        train_idx = np.arange(0, len(dataset), 2)
+        for epoch in (0, 2):
+            perm = SplitMix64(derive(cfg.run_seed, "shuffle", epoch)).permutation(len(train_idx))
+            for step, xa, xb in train._two_view_batches(dataset, train_idx, pipeline, cfg, epoch):
+                batch = train_idx[perm[step * 16:(step + 1) * 16]]
+                for branch, views in enumerate((xa, xb)):
+                    for row, j in enumerate(batch.tolist()):
+                        seed = derive(cfg.run_seed, "view", epoch, j, branch)
+                        expected = reference_view(dataset.pixels[j], pipeline, seed)
+                        assert views.data[row].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("prefix", [1, 5])
+    def test_eval_pair_views_of_derived_seeds(self, prefix):
+        images = small_dataset().pixels[:10]
+        pipeline = AugPipeline.prefix(prefix)
+        pos, neg = build_eval_pairs(images, pipeline, seed=7, count=12)
+        stream = SplitMix64(derive(7, "choose"))
+        for tag, pairs in (("pos", pos), ("neg", neg)):
+            for p in range(12):
+                i = j = stream.next_index(len(images))
+                while tag == "neg" and j == i:
+                    j = stream.next_index(len(images))
+                for b, image in enumerate((images[i], images[j])):
+                    expected = reference_view(image, pipeline, derive(7, tag, p, b))
+                    assert pairs[b, p].tobytes() == expected.tobytes()
 
 
 class TestEvalPairs:
