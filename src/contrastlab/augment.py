@@ -39,6 +39,14 @@ prefix test of the normalized path for a name that could leave the
 directory, then one read, one regex match of the PNM header and one
 payload copy per file, and one division for the whole set. Paths stay
 strings; a ``Path`` is built only to name a file in an error.
+
+The synthetic generator draws and shapes a chunk of one class's samples
+per numpy pass: one ``derive_many`` and one ``stream_floats`` call for
+the chunk's seeds and draws, then about a dozen array operations, with
+no Python work per image but its name. The chunk is as many samples as
+keep its largest array under ``_CHUNK_BYTES`` (16 at 16x16x3), so the
+peak stays flat in the set's size; each image is a view of its chunk's
+final array, which holds nothing but the chunk's images.
 """
 from __future__ import annotations
 
@@ -54,12 +62,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, require, require_choice
-from .rng import SplitMix64, derive, derive_many, stream_floats, uniform_index
+from .rng import box_muller, derive_many, stream_floats, uniform_index
+from .rng import derive  # noqa: F401  (bench/spans.py traces augment.derive)
 
 MAX_DIMENSION = 65535
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 OP_ORDER = ("crop", "blur", "gray", "jitter", "flip")
+# the synthetic generator's largest array per chunk of samples, in bytes
+_CHUNK_BYTES = 96 * 1024
 # each op's stream tag (its place in OP_ORDER) and the floats it draws per view
 _DRAW_PLAN = {name: (i, k) for i, (name, k) in enumerate(zip(OP_ORDER, (3, 1, 1, 3, 1)))}
 
@@ -460,12 +471,12 @@ class SyntheticSpec:
 
 
 def _grating(size: int, orientation_vertical: bool, frequency: float,
-             phase: float, amplitude: float) -> np.ndarray:
+             phase: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    """(n, size, size) gratings broadcast from (n, 1) phases and amplitudes."""
     coords = np.arange(size) / size
     wave = amplitude * np.cos(2.0 * np.pi * frequency * coords + phase)
-    if orientation_vertical:
-        return np.tile(wave[None, :], (size, 1))
-    return np.tile(wave[:, None], (1, size))
+    wave = wave[:, None, :] if orientation_vertical else wave[:, :, None]
+    return np.broadcast_to(wave, (len(wave), size, size))
 
 
 def synthetic_images(spec: SyntheticSpec) -> Iterator[tuple[str, int, np.ndarray]]:
@@ -478,27 +489,35 @@ def synthetic_images(spec: SyntheticSpec) -> Iterator[tuple[str, int, np.ndarray
     jitter disturb the tint, so different views of one sample can retain
     different cue subsets — the similarity of a positive pair then varies
     widely with the augmentation draw. Classes stay invariant to
-    horizontal flips (phases are random)."""
+    horizontal flips (phases are random).
+
+    Sample i of class c draws from ``derive(seed, "sample", c, i)``'s
+    stream, in order: two phases, two amplitudes, the uniforms of
+    ``SplitMix64.normals(size**2)`` and, for color, three tints."""
+    m, ext = spec.size ** 2, "ppm" if spec.channels == 3 else "pgm"
+    tint_col = 4 + 2 * ((m + 1) // 2)
+    k = tint_col + (3 if spec.channels == 3 else 0)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(k, m * spec.channels)))
     for cls in range(spec.classes):
         vertical = bool(cls % 2)
         coarse_freq = 2.0 + 1.5 * (cls // 2)
         fine_freq = 5.0 + 1.5 * (cls // 2)
-        for i in range(spec.per_class):
-            stream = SplitMix64(derive(spec.seed, "sample", cls, i))
-            phase_c = stream.next_float() * 2.0 * np.pi
-            phase_f = stream.next_float() * 2.0 * np.pi
-            amp_c = 0.08 + stream.next_float() * 0.27
-            amp_f = 0.08 + stream.next_float() * 0.27
+        for first in range(0, spec.per_class, chunk):
+            idx = np.arange(first, min(first + chunk, spec.per_class))
+            draws = stream_floats(derive_many(spec.seed, "sample", cls, idx), k)
+            phase_c, phase_f = np.hsplit(draws[:, :2] * 2.0 * np.pi, 2)
+            amp_c, amp_f = np.hsplit(0.08 + draws[:, 2:4] * 0.27, 2)
             mono = 0.5 + _grating(spec.size, vertical, coarse_freq, phase_c, amp_c)
             mono = mono + _grating(spec.size, not vertical, fine_freq, phase_f, amp_f)
-            mono = mono + stream.normals(spec.size ** 2).reshape(spec.size, spec.size) * 0.05
+            mono = mono + box_muller(draws[:, 4:tint_col], m).reshape(mono.shape) * 0.05
             if spec.channels == 3:
-                tint = 0.75 + stream.floats(3) * 0.5
-                sample = mono[:, :, None] * tint[None, None, :]
+                tint = 0.75 + draws[:, tint_col:] * 0.5
+                sample = mono[..., None] * tint[:, None, None, :]
             else:
-                sample = mono[:, :, None]
-            yield (f"c{cls}_{i:04d}.{'ppm' if spec.channels == 3 else 'pgm'}", cls,
-                   np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0)
+                sample = mono[..., None]
+            pixels = np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0
+            for i, image in zip(idx.tolist(), pixels):
+                yield f"c{cls}_{i:04d}.{ext}", cls, image
 
 
 def generate_dataset(spec: SyntheticSpec) -> Dataset:

@@ -67,8 +67,9 @@ def cmd_reduce_check(exp: Experiment) -> int:
 def cmd_gen_data(exp: Experiment) -> int:
     if exp.dataset_path is None:
         raise ConfigError("io.dataset: gen-data needs a target directory")
-    # Per-image arrays, all generated before the first write: one (N, H, W, C) array
-    # made repeated runs in one process grow the heap; image-by-image writes ran slower.
+    # All images generated before the first write, in chunk arrays of at most
+    # augment._CHUNK_BYTES: one (N, H, W, C) array made repeated runs in one process
+    # grow the heap; image-by-image writes ran slower.
     write_dataset(list(synthetic_images(exp.synthetic)), exp.dataset_path)
     print(f"wrote {exp.synthetic.classes * exp.synthetic.per_class} images to {exp.dataset_path}")
     return EXIT_OK

@@ -85,6 +85,17 @@ def stream_floats(seeds: np.ndarray, k: int) -> np.ndarray:
     return (_mix_array(counters) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
+def box_muller(uniforms: np.ndarray, n: int) -> np.ndarray:
+    """(..., n) standard normals from (..., 2 * ceil(n / 2)) uniforms: the
+    first half of each row pairs with the second, and the cosine normals
+    come before the sine ones."""
+    u1, u2 = np.split(uniforms, 2, axis=-1)
+    u1 = np.maximum(u1, 2.0 ** -53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)], axis=-1)
+    return out[..., :n]
+
+
 def uniform_index(u: float, n: int) -> int:
     """The integer in [0, n) that a uniform [0, 1) draw ``u`` selects,
     for n >= 1."""
@@ -122,13 +133,7 @@ class SplitMix64:
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller on paired uniform draws."""
-        m = (n + 1) // 2
-        u1 = self.floats(m)
-        u2 = self.floats(m)
-        u1 = np.maximum(u1, 2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
-        return out[:n]
+        return box_muller(self.floats(2 * ((n + 1) // 2)), n)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n): for i from n - 1 down to

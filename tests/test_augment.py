@@ -11,7 +11,8 @@ import pytest
 from contrastlab.augment import (LUMA_WEIGHTS, OP_ORDER, AugPipeline, Dataset, PnmError,
                                  SyntheticSpec, _crop_table, augment_view, augment_views,
                                  generate_dataset, load_dataset, make_two_views, parse_pnm,
-                                 stratified_split, view_draws, write_dataset, write_pnm)
+                                 stratified_split, synthetic_images, view_draws, write_dataset,
+                                 write_pnm)
 from contrastlab.cli import main
 from contrastlab.errors import ContractViolation
 from contrastlab.rng import SplitMix64, derive, derive_many
@@ -585,7 +586,57 @@ class TestLoaderErrors:
         assert err[0].startswith("error: io: ") and err[0].endswith(f"{data / 'sub'}'")
 
 
+def scalar_grating(size, orientation_vertical, frequency, phase, amplitude):
+    coords = np.arange(size) / size
+    wave = amplitude * np.cos(2.0 * np.pi * frequency * coords + phase)
+    if orientation_vertical:
+        return np.tile(wave[None, :], (size, 1))
+    return np.tile(wave[:, None], (1, size))
+
+
+def scalar_synthetic_images(spec):
+    """The generator as one scalar stream and about 20 numpy calls per
+    image: the reference the chunked array draws must match byte for byte."""
+    for cls in range(spec.classes):
+        vertical = bool(cls % 2)
+        coarse_freq = 2.0 + 1.5 * (cls // 2)
+        fine_freq = 5.0 + 1.5 * (cls // 2)
+        for i in range(spec.per_class):
+            stream = SplitMix64(derive(spec.seed, "sample", cls, i))
+            phase_c = stream.next_float() * 2.0 * np.pi
+            phase_f = stream.next_float() * 2.0 * np.pi
+            amp_c = 0.08 + stream.next_float() * 0.27
+            amp_f = 0.08 + stream.next_float() * 0.27
+            mono = 0.5 + scalar_grating(spec.size, vertical, coarse_freq, phase_c, amp_c)
+            mono = mono + scalar_grating(spec.size, not vertical, fine_freq, phase_f, amp_f)
+            mono = mono + stream.normals(spec.size ** 2).reshape(spec.size, spec.size) * 0.05
+            if spec.channels == 3:
+                tint = 0.75 + stream.floats(3) * 0.5
+                sample = mono[:, :, None] * tint[None, None, :]
+            else:
+                sample = mono[:, :, None]
+            yield (f"c{cls}_{i:04d}.{'ppm' if spec.channels == 3 else 'pgm'}", cls,
+                   np.rint(np.clip(sample, 0.0, 1.0) * 255.0) / 255.0)
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("per_class", [1, 17, 40])
+    @pytest.mark.parametrize("size", [8, 9, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_scalar_reference(self, channels, size, per_class, seed):
+        """Every name, label and pixel byte of the chunked generator equals
+        the scalar loop's, also for an odd size**2 (the last normal is cut)
+        and, at 16x16x3 (16 samples a chunk), for classes of one chunk, of
+        a chunk and one sample, and of two and a half chunks."""
+        spec = SyntheticSpec(classes=3, per_class=per_class, size=size, channels=channels,
+                             seed=seed)
+        got, want = list(synthetic_images(spec)), list(scalar_synthetic_images(spec))
+        assert [(n, c) for n, c, _ in got] == [(n, c) for n, c, _ in want]
+        for (name, _, image), (_, _, expected) in zip(got, want):
+            assert image.shape == expected.shape, name
+            assert image.tobytes() == expected.tobytes(), name
+
     def test_determinism(self):
         a = generate_dataset(SyntheticSpec(classes=2, per_class=4, size=8, seed=3))
         b = generate_dataset(SyntheticSpec(classes=2, per_class=4, size=8, seed=3))

@@ -12,8 +12,8 @@ import pytest
 from contrastlab import train
 from contrastlab.cli import main
 from contrastlab.config import ConfigError, experiment_from_dict, load_config, resolve_config
-from contrastlab.augment import (AugPipeline, SyntheticSpec, generate_dataset, synthetic_images,
-                                 write_dataset, write_pnm)
+from contrastlab.augment import (AugPipeline, PnmError, SyntheticSpec, generate_dataset,
+                                 parse_pnm, synthetic_images, write_dataset, write_pnm)
 from contrastlab.errors import ContractViolation
 from contrastlab.losses import LossConfig, LossTerms
 from contrastlab.nets import Mlp, MlpSpec, ModelBundle, TempBounds, load_bundle, save_bundle
@@ -418,6 +418,43 @@ class TestCommands:
                 assert code in (0, 2, 3), (command, case)
                 assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
                     (command, case, err)
+
+    def test_fuzzed_pnm_files_exit_with_one_line(self, tmp_path, capsys):
+        """A seeded corpus of damaged copies of one image of a ``gen-data``
+        set, read by ``knn`` against a 1-epoch checkpoint: truncations,
+        and changed bytes inside the header. Each case exits 2 or 3 with
+        exactly one error line, or 0 when the damaged bytes still parse
+        at the image's shape."""
+        doc = {"model": {"d": 16, "d_prime": 8, "heads": 2},
+               "train": {"epochs": 1, "batch_size": 8, "probe_per_class": 5},
+               "eval": {"knn_k": 3, "pair_count": 12, "probe_sizes": [5]},
+               "io": {"dataset": str(tmp_path / "data"), "output_dir": str(tmp_path / "out"),
+                      "synthetic": {"classes": 2, "per_class": 12, "size": 8, "channels": 1,
+                                    "seed": 5}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gen-data", "-c", str(path)]) == 0
+        assert main(["pretrain", "-c", str(path)]) == 0
+        capsys.readouterr()
+        image = tmp_path / "data" / "c1_0003.pgm"
+        blob = image.read_bytes()
+        shape = parse_pnm(blob).shape
+        header = len(blob) - np.prod(shape) - 1
+        rng = np.random.default_rng(11)
+        corpus = [blob[:cut] for cut in rng.integers(0, len(blob), 60)]
+        for at, flip in zip(rng.integers(0, header + 1, 120), rng.integers(1, 256, 120)):
+            corpus.append(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:])
+        for case, damaged in enumerate(corpus):
+            image.write_bytes(damaged)
+            try:
+                readable = parse_pnm(damaged).shape == shape
+            except PnmError:
+                readable = False
+            code = main(["knn", "-c", str(path)])
+            err = capsys.readouterr().err.splitlines()
+            assert (code == 0) == readable and code in (0, 2, 3), (case, damaged[:16])
+            assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
+                (case, err)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200, 1e308], ids=str)
     @pytest.mark.parametrize("index", range(4))

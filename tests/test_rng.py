@@ -58,6 +58,21 @@ def test_permutation_is_a_permutation():
     assert perm.tolist() != list(range(100))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 256])
+def test_normals_match_two_float_blocks(n):
+    """Box-Muller on a ``floats(m)`` block of u1 and then one of u2, and
+    the stream left after both blocks."""
+    for seed in (0, 13, 2**64 - 1):
+        stream, reference = SplitMix64(seed), SplitMix64(seed)
+        m = (n + 1) // 2
+        u1 = np.maximum(reference.floats(m), 2.0 ** -53)
+        u2 = reference.floats(m)
+        r = np.sqrt(-2.0 * np.log(u1))
+        expected = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])[:n]
+        assert stream.normals(n).tobytes() == expected.tobytes()
+        assert stream.next_float() == reference.next_float()
+
+
 def test_normals_moments():
     draws = SplitMix64(13).normals(20_000)
     assert abs(draws.mean()) < 0.03
