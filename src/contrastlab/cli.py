@@ -8,7 +8,9 @@ error, 3 I/O error. Failures print one machine-parseable line to stderr:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .augment import (Dataset, generate_dataset, load_dataset, stratified_split,
@@ -38,30 +40,26 @@ def _load_dataset(exp: Experiment) -> Dataset:
     return generate_dataset(exp.synthetic)
 
 
-def _print_results(results) -> bool:
-    ok = True
+def _verdict(results, failure: str) -> int:
+    """A PASS or FAIL line per result; on a FAIL, ``error: <failure>`` and exit 1."""
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: max_rel_err={r.error:.3e} (tol {r.tol:.0e})")
-        ok = ok and r.passed
-    return ok
+    if all(r.passed for r in results):
+        return EXIT_OK
+    print(f"error: {failure}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def cmd_gradcheck(exp: Experiment) -> int:
     results = gradcheck_suite(seed=derive(exp.train.run_seed, "gradcheck"))
-    ok = _print_results(results)
-    if not ok:
-        print("error: gradcheck: at least one variant exceeded tolerance", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verdict(results, "gradcheck: at least one variant exceeded tolerance")
 
 
 def cmd_reduce_check(exp: Experiment) -> int:
     results = reduction_suite(seed=derive(exp.train.run_seed, "reduce"))
     results += mle_equivalence_suite(seed=derive(exp.train.run_seed, "mle"))
-    ok = _print_results(results)
-    if not ok:
-        print("error: reduce-check: equivalence exceeded tolerance", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _verdict(results, "reduce-check: equivalence exceeded tolerance")
 
 
 def cmd_gen_data(exp: Experiment) -> int:
@@ -81,30 +79,38 @@ def cmd_pretrain(exp: Experiment) -> int:
                       exp.eval, out_dir=exp.output_dir)
     print(f"pretrained {exp.train.epochs} epochs; "
           f"checkpoint and logs in {exp.output_dir}")
-    if result.eval_rows:
-        print(f"final eval ({EVAL_LOG_HEADER}): {result.eval_rows[-1]}")
+    print(f"final eval ({EVAL_LOG_HEADER}): {result.eval_rows[-1]}")
     return EXIT_OK
 
 
-def _load_run(exp: Experiment):
+@contextmanager
+def _scoring(exp: Experiment):
+    """The run's checkpoint, dataset and split. A ``DomainError`` while they
+    are scored comes from the checkpoint's weights (a huge one overflows),
+    not the config: an I/O error naming the file, as for a NaN weight."""
     checkpoint = exp.output_dir / "checkpoint.bin"
     if not checkpoint.exists():
         raise FileNotFoundError(f"io.output_dir: no checkpoint at {checkpoint}")
     bundle = load_bundle(checkpoint)
     dataset = _load_dataset(exp)
     train_idx, test_idx = stratified_split(dataset.labels, exp.train.test_fraction)
-    return bundle, dataset, train_idx, test_idx
+    try:
+        yield bundle, dataset, train_idx, test_idx
+    except DomainError as exc:
+        raise OSError(f"checkpoint {checkpoint}: {exc}") from None
 
 
 def cmd_knn(exp: Experiment) -> int:
-    acc = knn_eval(*split_features(*_load_run(exp)), exp.eval.knn_k)
+    with _scoring(exp) as run:
+        acc = knn_eval(*split_features(*run), exp.eval.knn_k)
     write_rows(exp.output_dir / "eval_log.csv", EVAL_LOG_HEADER, [f"-1,{acc!r},,"], append=True)
     print(f"knn_acc={acc}")
     return EXIT_OK
 
 
 def cmd_probe(exp: Experiment) -> int:
-    split = split_features(*_load_run(exp))
+    with _scoring(exp) as run:
+        split = split_features(*run)
     rows = []
     for size in exp.eval.probe_sizes:
         acc = linear_probe(*split, size, derive(exp.train.run_seed, "probe"))
@@ -115,10 +121,10 @@ def cmd_probe(exp: Experiment) -> int:
 
 
 def cmd_analyze(exp: Experiment) -> int:
-    bundle, dataset, train_idx, test_idx = _load_run(exp)
-    pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], exp.pipeline,
-                                            exp.eval.pair_seed, exp.eval.pair_count)
-    reports = separability_report(bundle, pos_pairs, neg_pairs)
+    with _scoring(exp) as (bundle, dataset, train_idx, test_idx):
+        pos_pairs, neg_pairs = build_eval_pairs(dataset.pixels[test_idx], exp.pipeline,
+                                                exp.eval.pair_seed, exp.eval.pair_count)
+        reports = separability_report(bundle, pos_pairs, neg_pairs)
     out = exp.output_dir / "separability.csv"
     write_separability_csv(out, reports)
     for report in reports:
@@ -126,6 +132,9 @@ def cmd_analyze(exp: Experiment) -> int:
     print(f"wrote {out}")
     return EXIT_OK
 
+
+# The commands that write to io.output_dir; each echoes its config there first.
+ECHOING = ("pretrain", "knn", "probe", "analyze")
 
 COMMANDS = {
     "gradcheck": cmd_gradcheck,
@@ -154,7 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](load_config(args.config)[0])
+        exp, resolved = load_config(args.config)
+        if args.command in ECHOING:
+            exp.output_dir.mkdir(parents=True, exist_ok=True)
+            echo = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+            (exp.output_dir / "config.resolved.json").write_text(echo)
+        return COMMANDS[args.command](exp)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

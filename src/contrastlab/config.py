@@ -1,7 +1,8 @@
 """Experiment configuration: one JSON document, laid over the defaults
-of the config dataclasses, checked for JSON types, closed (unknown keys
-are rejected), and echoed fully resolved into the output directory so
-every run is reproducible from its artifacts alone.
+of the config dataclasses, checked for JSON types and closed (unknown
+keys are rejected). The commands that write to the output directory
+echo it there fully resolved (``cli.main``), so every run is
+reproducible from its artifacts alone.
 
 Every default, range and choice lives in its dataclass; this module only
 routes the document to them and maps a rejected attribute back to its
@@ -147,7 +148,7 @@ def resolve_config(user: dict) -> dict:
 
 def load_config(path=None) -> tuple[Experiment, dict]:
     """Parse and resolve the document at ``path`` (all defaults when
-    None), and echo it to ``<output_dir>/config.resolved.json``."""
+    None); nothing is written."""
     if path is None:
         user = {}
     else:
@@ -160,8 +161,4 @@ def load_config(path=None) -> tuple[Experiment, dict]:
             user = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"<root>: not valid JSON ({exc})") from None
-    experiment, resolved = _resolve(user)
-    experiment.output_dir.mkdir(parents=True, exist_ok=True)
-    echo = experiment.output_dir / "config.resolved.json"
-    echo.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-    return experiment, resolved
+    return _resolve(user)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractViolation, DomainError, require, require_choice
+from .errors import ContractViolation, require, require_choice
 from .nets import Mlp, TempBounds, adaptive_temperature, bounded_sigmoid, temperature_embedding
 from .tensor import Tensor
 
@@ -134,16 +134,9 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
 # -- temperature penalty ----------------------------------------------------
 
-def _positive(tau: Tensor, what: str) -> Tensor:
-    """``tau``, checked > 0 (fmin skips NaN, as ``.any()`` would)."""
-    if tau.data.size and np.fmin.reduce(tau.data, axis=None) <= 0.0:
-        raise DomainError(f"{what} needs tau > 0")
-    return tau
-
-
 def temp_penalty(tau, d_prime: int) -> Tensor:
-    """(d'/2) log(tau) + 1/tau, elementwise; unique minimum at tau = 2/d'."""
-    tau = _positive(tau, "temperature penalty")
+    """(d'/2) log(tau) + 1/tau, elementwise; unique minimum at tau = 2/d'.
+    A tau <= 0 fails the domain check of ``T.log``."""
     return (d_prime / 2.0) * T.log(tau) + 1.0 / tau
 
 
@@ -200,7 +193,6 @@ def softmax_negatives(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     -(d'/2) log(2 pi tau_n) + (s_n - 1)/tau_n, so a row whose densities
     all underflow at small temperatures stays finite; the gradient with
     respect to the log-densities is their softmax."""
-    tau = _positive(tau, "softmax aggregation")
     log_dens = (-d_prime / 2.0) * T.log(TWO_PI * tau) + (s - 1.0) / tau
     return T.logsumexp(log_dens, axis=-1)
 
@@ -451,7 +443,6 @@ def head_loss(cfg: LossConfig, pa: Tensor, pb: Tensor, temps,
 def gaussian_density(s: Tensor, tau: Tensor, d_prime: int) -> Tensor:
     """Isotropic Gaussian density at squared distance 2 - 2s (unit
     vectors): (2 pi tau)^(-d'/2) exp(-(2 - 2s) / (2 tau))."""
-    tau = _positive(tau, "gaussian density")
     return T.mul(T.pow_const(TWO_PI * tau, -d_prime / 2.0),
                  T.exp(-((2.0 - 2.0 * s) / (2.0 * tau))))
 

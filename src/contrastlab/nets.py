@@ -42,11 +42,7 @@ class TempBounds:
 def bounded_sigmoid(r: Tensor, bounds: TempBounds) -> Tensor:
     """iota / (1 + exp(r)) + eta: strictly decreasing, range (eta, eta+iota)."""
     tau = bounds.iota / (1.0 + T.exp(r)) + bounds.eta
-    _assert_in_bounds(tau.data, bounds)
-    return tau
-
-
-def _assert_in_bounds(values: np.ndarray, bounds: TempBounds) -> None:
+    values = tau.data
     # fmin and fmax skip a NaN entry, as a comparison's .any() does
     if values.size and (np.fmin.reduce(values, axis=None) <= bounds.eta
                         or np.fmax.reduce(values, axis=None) >= bounds.eta + bounds.iota):
@@ -54,6 +50,7 @@ def _assert_in_bounds(values: np.ndarray, bounds: TempBounds) -> None:
             f"temperature escaped ({bounds.eta}, {bounds.eta + bounds.iota}): "
             f"range [{values.min()}, {values.max()}]"
         )
+    return tau
 
 
 @dataclass(frozen=True)

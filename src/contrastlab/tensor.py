@@ -482,9 +482,9 @@ def _probe(loss_fn: Callable[[], Tensor]) -> float:
     return value
 
 
-def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                      h: float = 1e-5) -> float:
-    """Max relative disagreement between backward and central differences.
+def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
+    """Max relative disagreement between backward and central differences
+    of step 1e-5.
 
     ``loss_fn`` must be a deterministic closure over ``params`` that
     rebuilds its graph on every call; parameters are perturbed in place
@@ -497,8 +497,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     naming the parameter and coordinate.
     """
     global _held, _replay_at
-    if not 1e-7 <= h <= 1e-3:
-        raise ContractViolation(f"step h={h} outside [1e-7, 1e-3]")
+    h = 1e-5
     if _held is not None:
         raise ContractViolation("finite_diff_check cannot run inside another check")
     _held = []

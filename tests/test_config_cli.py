@@ -129,11 +129,23 @@ class TestResolve:
             doc = workloads.make_config(workload, 201, "data", "out")
             assert resolve_config(json.loads(json.dumps(doc))) == doc, workload.name
 
-    def test_resolved_echo_written(self, tmp_path):
+    def test_readme_defaults_block_is_the_resolved_default(self):
+        """The README's "All defaults" JSON block states the dataclass
+        defaults; the dataclasses stay their only owner."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("All defaults:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == resolve_config({})
+
+    def test_resolved_echo_written(self, tmp_path, capsys):
+        """Loading only reads; a command that writes outputs leaves the
+        echo, also when it fails (here for the missing checkpoint)."""
         out = tmp_path / "runout"
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"io": {"output_dir": str(out)}}))
         _, resolved = load_config(path)
+        assert not out.exists()
+        assert main(["knn", "-c", str(path)]) == 3
+        assert "no checkpoint" in capsys.readouterr().err
         echoed = json.loads((out / "config.resolved.json").read_text())
         assert echoed == resolved
 
@@ -463,19 +475,37 @@ class TestCommands:
                                                            component, index, value):
         """A well-formed checkpoint with one parameter tensor of the
         encoder or the heads filled with NaN, inf or a huge finite value:
-        knn, probe and analyze each exit 0, 2 or 3, with exactly one error
-        line when they fail and no warning (warnings are errors here)."""
+        knn, probe and analyze each exit 0, or exit 3 with exactly one
+        line naming the checkpoint, and no warning (warnings are errors
+        here). No config is at fault, so none exits 2."""
         root, path = crafted_run
+        checkpoint = root / "out" / "checkpoint.bin"
         bundle = ModelBundle.build(192, 16, 8, 2, seed=3, temp_width=8)
         param = getattr(bundle, component).params[index]
         param.data = np.full(param.shape, value)
-        save_bundle(bundle, root / "out" / "checkpoint.bin")
+        save_bundle(bundle, checkpoint)
         for command in ("knn", "probe", "analyze"):
             code = main([command, "-c", str(path)])
             err = capsys.readouterr().err.splitlines()
-            assert code in (0, 2, 3), command
-            assert len(err) == (code != 0) and all(line.startswith("error: ") for line in err), \
+            assert code in (0, 3), (command, err)
+            assert len(err) == (code != 0) and all(
+                line.startswith(f"error: io: checkpoint {checkpoint}: ") for line in err), \
                 (command, err)
+
+    def test_config_caused_contract_violation_stays_exit_2(self, crafted_run, tmp_path, capsys):
+        """Scoring a sound checkpoint with a config that asks for more
+        training images than the split holds is the config's fault."""
+        root, path = crafted_run
+        save_bundle(ModelBundle.build(192, 16, 8, 2, seed=3, temp_width=8),
+                    root / "out" / "checkpoint.bin")
+        doc = json.loads(path.read_text())
+        doc["eval"].update(knn_k=100, probe_sizes=[100])
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        for command, reason in (("knn", "k=100 exceeds"), ("probe", "need 100")):
+            assert main([command, "-c", str(config)]) == 2, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: contract: ") and reason in err[0]
 
     @pytest.mark.parametrize("damage", ["truncated-payload", "smaller-image"])
     def test_bad_dataset_file_is_io_error(self, small_config, tmp_path, capsys, damage):
@@ -663,5 +693,34 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["gen-data"]) == 2
         assert "io.dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["knn"]) == 3
+        assert "no checkpoint" in capsys.readouterr().err
         echoed = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
         assert echoed == resolve_config({})
+
+    @pytest.mark.parametrize("command", ["pretrain", "knn", "probe", "analyze"])
+    def test_output_commands_echo_before_their_work(self, tmp_path, capsys, command):
+        """A run that fails at once (no dataset, no checkpoint) still
+        leaves an echo equal to the resolved document."""
+        doc = {"model": {"d": 16, "heads": 2}, "train": {"run_seed": 4},
+               "io": {"dataset": str(tmp_path / "none"),
+                      "output_dir": str(tmp_path / "run" / "out")}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "-c", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: io: ")
+        echoed = (tmp_path / "run" / "out" / "config.resolved.json").read_text()
+        assert echoed == json.dumps(resolve_config(doc), indent=2, sort_keys=True) + "\n"
+
+    def test_read_only_commands_create_no_output_dir(self, tmp_path, capsys):
+        doc = {"train": {"run_seed": 2},
+               "io": {"dataset": str(tmp_path / "data"), "output_dir": str(tmp_path / "out"),
+                      "synthetic": {"classes": 2, "per_class": 3, "size": 8, "channels": 1}}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        for command in ("gen-data", "gradcheck", "reduce-check"):
+            assert main([command, "-c", str(path)]) == 0, command
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "data" / "labels.csv").exists()
+        assert not (tmp_path / "out").exists()

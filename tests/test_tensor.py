@@ -445,7 +445,7 @@ class TestFiniteDiffCheck:
     def test_quadratic_is_nearly_exact(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.uniform(-2, 2, size=(6,)))
-        err = finite_diff_check(lambda: 0.5 * T.sum_(x * x), [x], h=1e-5)
+        err = finite_diff_check(lambda: 0.5 * T.sum_(x * x), [x])
         assert err < 1e-8
 
     def test_constant_loss_all_zero(self):
@@ -453,11 +453,6 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(lambda: Tensor(3.0) * 1.0, [x])
         assert err == 0.0
         assert np.all(backward(Tensor(3.0) * 1.0, [x])[0] == 0.0)
-
-    def test_step_size_contract(self):
-        x = Tensor([1.0])
-        with pytest.raises(ContractViolation):
-            finite_diff_check(lambda: T.sum_(x), [x], h=1e-2)
 
     def test_non_finite_gradient_rejected(self):
         """b * b underflows, so the gradient for b is 0/0 = NaN while every
