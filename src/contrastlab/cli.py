@@ -86,8 +86,9 @@ def cmd_pretrain(exp: Experiment) -> int:
 @contextmanager
 def _scoring(exp: Experiment):
     """The run's checkpoint, dataset and split. A ``DomainError`` while they
-    are scored comes from the checkpoint's weights (a huge one overflows),
-    not the config: an I/O error naming the file, as for a NaN weight."""
+    are scored comes from the checkpoint's weights (a huge one overflows,
+    or the encoder gives a zero row), not the config: an I/O error naming
+    the file, as for a NaN weight."""
     checkpoint = exp.output_dir / "checkpoint.bin"
     if not checkpoint.exists():
         raise FileNotFoundError(f"io.output_dir: no checkpoint at {checkpoint}")

@@ -114,6 +114,9 @@ def experiment_from_dict(resolved: dict) -> Experiment:
     """Build the experiment from a resolved document; a value its
     dataclass rejects raises ``ConfigError`` naming the JSON path."""
     m, l, a, t, e, io = (resolved[k] for k in ("model", "loss", "augment", "train", "eval", "io"))
+    for key in ("dataset", "output_dir"):     # the OS rejects such a path at its first use
+        if "\0" in (io[key] or ""):
+            raise ConfigError(f"io.{key}: a path cannot contain a NUL character")
     loss = {k: v for k, v in l.items() if k not in ("lambda", "bounds")}
     augment = {k: tuple(v) if isinstance(v, list) else v for k, v in a.items() if k != "prefix"}
     experiment = Experiment(

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses as L
+from . import tensor as T
 from .augment import AugPipeline, Dataset, augment_view, make_two_views, stratified_split, view_draws
 from .errors import ContractViolation, DomainError, EvaluationError, require
 from .losses import LossConfig, LossTerms
@@ -210,13 +211,16 @@ def _fmt(x: float) -> str:
 
 
 def encode_features(bundle: ModelBundle, pixels: np.ndarray) -> np.ndarray:
-    """Encoder outputs of (n, h, w, c) images, one row each, with numpy's
-    warnings off; a feature that overflows raises ``DomainError``."""
+    """Unit encoder rows of (n, h, w, c) images, one row each: the
+    encoder outputs, computed with numpy's warnings off, scaled by
+    ``tensor.l2_normalize`` as ``nets.forward_views`` scales them before
+    the heads. A feature that overflows, a zero row and a row whose
+    squared norm overflows raise ``DomainError``."""
     with np.errstate(all="ignore"):
-        features = bundle.encoder(Tensor(pixels.reshape(len(pixels), -1))).data
-    if not np.isfinite(features).all():
+        features = bundle.encoder(Tensor(pixels.reshape(len(pixels), -1)))
+    if not np.isfinite(features.data).all():
         raise DomainError("encoder features are not finite")
-    return features
+    return T.l2_normalize(features).data
 
 
 def pretrain(dataset: Dataset, model_cfg: ModelConfig, loss_cfg: LossConfig,
@@ -297,8 +301,9 @@ def write_rows(path: Path, header: str, rows: list[str], append: bool = False) -
 
 def split_features(bundle: ModelBundle, dataset: Dataset, train_idx,
                    test_idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The encoder's features and the labels of the train and the test
-    split: the first four arguments of both evaluation protocols."""
+    """The unit encoder rows (``encode_features``) and the labels of the
+    train and the test split: the first four arguments of both
+    evaluation protocols."""
     return (encode_features(bundle, dataset.pixels[train_idx]), dataset.labels[train_idx],
             encode_features(bundle, dataset.pixels[test_idx]), dataset.labels[test_idx])
 
@@ -344,16 +349,6 @@ def build_eval_pairs(images: np.ndarray, pipeline: AugPipeline, seed: int,
 
 # -- frozen-feature evaluation protocols ----------------------------------
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    # a finite row whose norm overflows scales to zeros, as it would had
-    # one of its entries been infinite
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ContractViolation("zero feature vector in nearest-neighbor evaluation")
-    return x / norms
-
-
 def _nearest(dist: np.ndarray, k: int) -> list[np.ndarray]:
     """The indices of each row's k smallest entries, in the order of a
     stable sort of the whole row (ties go to the lower index, NaN sorts
@@ -368,7 +363,8 @@ def _nearest(dist: np.ndarray, k: int) -> list[np.ndarray]:
 
 def knn_eval(train_feats: np.ndarray, train_labels: np.ndarray,
              test_feats: np.ndarray, test_labels: np.ndarray, k: int) -> float:
-    """Majority vote among the k nearest neighbors under cosine distance;
+    """Majority vote among the k nearest neighbors under cosine distance
+    of unit rows (``encode_features``), which it does not normalize;
     vote ties break by smaller summed distance, then lower class index.
     The neighbors are the first k of a stable sort of each row (distance
     ties go to the lower train index), found by one ``np.partition`` of
@@ -379,7 +375,7 @@ def knn_eval(train_feats: np.ndarray, train_labels: np.ndarray,
         raise ContractViolation("empty train set")
     if k > len(train_feats):
         raise ContractViolation(f"k={k} exceeds train set size {len(train_feats)}")
-    dist = 1.0 - _normalize_rows(test_feats) @ _normalize_rows(train_feats).T
+    dist = 1.0 - test_feats @ train_feats.T
     order = np.array(_nearest(dist, k), dtype=np.intp).reshape(len(dist), k)
     classes, codes = np.unique(train_labels, return_inverse=True)
     near, rows, n = codes[order], np.arange(len(dist)), len(classes)
@@ -387,11 +383,7 @@ def knn_eval(train_feats: np.ndarray, train_labels: np.ndarray,
     votes, sums = (np.bincount(cells, weights, len(dist) * n).reshape(-1, n)
                    for weights in (None, np.take_along_axis(dist, order, 1).ravel()))
     top = votes == votes.max(axis=1, keepdims=True)
-    best = np.argmin(np.where(top & ~np.isnan(sums), sums, np.inf), axis=1)
-    # NaN compares false, so a NaN sum keeps the vote only in the first
-    # top class to appear among the neighbors
-    first = near[rows, np.argmax(np.take_along_axis(top, near, 1), axis=1)]
-    best = np.where(np.isnan(sums[rows, first]), first, best)
+    best = np.argmin(np.where(top, sums, np.inf), axis=1)
     return int(np.count_nonzero(classes[best] == test_labels)) / len(test_labels)
 
 
@@ -402,15 +394,14 @@ def linear_probe(train_feats: np.ndarray, train_labels: np.ndarray,
     the frozen features: full-batch gradient descent, 500 iterations,
     learning rate 0.1, L2 penalty 1e-4 on the weights.
 
-    Features are scaled to unit norm first (matching the cosine geometry
-    of the nearest-neighbor protocol), which keeps the fixed step size
-    well-conditioned whatever scale the encoder settled at. The model has
-    one output per distinct training label, in sorted label order, so any
-    integer labels work (negative, sparse or large); a prediction is the
-    label of the highest-scoring output.
+    The features are unit rows (``encode_features``), the cosine geometry
+    of the nearest-neighbor protocol, which keeps the fixed step size
+    well-conditioned whatever scale the encoder settled at; they are not
+    normalized here. The model has one output per distinct training
+    label, in sorted label order, so any integer labels work (negative,
+    sparse or large); a prediction is the label of the highest-scoring
+    output.
     """
-    train_feats = _normalize_rows(train_feats)
-    test_feats = _normalize_rows(test_feats)
     classes = np.unique(train_labels)
     subset: list[int] = []
     stream = SplitMix64(derive(seed, "subset"))

@@ -60,7 +60,9 @@ NON_FINITE = {path: INF if isinstance(default, float) else [default[0], INF]
               or (isinstance(default, list) and isinstance(default[0], float))}
 BAD_CASES = ([pytest.param(path, value, "", id=path) for path, value in sorted(BAD_VALUES.items())]
              + [pytest.param(path, value, "expected a finite number", id=f"{path}=inf")
-                for path, value in NON_FINITE.items()])
+                for path, value in NON_FINITE.items()]
+             + [pytest.param(path, "a\0b", "a path cannot contain a NUL character", id=f"{path}=nul")
+                for path in ("io.dataset", "io.output_dir")])
 
 
 class TestResolve:
@@ -169,6 +171,50 @@ class TestFieldRules:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config: {path}: {reason}"), err
         assert not (tmp_path / "o").exists()
+
+    def test_fuzzed_documents_exit_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """A seeded corpus of documents, each the defaults with one leaf
+        replaced (a value of another JSON type, a huge integer, NaN,
+        Infinity, a negative number, an empty value, a string with a NUL
+        byte, each also as a list entry) or one unknown key added. knn
+        without a checkpoint ends each in exit 2 with one config line, or
+        in exit 3 with the missing-checkpoint line; path leaves take only
+        relative names inside the working directory."""
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(17)
+
+        def values():
+            """One value of each kind, the huge and negative numbers drawn anew."""
+            return ["x", "a\0b", "", True, None, [], {}, [1.0], 10 ** int(rng.integers(19, 400)),
+                    -int(rng.integers(1, 2 ** 62)), -float(rng.uniform(0.0, 10.0)), 0, 0.0,
+                    float("nan"), float("inf"), -float("inf")]
+
+        corpus = []
+        for path, default in sorted(leaves(resolve_config({})).items()):
+            for value in values():
+                corpus.append((path, value))
+                if isinstance(default, list):
+                    corpus.append((path, [value] + default[1:]))
+        sections = sorted({path.rsplit(".", 1)[0] for path in leaves(resolve_config({}))})
+        corpus += [(f"{section}.unknown{case}", values()[pick]) for case, section in enumerate(sections)
+                   for pick in rng.integers(0, 16, 2)] + [("unknown", {})]
+        assert len(corpus) > 300
+        for case, (path, value) in enumerate(corpus):
+            doc = {"io": {"output_dir": "out"}}
+            *parents, leaf = path.split(".")
+            node = doc
+            for section in parents:
+                node = node.setdefault(section, {})
+            node[leaf] = value
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps(doc))
+            code = main(["knn", "-c", str(config)])
+            err = capsys.readouterr().err.splitlines()
+            output_dir = value if path == "io.output_dir" and code == 3 else "out"
+            missing = f"error: io: io.output_dir: no checkpoint at {Path(output_dir) / 'checkpoint.bin'}"
+            assert (code, len(err)) in ((2, 1), (3, 1)), (case, path, value, code, err)
+            assert err[0].startswith("error: config: ") if code == 2 else err[0] == missing, \
+                (case, path, value, err)
 
     @pytest.mark.parametrize("make,field", [
         pytest.param(lambda: ModelConfig(d_prime=0), "d_prime", id="model"),
@@ -490,6 +536,25 @@ class TestCommands:
             assert code in (0, 3), (command, err)
             assert len(err) == (code != 0) and all(
                 line.startswith(f"error: io: checkpoint {checkpoint}: ") for line in err), \
+                (command, err)
+
+    @pytest.mark.parametrize("index,value", [(2, 0.0), (0, 1e160)], ids=["zero", "1e160"])
+    def test_zero_or_overflowing_features_exit_3(self, crafted_run, capsys, index, value):
+        """An encoder whose second layer's weights are all zero (every
+        feature row is zero) or one of whose weight tensors is 1e160 (a
+        row's squared norm overflows): the unit rows that knn and probe
+        read fail as the heads' inputs do, so knn, probe and analyze each
+        exit 3 with exactly one line naming the checkpoint."""
+        root, path = crafted_run
+        checkpoint = root / "out" / "checkpoint.bin"
+        bundle = ModelBundle.build(192, 16, 8, 2, seed=3, temp_width=8)
+        param = bundle.encoder.params[index]
+        param.data = np.full(param.shape, value)
+        save_bundle(bundle, checkpoint)
+        for command in ("knn", "probe", "analyze"):
+            assert main([command, "-c", str(path)]) == 3, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: io: checkpoint {checkpoint}: "), \
                 (command, err)
 
     def test_config_caused_contract_violation_stays_exit_2(self, crafted_run, tmp_path, capsys):

@@ -9,15 +9,15 @@ from contrastlab import losses as L
 from contrastlab import tensor as T
 from contrastlab import train
 from contrastlab.augment import AugPipeline, SyntheticSpec, generate_dataset
-from contrastlab.errors import ContractViolation
+from contrastlab.errors import ContractViolation, DomainError
 from contrastlab.losses import LossConfig
-from contrastlab.nets import TempBounds, forward_views
+from contrastlab.nets import ModelBundle, TempBounds, forward_views
 from contrastlab.rng import SplitMix64, derive
 from contrastlab.tensor import Tensor, backward
 from contrastlab.train import (EvalConfig, ModelConfig, SgdMomentum, TrainConfig,
-                               _batch_loss, _nearest, _start, build_eval_pairs, knn_eval,
-                               linear_probe, pretrain, reduction_check, temperature_for_step,
-                               train_step)
+                               _batch_loss, _nearest, _start, build_eval_pairs,
+                               encode_features, knn_eval, linear_probe, pretrain,
+                               reduction_check, temperature_for_step, train_step)
 from test_augment import reference_view
 
 SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
@@ -25,6 +25,11 @@ SMALL_SPEC = SyntheticSpec(classes=4, per_class=20, size=8, channels=1, seed=5)
 
 def small_dataset():
     return generate_dataset(SMALL_SPEC)
+
+
+def unit(x):
+    """Rows scaled to unit norm: the features both evaluation protocols read."""
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 class TestTemperatureSchedule:
@@ -190,16 +195,46 @@ class TestSymmetry:
             assert forward.total().item() == swapped.total().item()
 
 
-class TestKnn:
-    def test_overflowing_feature_norm_scores_without_warning(self):
-        """A finite feature row whose norm overflows float64 (as a damaged
-        checkpoint's weights can make it) scales to zeros without a
-        warning: at distance 1 from every row, its vote goes to the lowest
-        train index."""
-        train = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
-        test = np.array([[1.0, 0.0], [1e200, 1e200]])
-        assert knn_eval(train, np.array([0, 1, 2]), test, np.array([0, 2]), k=1) == 0.5
+class TestEncodeFeatures:
+    """The unit encoder rows both evaluation protocols read, scaled by the
+    rule that scales the heads' inputs."""
 
+    @staticmethod
+    def bundle_and_pixels(seed=3):
+        pixels = SplitMix64(seed).floats(12 * 4 * 4 * 3).reshape(12, 4, 4, 3)
+        return ModelBundle.build(48, 16, 8, 2, seed=seed), pixels
+
+    def test_rows_are_the_encoder_rows_over_their_norms(self):
+        for seed in (3, 4, 5):
+            bundle, pixels = self.bundle_and_pixels(seed)
+            raw = bundle.encoder(Tensor(pixels.reshape(len(pixels), -1))).data
+            want = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            assert encode_features(bundle, pixels).tobytes() == want.tobytes()
+
+    def test_scaled_output_layer_gives_the_same_rows(self):
+        """Cosine geometry ignores the encoder's scale: an output layer
+        scaled by 8 (exact in binary) gives the same rows bit for bit."""
+        bundle, pixels = self.bundle_and_pixels()
+        before = encode_features(bundle, pixels)
+        for param in bundle.encoder.params[2:]:
+            param.data = param.data * 8.0
+        assert encode_features(bundle, pixels).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("value,reason", [
+        (0.0, "cannot normalize a zero vector"),
+        (1e160, "cannot normalize a vector whose squared norm overflows"),
+    ], ids=["zero", "overflowing"])
+    def test_zero_and_overflowing_rows_raise_domain_error(self, value, reason):
+        """An output layer of zeros or of finite weights so large that a
+        row's squared norm overflows: one ``DomainError``, no warning."""
+        bundle, pixels = self.bundle_and_pixels()
+        for param in bundle.encoder.params[2:]:
+            param.data = np.full(param.shape, value)
+        with pytest.raises(DomainError, match=reason):
+            encode_features(bundle, pixels)
+
+
+class TestKnn:
     def test_duplicated_point_k1(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([3, 5])
@@ -207,9 +242,9 @@ class TestKnn:
         assert acc == 1.0 and type(acc) is float     # logs write its repr
 
     def test_single_class_train_set(self):
-        train = np.array([[1.0, 0.0], [0.9, 0.1]])
+        train = unit(np.array([[1.0, 0.0], [0.9, 0.1]]))
         labels = np.array([2, 2])
-        test = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        test = unit(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
         test_labels = np.array([2, 1, 2])
         acc = knn_eval(train, labels, test, test_labels, k=2)
         assert acc == pytest.approx(2.0 / 3.0)
@@ -220,33 +255,21 @@ class TestKnn:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-            train = np.vstack([rng.normal(c, 0.1, size=(40, 2)) for c in centers])
+            train = unit(np.vstack([rng.normal(c, 0.1, size=(40, 2)) for c in centers]))
             train_labels = np.repeat([0, 1], 40)
-            test = np.vstack([rng.normal(c, 0.1, size=(25, 2)) for c in centers])
+            test = unit(np.vstack([rng.normal(c, 0.1, size=(25, 2)) for c in centers]))
             test_labels = np.repeat([0, 1], 25)
             acc = knn_eval(train, train_labels, test, test_labels, k=5)
             assert acc >= 0.99
             # brute force oracle: plain loops, majority vote
-            tn = train / np.linalg.norm(train, axis=1, keepdims=True)
-            sn = test / np.linalg.norm(test, axis=1, keepdims=True)
             correct = 0
-            for x, y in zip(sn, test_labels):
-                dists = [(1.0 - float(x @ t), j) for j, t in enumerate(tn)]
+            for x, y in zip(test, test_labels):
+                dists = [(1.0 - float(x @ t), j) for j, t in enumerate(train)]
                 dists.sort()
                 votes = [train_labels[j] for _, j in dists[:5]]
                 pred = max(set(votes), key=lambda c: (votes.count(c), -c))
                 correct += int(pred == y)
             assert acc == pytest.approx(correct / len(test_labels))
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        train = rng.normal(size=(30, 4))
-        labels = rng.integers(0, 3, size=30)
-        test = rng.normal(size=(10, 4))
-        test_labels = rng.integers(0, 3, size=10)
-        a = knn_eval(train, labels, test, test_labels, k=5)
-        b = knn_eval(train * 7.0, labels, test * 7.0, test_labels, k=5)
-        assert a == b
 
     def test_contracts(self):
         with pytest.raises(ContractViolation):
@@ -258,12 +281,10 @@ class TestKnn:
 
 
 def full_sort_knn(train_feats, train_labels, test_feats, test_labels, k):
-    """``knn_eval`` with each row's neighbours from a stable sort of the
-    whole row; the vote is ``knn_eval``'s."""
-    tn = train_feats / np.linalg.norm(train_feats, axis=1, keepdims=True)
-    sn = test_feats / np.linalg.norm(test_feats, axis=1, keepdims=True)
+    """``knn_eval`` on unit rows with each row's neighbours from a stable
+    sort of the whole row; the vote is ``knn_eval``'s."""
     correct = 0
-    for row, true_label in zip(1.0 - sn @ tn.T, test_labels):
+    for row, true_label in zip(1.0 - test_feats @ train_feats.T, test_labels):
         votes, sums = {}, {}
         for idx in np.argsort(row, kind="stable")[:k]:
             cls = int(train_labels[idx])
@@ -309,28 +330,17 @@ class TestKnnNeighbours:
         ])
         self.assert_full_sort_prefix(dist, k)
 
-    @pytest.mark.parametrize("k", [1, 4, 12])
-    def test_infinite_features_score_as_a_full_sort(self, k):
-        rng = np.random.default_rng(13)
-        train = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
-        train[[1, 6]] = [np.inf, 0.0]
-        test = rng.normal(size=(8, 2))
-        test[2] = [np.inf, np.inf]
-        labels, test_labels = rng.integers(0, 3, size=12), rng.integers(0, 3, size=8)
-        with np.errstate(invalid="ignore"):
-            assert knn_eval(train, labels, test, test_labels, k) == \
-                full_sort_knn(train, labels, test, test_labels, k)
-
     def test_vote_ties_match_the_reference_vote(self):
-        """Features on an integer grid, each repeated, tie distances, vote
-        counts and summed distances across classes at every k; scoring one
-        test row against each class in turn compares the chosen class
-        itself, not only the accuracy."""
+        """Unit features from an integer grid, each repeated, tie
+        distances, vote counts and summed distances across classes at
+        every k; scoring one test row against each class in turn compares
+        the chosen class itself, not only the accuracy."""
         rng = np.random.default_rng(14)
         grid = rng.integers(-1, 2, size=(8, 2)).astype(float)
         grid[np.all(grid == 0, axis=1)] = 1.0
+        grid = unit(grid)
         train = np.repeat(grid, 3, axis=0)[rng.permutation(24)]
-        test = np.vstack([grid, [[1.0, 1.0], [-1.0, 0.0]]])
+        test = np.vstack([grid, unit(np.array([[1.0, 1.0], [-1.0, 0.0]]))])
         labels = rng.integers(0, 4, size=24) * 5 - 3
         tied = 0
         for k in range(1, len(train) + 1):
@@ -340,8 +350,7 @@ class TestKnnNeighbours:
                 assert sum(picks) == 1.0
                 assert picks == [full_sort_knn(train, labels, test[row:row + 1], np.array([c]), k)
                                  for c in np.unique(labels)]
-            near = np.argsort(1.0 - test @ train.T / np.linalg.norm(train, axis=1), axis=1,
-                              kind="stable")[:, :k]
+            near = np.argsort(1.0 - test @ train.T, axis=1, kind="stable")[:, :k]
             counts = np.array([np.bincount(labels[r] + 3, minlength=19) for r in near])
             tied += int(np.sum(np.sum(counts == counts.max(axis=1, keepdims=True), axis=1) > 1))
         assert tied > 0, "no vote tie"
@@ -356,9 +365,9 @@ class TestLinearProbe:
 
     def test_shuffled_labels_chance_level(self):
         rng = np.random.default_rng(4)
-        feats = rng.normal(size=(400, 8))
+        feats = unit(rng.normal(size=(400, 8)))
         labels = np.repeat(np.arange(4), 100)
-        test_feats = rng.normal(size=(400, 8))
+        test_feats = unit(rng.normal(size=(400, 8)))
         test_labels = rng.permutation(labels)
         acc = linear_probe(feats, labels, test_feats, test_labels, per_class=50, seed=1)
         assert abs(acc - 0.25) < 0.05
